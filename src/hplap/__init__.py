@@ -43,7 +43,7 @@ from .closedform import (
     sigma_p_beta,
     sphere_moment,
 )
-from .quadrature import IntegralEstimate, grid_integral_1d, mc_ball_integral, mc_group_integral
+from .quadrature import IntegralEstimate, grid_integral_1d, mc_ball_integral
 from .verify import SuiteConfig, hardy_ratio, run_suite
 
 __version__ = "0.1.0"

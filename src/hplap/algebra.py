@@ -36,6 +36,7 @@ assumed to be desk-scale (<= 64).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -129,6 +130,9 @@ class OperatorParams:
     beta: float = 0.0
 
     def __post_init__(self):
+        for name in ("k", "p", "alpha", "beta", "Q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"parameter {name} must be finite, got {name}={getattr(self, name)}")
         if not self.k >= 1:
             raise ValueError(f"field parameter k must satisfy k >= 1, got k={self.k}")
         if not self.p > 1:

@@ -5,7 +5,7 @@ Usage
 -----
     hplap verify --group heisenberg:1 --k 1 --p 2 --suite lemma1 --out reports/
     hplap constants --group heisenberg:1 --k 1 --p 2
-    hplap sweep --group heisenberg:1 --k 1,2 --p 1.5,2,3 --alpha -1,0,1 --out sweep.csv
+    hplap sweep --group heisenberg:1 --k 1,2 --p 1.5,2,3 --alpha=-1,0,1 --out sweep.csv
 
 Configuration precedence: command-line flags > environment variables
 (prefix ``HPLAP_``, e.g. ``HPLAP_SEED=7``) > config file (plain-text
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import closedform as cf
 from .algebra import OperatorParams, resolve_group
-from .report import to_kv
+from .report import to_csv, to_kv
 from .verify import (
     SUITES,
     SuiteConfig,
@@ -46,16 +46,13 @@ __all__ = ["CliConfig", "cmd_verify", "cmd_constants", "cmd_sweep", "main"]
 
 _ENV_PREFIX = "HPLAP_"
 
+# option keys that set a SuiteConfig field, and that field's name
+_SUITE_FIELDS = {"group": "group", "k": "k", "p": "p", "alpha": "alpha", "beta": "beta",
+                 "seed": "seed", "samples": "n_samples", "corpus_samples": "corpus_samples"}
+
 _DEFAULTS = {
-    "group": "heisenberg:1",
-    "k": "1",
-    "p": "2",
-    "alpha": "0",
-    "beta": "0",
+    **{key: str(getattr(SuiteConfig, name)) for key, name in _SUITE_FIELDS.items()},
     "suite": "all",
-    "seed": "20240",
-    "samples": "1000000",
-    "corpus_samples": "60000",
     "out": "reports",
     "format": "kv",
     "mode": "hardy",
@@ -187,20 +184,6 @@ def _fname_group(group: str) -> str:
     return group.replace(":", "_")
 
 
-def _report_csv(report) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check_id", "kind", "observed", "target", "tolerance", "stderr", "margin", "passed"])
-    for c in report.checks:
-        writer.writerow(
-            [c.check_id, c.kind, repr(c.observed), repr(c.target), repr(c.tolerance),
-             repr(c.stderr), repr(c.margin), "true" if c.passed else "false"]
-        )
-    return buf.getvalue()
-
-
 def cmd_verify(cfg: CliConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     stamp = _stamp(cfg)
@@ -210,7 +193,7 @@ def cmd_verify(cfg: CliConfig) -> int:
         all_pass &= report.overall_pass
         path = os.path.join(cfg.out, f"{name}-{_fname_group(cfg.group)}-{stamp}.{cfg.format}")
         with open(path, "w") as fh:
-            fh.write(to_kv(report) if cfg.format == "kv" else _report_csv(report))
+            fh.write(to_kv(report) if cfg.format == "kv" else to_csv(report))
         print(report.summary_line() + f" -> {path}")
     return 0 if all_pass else 1
 

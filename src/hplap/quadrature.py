@@ -18,9 +18,11 @@ safely; the induced bias is bounded by the measure of the excluded tube
 (~ R^{Q-m} * 1e-12m) times the local integrand bound and is far below
 the reported standard errors at the sample sizes used here.
 
-Group-wide integrals are decomposed over dyadic shells 2^a < d < 2^{a+1}
-plus an innermost ball; per-shell errors add in quadrature and the last
-shell doubles as a tail-decay diagnostic.
+Integrals over a union of regions (an innermost ball plus dyadic shells
+2^a <= d < 2^{a+1}, or the dyadic split of a test function's support) go
+through :func:`integrate_shells`: region i is drawn on substream
+spawn_key + (i,), values and covariances are summed in region order, and
+the outermost region's values come back separately as a tail diagnostic.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ __all__ = [
     "IntegralEstimate",
     "BallRegion",
     "ShellRegion",
-    "BoxRegion",
     "Sampler",
     "mc_ball_integral",
-    "mc_shell_integral",
-    "mc_group_integral",
+    "integrate_shells",
     "grid_integral_1d",
 ]
 
@@ -59,9 +59,6 @@ class IntegralEstimate:
     stderr: float
     n_samples: int
     region: str
-
-    def consistent_with(self, target: float, nsigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= nsigma * self.stderr
 
 
 @dataclass(frozen=True)
@@ -82,17 +79,6 @@ class ShellRegion:
 
 
 @dataclass(frozen=True)
-class BoxRegion:
-    """Plain coordinate box |z_j| <= z_half, |t_i| <= t_half."""
-
-    z_half: float
-    t_half: float
-
-    def describe(self) -> str:
-        return f"box({self.z_half!r},{self.t_half!r})"
-
-
-@dataclass(frozen=True)
 class Sampler:
     """Reproducible uniform sampler for a region: identical seed implies an
     identical candidate stream."""
@@ -104,8 +90,6 @@ class Sampler:
     spawn_key: tuple = ()
 
     def _box(self):
-        if isinstance(self.region, BoxRegion):
-            return self.region.z_half, self.region.t_half
         R = self.region.radius if isinstance(self.region, BallRegion) else self.region.r_max
         return R, R ** (2.0 * self.params.k) / 4.0
 
@@ -165,11 +149,6 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     return vol * mean, vol * vol * cov, n, accepted
 
 
-def _mc_region(sampler: Sampler, fns, n: int):
-    multi = lambda Z, T: np.stack([f(Z, T) for f in fns], axis=0)
-    return mc_region_multi(sampler, multi, len(fns), n)
-
-
 def mc_ball_integral(
     alg: HTypeAlgebra,
     params: OperatorParams,
@@ -183,7 +162,7 @@ def mc_ball_integral(
     f takes coordinate batches (Z, T) -> (n,) (a ScalarField.eval works).
     """
     sampler = Sampler(alg, params, BallRegion(R), seed)
-    vals, cov, n_used, accepted = _mc_region(sampler, [f], n)
+    vals, cov, n_used, accepted = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, n)
     if accepted < max(1.0, 1e-4 * n):
         raise RuntimeError(
             f"acceptance rate {accepted / n:.2e} below 1e-4 for {sampler.region.describe()}"
@@ -196,65 +175,23 @@ def mc_ball_integral(
     )
 
 
-def mc_shell_integral(alg, params, f, r_min: float, r_max: float, n: int, seed: int, spawn_key=()) -> IntegralEstimate:
-    sampler = Sampler(alg, params, ShellRegion(r_min, r_max), seed, spawn_key=spawn_key)
-    vals, cov, n_used, _ = _mc_region(sampler, [f], n)
-    return IntegralEstimate(
-        value=float(vals[0]),
-        stderr=float(np.sqrt(max(cov[0, 0], 0.0))),
-        n_samples=n_used,
-        region=sampler.region.describe(),
-    )
+def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_fn: Callable,
+                     nf: int, n: int, seed: int, spawn_key: tuple = ()):
+    """Sum of :func:`mc_region_multi` over regions, region i drawn with n
+    candidates on substream spawn_key + (i,).
 
-
-def dyadic_shells(r_min: float, r_max: float):
-    """Dyadic shell boundaries covering [r_min, r_max]."""
-    a0 = int(np.floor(np.log2(r_min)))
-    a1 = int(np.ceil(np.log2(r_max)))
-    return [(2.0**a, 2.0 ** (a + 1)) for a in range(a0, a1)]
-
-
-def mc_group_integral(
-    alg: HTypeAlgebra,
-    params: OperatorParams,
-    f: Callable,
-    shells=(2.0**-12, 2.0**12, 100_000),
-    seed: int = 0,
-) -> IntegralEstimate:
-    """Integral of a decaying f over the whole group: innermost ball plus
-    dyadic shells, each estimated on its own substream.
-
-    shells = (r_min, r_max, n per shell).  Raises if the outermost shell
-    still contributes more than 1% of the running total (non-decaying
-    tail), since then the truncation at r_max is not justified.
+    Returns (values, covariance, last) with last the outermost region's
+    values, so callers can check that a truncated tail has decayed.
     """
-    r_min, r_max, n_per = shells
-    total = 0.0
-    var = 0.0
-    n_tot = 0
-    # innermost ball
-    est = mc_ball_integral(alg, params, f, r_min, int(n_per), seed)
-    total += est.value
-    var += est.stderr**2
-    n_tot += est.n_samples
-    last = 0.0
-    for idx, (ra, rb) in enumerate(dyadic_shells(r_min, r_max)):
-        est = mc_shell_integral(alg, params, f, ra, rb, int(n_per), seed, spawn_key=(idx + 1,))
-        total += est.value
-        var += est.stderr**2
-        n_tot += est.n_samples
-        last = est.value
-    if abs(total) > 0 and abs(last) > 0.01 * abs(total):
-        raise RuntimeError(
-            f"non-decaying tail: outermost shell contributes {abs(last / total):.1%} of the total; "
-            f"increase r_max={r_max}"
-        )
-    return IntegralEstimate(
-        value=float(total),
-        stderr=float(np.sqrt(var)),
-        n_samples=n_tot,
-        region=f"group[dyadic {r_min!r}..{r_max!r}]",
-    )
+    vals = np.zeros(nf)
+    cov = np.zeros((nf, nf))
+    last = vals
+    for i, region in enumerate(regions):
+        sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
+        last, c, _, _ = mc_region_multi(sampler, multi_fn, nf, n)
+        vals += last
+        cov += c
+    return vals, cov, last
 
 
 _GL_NODES: dict = {}

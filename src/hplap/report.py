@@ -27,9 +27,11 @@ from the canonical serialization.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
-__all__ = ["CheckRecord", "VerificationReport", "to_kv", "from_kv"]
+__all__ = ["CheckRecord", "VerificationReport", "to_kv", "to_csv", "from_kv"]
 
 
 @dataclass
@@ -178,6 +180,16 @@ def to_kv(report: VerificationReport) -> str:
             lines.append(f"check.{i}.{f} = {_encode(getattr(c, f))}")
     lines.append(f"overall_pass = {_encode(report.overall_pass)}")
     return "\n".join(lines) + "\n"
+
+
+def to_csv(report: VerificationReport) -> str:
+    """One row per check under a header of the check fields, values encoded
+    as in :func:`to_kv`; the suite, group and config are not included."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CHECK_FIELDS)
+    writer.writerows([_encode(getattr(c, f)) for f in _CHECK_FIELDS] for c in report.checks)
+    return buf.getvalue()
 
 
 def from_kv(text: str) -> VerificationReport:

@@ -73,11 +73,11 @@ from .fields import (
     weighted_p_laplacian_batch,
 )
 from .quadrature import (
-    Sampler,
+    BallRegion,
     ShellRegion,
     grid_integral_1d,
+    integrate_shells,
     mc_ball_integral,
-    mc_region_multi,
 )
 from .report import VerificationReport
 
@@ -508,7 +508,7 @@ def _support_shells(r0: float, r1: float) -> list:
     a = r0
     while a < r1:
         b = min(2.0 * a, r1)
-        shells.append((a, b))
+        shells.append(ShellRegion(a, b))
         a = b
     return shells
 
@@ -519,13 +519,17 @@ def _radial_1d_integrals(params: OperatorParams, phi: HardyTestFunction):
 
         lhs = S * int r^{Q-1+alpha} |phi'(r)|^p dr
         rhs = S * int r^{Q-1+alpha-p} |phi(r)|^p dr.
+
+    Each integrand is evaluated as one p-th power, (r^{e/p} |phi|)^p, so a
+    steep power profile near r = 0 does not overflow a factor on its own.
     """
     p, Q, a = params.p, params.Q, params.alpha
     S = cf.sphere_moment(params, (2.0 * params.k - 1.0) * p)
+    el, er = (Q - 1.0 + a) / p, (Q - 1.0 + a - p) / p
     lhs = rhs = 0.0
-    for lo, hi in _support_shells(*phi.support):
-        lhs += grid_integral_1d(lambda r: r ** (Q - 1.0 + a) * np.abs(phi.df(r)) ** p, lo, hi, 4096)
-        rhs += grid_integral_1d(lambda r: r ** (Q - 1.0 + a - p) * np.abs(phi.f(r)) ** p, lo, hi, 4096)
+    for sh in _support_shells(*phi.support):
+        lhs += grid_integral_1d(lambda r: (r**el * np.abs(phi.df(r))) ** p, sh.r_min, sh.r_max, 4096)
+        rhs += grid_integral_1d(lambda r: (r**er * np.abs(phi.f(r))) ** p, sh.r_min, sh.r_max, 4096)
     return S * lhs, S * rhs
 
 
@@ -564,17 +568,8 @@ def hardy_ratio(
 
     shells = _support_shells(*phi.support)
     n_per = max(2048, int(np.ceil(n / len(shells))))
-    L = R = varL = varR = covLR = 0.0
-    n_tot = 0
-    for si, (lo, hi) in enumerate(shells):
-        sampler = Sampler(alg, params, ShellRegion(lo, hi), seed, spawn_key=spawn_key + (si,))
-        vals, cov, n_used, _ = mc_region_multi(sampler, multi, 2, n_per)
-        L += vals[0]
-        R += vals[1]
-        varL += cov[0, 0]
-        varR += cov[1, 1]
-        covLR += cov[0, 1]
-        n_tot += n_used
+    (L, R), cov, _ = integrate_shells(alg, params, shells, multi, 2, n_per, seed, spawn_key)
+    varL, varR, covLR = cov[0, 0], cov[1, 1], cov[0, 1]
     ratio = L / R
     var_ratio = varL / R**2 + L**2 * varR / R**4 - 2.0 * L * covLR / R**3
     stderr = math.sqrt(max(var_ratio, 0.0))
@@ -585,7 +580,7 @@ def hardy_ratio(
         stderr=float(stderr),
         lhs_stderr=float(math.sqrt(max(varL, 0.0))),
         rhs_stderr=float(math.sqrt(max(varR, 0.0))),
-        n_samples=n_tot,
+        n_samples=n_per * len(shells),
     )
     if phi.radial:
         lhs1, rhs1 = _radial_1d_integrals(params, phi)
@@ -650,30 +645,16 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
             cols.append(psi_v * np.exp(-(e**2) * zn2 - e ** (4.0 * k) * tn2))
         return np.stack(cols)
 
-    nf = 1 + len(eps_list)
-    r_min, r_max = 2.0**-12, 2.0**12
-    n_per = config.n_samples
-    vals = np.zeros(nf)
-    var0 = 0.0
-    # innermost ball
-    from .quadrature import BallRegion
-
-    sampler = Sampler(alg, params, BallRegion(r_min), config.seed, spawn_key=(2, 0))
-    v, c, _, _ = mc_region_multi(sampler, multi, nf, n_per)
-    vals += v
-    var0 += c[0, 0]
-    shells = [(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
-    last = 0.0
-    for si, (lo, hi) in enumerate(shells):
-        sampler = Sampler(alg, params, ShellRegion(lo, hi), config.seed, spawn_key=(2, si + 1))
-        v, c, _, _ = mc_region_multi(sampler, multi, nf, n_per)
-        vals += v
-        var0 += c[0, 0]
-        last = v[0]
-    if abs(last) > 0.01 * abs(vals[0]):
+    regions = [BallRegion(2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
+    vals, cov, last = integrate_shells(
+        alg, params, regions, multi, 1 + len(eps_list), config.n_samples, config.seed, (2,)
+    )
+    if abs(last[0]) > 0.01 * abs(vals[0]):
         raise RuntimeError("scaling-density integral: non-decaying tail at the outermost shell")
     est0 = vals[0]
-    report.add_stochastic("density-total", est0, target, math.sqrt(max(var0, 0.0)), nsigma=config.mc_nsigma())
+    report.add_stochastic(
+        "density-total", est0, target, math.sqrt(max(cov[0, 0], 0.0)), nsigma=config.mc_nsigma()
+    )
 
     # (c) observed pairing error |int psi * phi(delta_eps .) - phi(0) int psi|
     # on the same samples; per-sample monotone for this bump, so the
@@ -1016,15 +997,9 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
 
         shells = _support_shells(*phi.support)
         n_per = max(2048, int(np.ceil(config.corpus_n() / len(shells))))
-        sums = np.zeros(4)
-        variances = np.zeros(4)
-        for si, (lo, hi) in enumerate(shells):
-            sampler = Sampler(alg, params, ShellRegion(lo, hi), config.seed, spawn_key=(7, fi, si))
-            vals, cov, _, _ = mc_region_multi(sampler, multi, 4, n_per)
-            sums += vals
-            variances += np.diag(cov)
+        sums, cov, _ = integrate_shells(alg, params, shells, multi, 4, n_per, config.seed, (7, fi))
         i1, i2, i3, bmid = sums
-        se = np.sqrt(np.maximum(variances, 0.0))
+        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
         lhs = i1 ** (1.0 / t_exp) * i2 ** (1.0 / s)
         rhs = (Q - s) / s * i3
         se_lhs = lhs * math.sqrt((se[0] / (t_exp * i1)) ** 2 + (se[1] / (s * i2)) ** 2)

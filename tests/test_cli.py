@@ -3,7 +3,7 @@ import os
 import pytest
 
 from hplap.cli import main
-from hplap.report import from_kv
+from hplap.report import _CHECK_FIELDS, from_kv
 
 FAST_SAMPLES = ["--samples", "40000", "--corpus-samples", "8000"]
 
@@ -43,6 +43,32 @@ def test_verify_rejects_bad_k(capsys):
     code = run_cli(["verify", "--group", "heisenberg:1", "--k", "0.5", "--p", "2", "--suite", "lemma1"])
     assert code == 2
     assert "k >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constants", "--p", "inf"],
+        ["constants", "--k", "1e308"],
+        ["verify", "--suite", "moments", "--p", "inf"],
+    ],
+)
+def test_non_finite_parameters_rejected(args, capsys):
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "Traceback" not in err
+
+
+def test_verify_csv_format(tmp_path):
+    code = run_cli(
+        ["verify", "--group", "heisenberg:1", "--suite", "lemma1", "--format", "csv",
+         "--out", str(tmp_path), "--stamp", "C"] + FAST_SAMPLES
+    )
+    assert code == 0
+    rows = (tmp_path / "lemma1-heisenberg_1-C.csv").read_text().splitlines()
+    assert rows[0].split(",") == list(_CHECK_FIELDS)
+    assert len(rows) == 1 + 3  # one row per lemma1 check
+    assert all(line.split(",")[-1] == "true" for line in rows[1:])
 
 
 def test_verify_rejects_unknown_group(capsys):

@@ -10,6 +10,7 @@ from hplap.algebra import make_heisenberg, norm_d
 from hplap.fields import fd_x_gradient, gaussian_field
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
+    _radial_1d_integrals,
     AngularModulation,
     HardyTestFunction,
     SharpnessSequenceSpec,
@@ -21,6 +22,7 @@ from hplap.verify import (
     sample_gauge_points,
     sharp_hardy_constant,
     sharpness_test_function,
+    verify_fundamental_solution,
     verify_lemma1,
     verify_moments,
     verify_uncertainty,
@@ -258,7 +260,25 @@ def test_sharpness_ratios_decrease(heis1):
     assert all(v >= 1.0 for v in vals)  # sharp constant is 1 here
 
 
+def test_sharpness_exact_quotient_large_j_finite(quat1):
+    # the 1-D quotient of u_j stays finite where |phi'|^p alone would
+    # overflow on the innermost shell (quaternionic:1, k = 2, p = 3)
+    params = params_for(quat1, k=2.0, p=3.0)
+    curve = [np.divide(*_radial_1d_integrals(params, sharpness_test_function(params, j))) for j in (8, 16, 32, 64, 128)]
+    assert np.all(np.isfinite(curve))
+    assert np.all(np.diff(curve) <= 0.0)
+    assert min(curve) > sharp_hardy_constant(params)
+
+
 # ------------------------------------------------------------- other suites
+
+
+def test_fundamental_solution_tail_guard(monkeypatch):
+    # a non-decaying density leaves the outermost dyadic shell with more
+    # than 1% of the total, so the truncated group integral is refused
+    monkeypatch.setattr(cf, "psi", lambda params, g: np.ones(len(g[0])))
+    with pytest.raises(RuntimeError, match="tail"):
+        verify_fundamental_solution(SuiteConfig(n_samples=2000))
 
 
 def test_lemma1_rejects_invalid_k():
