@@ -34,7 +34,7 @@ def main():
     print(f"{'j':>3} {'ratio(MC)':>12} {'stderr':>10} {'ratio(1-D)':>12} {'excess/sharp':>13}")
     for j in range(1, args.jmax + 1):
         phi = sharpness_test_function(params, j)
-        res = hardy_ratio(alg, params, phi, args.samples, args.seed, spawn_key=(90, j))
+        [res] = hardy_ratio(alg, [(params, phi)], args.samples, args.seed, spawn_key=(90, j))
         r1d = res.lhs_1d / res.rhs_1d
         print(f"{j:>3} {res.ratio:>12.6f} {res.stderr:>10.2g} {r1d:>12.6f} {r1d / sharp - 1.0:>13.4%}")
 

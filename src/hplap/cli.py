@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -165,6 +166,9 @@ def _validate(cfg: CliConfig, grid: bool = False) -> None:
     alg = resolve_group(cfg.group)  # raises on unknown ids
     if cfg.format not in ("kv", "csv"):
         raise ValueError(f"unknown output format {cfg.format!r} (kv or csv)")
+    for flag, count in (("--samples", cfg.samples), ("--corpus-samples", cfg.corpus_samples)):
+        if count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     combos = (
         [(k, p, a) for k in _parse_grid(cfg.k) for p in _parse_grid(cfg.p) for a in _parse_grid(cfg.alpha)]
         if grid
@@ -207,18 +211,20 @@ def cmd_constants(cfg: CliConfig) -> int:
     params = OperatorParams.of(alg, k=cfg.k_f, p=cfg.p_f, alpha=cfg.alpha_f, beta=cfg.beta_f)
     weighted = cfg.alpha_f != 0.0 or cfg.beta_f != 0.0
     spec = cf.fundamental_solution(params, weighted=weighted)
+    sigma = cf.sigma_p_beta(params) if weighted else cf.sigma_p(params)
+    admissible = cfg.p_f < params.Q + cfg.alpha_f
+    sharp = sharp_hardy_constant(params) if admissible else 0.0
+    if not all(map(math.isfinite, (sigma, spec.exponent, spec.constant, sharp))):
+        raise ValueError("a constant is not finite at these parameters; they are out of range")
     rows = [
         ("m, q", f"{alg.m}, {alg.q}"),
         ("Q = m + 2kq", _fmt(params.Q)),
-        ("sigma" + ("_{p,beta}" if weighted else "_p"), _fmt(cf.sigma_p_beta(params) if weighted else cf.sigma_p(params))),
+        ("sigma" + ("_{p,beta}" if weighted else "_p"), _fmt(sigma)),
         ("solution kind", spec.kind),
         ("solution exponent", _fmt(spec.exponent) if spec.kind == "power" else "log(1/d)"),
         ("solution constant", _fmt(spec.constant)),
+        ("sharp Hardy constant", _fmt(sharp) if admissible else "n/a (requires p < Q + alpha)"),
     ]
-    if cfg.p_f < params.Q + cfg.alpha_f:
-        rows.append(("sharp Hardy constant", _fmt(sharp_hardy_constant(params))))
-    else:
-        rows.append(("sharp Hardy constant", "n/a (requires p < Q + alpha)"))
     width = max(len(r[0]) for r in rows)
     print(f"group={cfg.group} k={_fmt(cfg.k_f)} p={_fmt(cfg.p_f)} alpha={_fmt(cfg.alpha_f)} beta={_fmt(cfg.beta_f)}")
     for name, val in rows:
@@ -233,32 +239,24 @@ def _parse_grid(text: str) -> list:
 def cmd_sweep(cfg: CliConfig, k_grid, p_grid, a_grid, out_path: str, j_index: int = 8) -> int:
     alg = resolve_group(cfg.group)
     corpus_phi = build_hardy_corpus()[0]
+    fieldnames = ["k", "p", "alpha", "ratio", "stderr", "sharp_constant", "margin"]
     rows = []
-    combo = 0
-    for k in k_grid:
+    for ki, k in enumerate(k_grid):
+        # one hardy_ratio call per k: every row of that k shares its shells
+        cases = []
         for p in p_grid:
             for a in a_grid:
                 params = OperatorParams.of(alg, k=k, p=p, alpha=a)
-                if not p < params.Q + a:
-                    continue
-                sharp = sharp_hardy_constant(params)
-                phi = corpus_phi if cfg.mode == "hardy" else sharpness_test_function(params, j_index)
-                res = hardy_ratio(
-                    alg, params, phi, cfg.corpus_samples, cfg.seed, spawn_key=(9, combo)
-                )
-                rows.append(
-                    {
-                        "k": repr(k),
-                        "p": repr(p),
-                        "alpha": repr(a),
-                        "ratio": repr(res.ratio),
-                        "stderr": repr(res.stderr),
-                        "sharp_constant": repr(sharp),
-                        "margin": repr(res.ratio - sharp),
-                    }
-                )
-                combo += 1
-    fieldnames = ["k", "p", "alpha", "ratio", "stderr", "sharp_constant", "margin"]
+                if p < params.Q + a:
+                    phi = corpus_phi if cfg.mode == "hardy" else sharpness_test_function(params, j_index)
+                    cases.append((params, phi))
+        if not cases:
+            continue
+        results = hardy_ratio(alg, cases, cfg.corpus_samples, cfg.seed, spawn_key=(9, ki))
+        for (params, _), res in zip(cases, results):
+            sharp = sharp_hardy_constant(params)
+            row = (params.k, params.p, params.alpha, res.ratio, res.stderr, sharp, res.ratio - sharp)
+            rows.append(dict(zip(fieldnames, map(repr, row))))
     fh = open(out_path, "w", newline="") if out_path != "-" else sys.stdout
     try:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
                 j_index=int(args.j),
             )
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

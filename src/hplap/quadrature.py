@@ -5,7 +5,9 @@ box of a gauge ball or shell: for radius R the box is z in [-R, R]^m,
 |t_i| <= R^{2k}/4 (the ball satisfies 16 |t|^2 <= d^{4k}).  Estimates are
 unbiased sample means of f * indicator over the full candidate stream,
 with the usual standard error, so identical (seed, region, n) reproduce
-bit-identical results.
+bit-identical results.  Several integrands evaluated as columns of one
+call share every sample (common random numbers); the Hardy suite and
+the sweep evaluate a whole (p, alpha) grid on one sample this way.
 
 The generator is Philox, a counter-based PRNG; per-region substreams are
 derived from the base seed with distinct spawn keys, so shard merging is
@@ -49,6 +51,7 @@ __all__ = [
 SINGULAR_Z_REJECT = 1e-12
 
 _CHUNK = 1 << 19
+_SLICE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,16 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     the candidate stream (common random numbers).
 
     multi_fn(Z, T) returns an (nf, len(Z)) array of integrand values.
+    Candidates are drawn in chunks of _CHUNK, so the stream does not
+    depend on nf; only the accepted ones are evaluated, in slices of at
+    most _SLICE // nf points, and rejected candidates count as zeros.
     Returns (values, covariance, n, accepted) where values[i] estimates
     integral i and covariance is that of the estimates (it already carries
     the 1/n factor).
     """
     vol = sampler.box_volume()
     rng = sampler.stream()
+    step = max(1, _SLICE // nf)
     s1 = np.zeros(nf)
     s2 = np.zeros((nf, nf))
     accepted = 0
@@ -137,12 +144,12 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     while remaining > 0:
         c = min(_CHUNK, remaining)
         Z, T, mask = sampler.draw(c, rng)
-        vals = np.zeros((nf, c))
-        if np.any(mask):
-            vals[:, mask] = np.asarray(multi_fn(Z[mask], T[mask]), dtype=float).reshape(nf, -1)
-        s1 += vals.sum(axis=1)
-        s2 += vals @ vals.T
-        accepted += int(mask.sum())
+        Z, T = Z[mask], T[mask]
+        for i in range(0, len(Z), step):
+            vals = np.asarray(multi_fn(Z[i : i + step], T[i : i + step]), dtype=float).reshape(nf, -1)
+            s1 += vals.sum(axis=1)
+            s2 += vals @ vals.T
+        accepted += len(Z)
         remaining -= c
     mean = s1 / n
     cov = (s2 / n - np.outer(mean, mean)) / max(n - 1, 1)

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -347,6 +348,16 @@ def _shape(kind: str):
     return F, dF
 
 
+def _d_and_grad(params: OperatorParams, Z: np.ndarray, T: np.ndarray):
+    """d and its Euclidean gradient, shape (n, m + q): grad_z d =
+    |z|^{4k-2} z / d^{4k-1} and grad_t d = 8 t / (k d^{4k-1})."""
+    k = params.k
+    d = norm_d(params, (Z, T))
+    zn2 = np.einsum("ni,ni->n", Z, Z)
+    dp = np.maximum(d, 1e-300) ** (4.0 * k - 1.0)
+    return d, np.concatenate([(zn2 ** (2.0 * k - 1.0) / dp)[:, None] * Z, (8.0 / (k * dp))[:, None] * T], axis=1)
+
+
 @dataclass(frozen=True)
 class AngularModulation:
     """Bounded smooth non-radial factor 1 + c * u where u is one of the
@@ -360,14 +371,6 @@ class AngularModulation:
     kind: str  # "z1" or "t1"
     c: float
 
-    def _d_and_grad(self, params, Z, T):
-        k = params.k
-        zn2 = np.einsum("ni,ni->n", Z, Z)
-        d = norm_d(params, (Z, T))
-        gz = (zn2 ** (2.0 * k - 1.0) / d ** (4.0 * k - 1.0))[:, None] * Z
-        gt = (8.0 / (k * d ** (4.0 * k - 1.0)))[:, None] * T
-        return d, gz, gt
-
     def value(self, params, Z, T):
         d = norm_d(params, (Z, T))
         if self.kind == "z1":
@@ -377,7 +380,8 @@ class AngularModulation:
     def grad(self, params, Z, T):
         n, m = Z.shape
         q = T.shape[1]
-        d, gz, gt = self._d_and_grad(params, Z, T)
+        d, grad_d = _d_and_grad(params, Z, T)
+        gz, gt = grad_d[:, :m], grad_d[:, m:]
         out = np.zeros((n, m + q))
         if self.kind == "z1":
             out[:, :m] = -self.c * (Z[:, 0] / d**2)[:, None] * gz
@@ -415,7 +419,6 @@ class HardyTestFunction:
 
     def as_scalar_field(self, alg: HTypeAlgebra, params: OperatorParams) -> ScalarField:
         mod = self.modulation
-        k = params.k
 
         def ev(Z, T):
             d = norm_d(params, (Z, T))
@@ -425,12 +428,7 @@ class HardyTestFunction:
             return out
 
         def gr(Z, T):
-            zn2 = np.einsum("ni,ni->n", Z, Z)
-            d = norm_d(params, (Z, T))
-            safe = np.maximum(d, 1e-300)
-            gz = (zn2 ** (2.0 * k - 1.0) / safe ** (4.0 * k - 1.0))[:, None] * Z
-            gt = (8.0 / (k * safe ** (4.0 * k - 1.0)))[:, None] * T
-            grad_d = np.concatenate([gz, gt], axis=1)
+            d, grad_d = _d_and_grad(params, Z, T)
             out = self.df(d)[:, None] * grad_d
             if mod is not None:
                 out = out * mod.value(params, Z, T)[:, None]
@@ -533,70 +531,87 @@ def _radial_1d_integrals(params: OperatorParams, phi: HardyTestFunction):
     return S * lhs, S * rhs
 
 
-def hardy_ratio(
-    alg: HTypeAlgebra,
-    params: OperatorParams,
-    phi: HardyTestFunction,
-    n: int,
-    seed: int,
-    spawn_key: tuple = (),
-) -> HardyRatioResult:
-    """Monte Carlo Rayleigh quotient
+def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = ()) -> list[HardyRatioResult]:
+    """Monte Carlo Rayleigh quotients
 
         ratio = int d^alpha |grad_X Phi|^p  /  int d^{alpha-p} |grad_X d|^p |Phi|^p
 
-    by shell sampling restricted to the support, with a delta-method
-    standard error using the shared-sample covariance.  For radial Phi the
-    1-D polar reduction is evaluated too and must agree with the Monte
-    Carlo values within 3 standard errors (built-in self-check).
+    for each (params, phi) in cases, by shell sampling restricted to the
+    support, with a delta-method standard error using the shared-sample
+    covariance.  All cases share one set of shells (common random
+    numbers), so they must share k and the support of phi.  On each batch
+    d, |z|/d and grad_X d are computed once; each distinct phi adds
+    phi(d), phi'(d) and, if modulated, the X-gradient of its modulation,
+    and grad_X Phi = phi'(d) grad_X d * mod + phi(d) grad_X mod.
+
+    For radial Phi the 1-D polar reduction is evaluated too and must agree
+    with the Monte Carlo values within 5 standard errors (built-in
+    self-check).  Returns one :class:`HardyRatioResult` per case.
     """
-    p, a, k = params.p, params.alpha, params.k
-    if not p < params.Q + a:
-        raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + a}, got p={p}")
-    fld = phi.as_scalar_field(alg, params)
+    if not cases:
+        raise ValueError("hardy_ratio needs at least one (params, phi) case")
+    base, phi0 = cases[0]
+    for params, phi in cases:
+        if params.k != base.k or phi.support != phi0.support:
+            raise ValueError("hardy_ratio cases must share k and the support of phi")
+        if not params.p < params.Q + params.alpha:
+            raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + params.alpha}, got p={params.p}")
+    k = base.k
+    d_field = ScalarField(eval=lambda Z, T: norm_d(base, (Z, T)), euclid_grad=lambda Z, T: _d_and_grad(base, Z, T)[1])
+    groups = {}  # id(phi) -> (phi, indices of the cases that use it)
+    for i, (_, phi) in enumerate(cases):
+        groups.setdefault(id(phi), (phi, []))[1].append(i)
 
     def multi(Z, T):
-        d = norm_d(params, (Z, T))
-        zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
-        G = horizontal_gradient_batch(alg, params, _ANALYTIC, fld, Z, T)
-        gn = np.sqrt(np.einsum("nj,nj->n", G, G))
-        val = fld.eval(Z, T)
-        gd = np.where(d > 0.0, (zn / np.maximum(d, 1e-300)) ** (2.0 * k - 1.0), 0.0)
-        lhs = d**a * gn**p
-        rhs = d ** (a - p) * gd**p * np.abs(val) ** p
-        return np.stack([lhs, rhs])
+        d = norm_d(base, (Z, T))
+        gd = (np.sqrt(np.einsum("ni,ni->n", Z, Z)) / d) ** (2.0 * k - 1.0)
+        Xd = horizontal_gradient_batch(alg, base, _ANALYTIC, d_field, Z, T)
+        Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
+        out = np.empty((2 * len(cases), len(d)))
+        for phi, idx in groups.values():
+            f, df = phi.f(d), phi.df(d)
+            mod = phi.modulation
+            if mod is None:
+                u, gu = np.abs(f), np.abs(df) * Xd_norm
+            else:
+                mod_field = ScalarField(eval=partial(mod.value, base), euclid_grad=partial(mod.grad, base))
+                Xm = horizontal_gradient_batch(alg, base, _ANALYTIC, mod_field, Z, T)
+                mv = mod.value(base, Z, T)
+                G = (df * mv)[:, None] * Xd + f[:, None] * Xm
+                u, gu = np.abs(f * mv), np.sqrt(np.einsum("nj,nj->n", G, G))
+            for i in idx:
+                p, a = cases[i][0].p, cases[i][0].alpha
+                out[2 * i] = d**a * gu**p
+                out[2 * i + 1] = d ** (a - p) * gd**p * u**p
+        return out
 
-    shells = _support_shells(*phi.support)
+    shells = _support_shells(*phi0.support)
     n_per = max(2048, int(np.ceil(n / len(shells))))
-    (L, R), cov, _ = integrate_shells(alg, params, shells, multi, 2, n_per, seed, spawn_key)
-    varL, varR, covLR = cov[0, 0], cov[1, 1], cov[0, 1]
-    ratio = L / R
-    var_ratio = varL / R**2 + L**2 * varR / R**4 - 2.0 * L * covLR / R**3
-    stderr = math.sqrt(max(var_ratio, 0.0))
-    res = dict(
-        lhs=float(L),
-        rhs=float(R),
-        ratio=float(ratio),
-        stderr=float(stderr),
-        lhs_stderr=float(math.sqrt(max(varL, 0.0))),
-        rhs_stderr=float(math.sqrt(max(varR, 0.0))),
-        n_samples=n_per * len(shells),
-    )
-    if phi.radial:
-        lhs1, rhs1 = _radial_1d_integrals(params, phi)
-        # 5 sigma: this self-check runs hundreds of times per suite, so a
-        # 3 sigma band would trip on sampling noise alone (family-wise),
-        # while genuine factor errors sit at z >> 100
-        ok = (
-            abs(L - lhs1) <= 5.0 * res["lhs_stderr"] + 1e-9 * abs(lhs1)
-            and abs(R - rhs1) <= 5.0 * res["rhs_stderr"] + 1e-9 * abs(rhs1)
-        )
-        res.update(lhs_1d=float(lhs1), rhs_1d=float(rhs1), radial_consistent=bool(ok))
-    return HardyRatioResult(**res)
+    sums, cov, _ = integrate_shells(alg, base, shells, multi, 2 * len(cases), n_per, seed, spawn_key)
+    out = []
+    for i, (params, phi) in enumerate(cases):
+        L, R = sums[2 * i], sums[2 * i + 1]
+        varL, varR, covLR = cov[2 * i, 2 * i], cov[2 * i + 1, 2 * i + 1], cov[2 * i, 2 * i + 1]
+        var_ratio = varL / R**2 + L**2 * varR / R**4 - 2.0 * L * covLR / R**3
+        res = HardyRatioResult(float(L), float(R), float(L / R), math.sqrt(max(var_ratio, 0.0)),
+                               math.sqrt(max(varL, 0.0)), math.sqrt(max(varR, 0.0)), n_per * len(shells))
+        if phi.radial:
+            lhs1, rhs1 = _radial_1d_integrals(params, phi)
+            # 5 sigma: this self-check runs hundreds of times per suite, so a
+            # 3 sigma band would trip on sampling noise alone (family-wise),
+            # while genuine factor errors sit at z >> 100
+            ok = (abs(L - lhs1) <= 5.0 * res.lhs_stderr + 1e-9 * abs(lhs1)
+                  and abs(R - rhs1) <= 5.0 * res.rhs_stderr + 1e-9 * abs(rhs1))
+            res = replace(res, lhs_1d=float(lhs1), rhs_1d=float(rhs1), radial_consistent=bool(ok))
+        out.append(res)
+    return out
 
 
 def sharp_hardy_constant(params: OperatorParams) -> float:
-    return ((params.Q + params.alpha - params.p) / params.p) ** params.p
+    try:
+        return ((params.Q + params.alpha - params.p) / params.p) ** params.p
+    except OverflowError:
+        raise ValueError(f"sharp Hardy constant overflows at Q={params.Q}, alpha={params.alpha}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -713,42 +728,31 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
 def verify_hardy(config: SuiteConfig, p_list=(1.5, 2.0, 3.0), alpha_list=(-1.0, 0.0, 1.0)) -> VerificationReport:
     """Every corpus Rayleigh quotient must sit above the sharp constant
     minus 3 standard errors, for each admissible (p, alpha); radial
-    quotients must also agree with their 1-D polar reduction."""
+    quotients must also agree with their 1-D polar reduction.  One
+    hardy_ratio call per corpus function covers the whole (p, alpha) grid
+    on one set of shells (spawn key (4, function index))."""
     report, t0 = _new_report("hardy", config)
     alg = config.algebra()
     corpus = build_hardy_corpus()
     ns = config.mc_nsigma()
+    grid = [config.params(alg, p=p, alpha=a) for p in p_list for a in alpha_list]
+    grid = [params for params in grid if params.p < params.Q + params.alpha]
+    worst = [(math.inf, math.nan, 0.0)] * len(grid)  # (margin, ratio, stderr)
     radial_flags = []
     radial_devs = []
-    combo = 0
-    for p in p_list:
-        for a in alpha_list:
-            params = config.params(alg, p=p, alpha=a)
-            if not p < params.Q + a:
-                continue
-            sharp = sharp_hardy_constant(params)
-            worst = math.inf
-            worst_ratio = math.nan
-            worst_se = 0.0
-            for fi, phi in enumerate(corpus):
-                res = hardy_ratio(
-                    alg, params, phi, config.corpus_n(), config.seed, spawn_key=(4, combo, fi)
-                )
-                margin = res.ratio - (sharp - ns * res.stderr)
-                if margin < worst:
-                    worst, worst_ratio, worst_se = margin, res.ratio, res.stderr
-                if phi.radial:
-                    radial_flags.append(res.radial_consistent)
-                    radial_devs.append(
-                        max(
-                            abs(res.lhs - res.lhs_1d) / max(res.lhs_stderr, 1e-300),
-                            abs(res.rhs - res.rhs_1d) / max(res.rhs_stderr, 1e-300),
-                        )
-                    )
-            report.add_bound(
-                f"hardy-p{p:g}-a{a:g}", worst_ratio, sharp, "above", stderr=worst_se, nsigma=ns
-            )
-            combo += 1
+    for fi, phi in enumerate(corpus):
+        results = hardy_ratio(alg, [(params, phi) for params in grid], config.corpus_n(), config.seed, (4, fi))
+        for ci, (params, res) in enumerate(zip(grid, results)):
+            margin = res.ratio - (sharp_hardy_constant(params) - ns * res.stderr)
+            if margin < worst[ci][0]:
+                worst[ci] = (margin, res.ratio, res.stderr)
+            if phi.radial:
+                radial_flags.append(res.radial_consistent)
+                radial_devs.append(max(abs(res.lhs - res.lhs_1d) / max(res.lhs_stderr, 1e-300),
+                                       abs(res.rhs - res.rhs_1d) / max(res.rhs_stderr, 1e-300)))
+    for params, (_, ratio, se) in zip(grid, worst):
+        sharp = sharp_hardy_constant(params)
+        report.add_bound(f"hardy-p{params.p:g}-a{params.alpha:g}", ratio, sharp, "above", stderr=se, nsigma=ns)
     # self-check of the 1-D polar reduction, aggregated robustly: a wrong
     # moment factor or weight power shifts every radial quotient by the
     # same systematic amount (the median z explodes and every flag
@@ -846,7 +850,7 @@ def verify_sharpness(config: SuiteConfig) -> VerificationReport:
     worst_ratio, worst_se = math.nan, 0.0
     for j in range(1, config.j_max + 1):
         phi = sharpness_test_function(params, j)
-        res = hardy_ratio(alg, params, phi, config.corpus_n(), config.seed, spawn_key=(5, j))
+        [res] = hardy_ratio(alg, [(params, phi)], config.corpus_n(), config.seed, spawn_key=(5, j))
         ratios.append(res.ratio)
         stderrs.append(res.stderr)
         lhs1d.append(res.lhs_1d)
@@ -941,7 +945,7 @@ def verify_lemma2(config: SuiteConfig) -> VerificationReport:
     worst = math.inf
     worst_ratio, worst_se = math.nan, 0.0
     for fi, phi in enumerate(build_hardy_corpus()[:10]):
-        res = hardy_ratio(alg, params, phi, config.corpus_n(), config.seed, spawn_key=(6, fi))
+        [res] = hardy_ratio(alg, [(params, phi)], config.corpus_n(), config.seed, spawn_key=(6, fi))
         margin = res.ratio - (lam - ns * res.stderr)
         if margin < worst:
             worst, worst_ratio, worst_se = margin, res.ratio, res.stderr

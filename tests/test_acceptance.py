@@ -222,7 +222,7 @@ def test_criterion_08_sharpness_sequence():
     # (1) the reported ratio(j_max) is reproducible and agrees with the
     # exact 1-D polar reduction of u_{j_max}
     j_max = cfg.j_max
-    res = hardy_ratio(alg, params, sharpness_test_function(params, j_max), cfg.corpus_n(), SEED, spawn_key=(5, j_max))
+    [res] = hardy_ratio(alg, [(params, sharpness_test_function(params, j_max))], cfg.corpus_n(), SEED, spawn_key=(5, j_max))
     exact = res.lhs_1d / res.rhs_1d
     z = (res.ratio - exact) / res.stderr
     repro_ok = res.ratio == final.observed
@@ -302,8 +302,8 @@ def test_criterion_10_determinism():
     from hplap.verify import build_hardy_corpus
 
     phi = build_hardy_corpus()[0]
-    r1 = hardy_ratio(alg, params, phi, 20_000, seed=SEED)
-    r2 = hardy_ratio(alg, params, phi, 20_000, seed=SEED)
+    [r1] = hardy_ratio(alg, [(params, phi)], 20_000, seed=SEED)
+    [r2] = hardy_ratio(alg, [(params, phi)], 20_000, seed=SEED)
     pairs.append(r1 == r2)
     ok = all(pairs)
     assert report_line(10, ok, f"bit-identical reports on rerun: {pairs}")

@@ -1,6 +1,12 @@
+import contextlib
+import io
+import math
 import os
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hplap.cli import main
 from hplap.report import _CHECK_FIELDS, from_kv
@@ -57,6 +63,51 @@ def test_non_finite_parameters_rejected(args, capsys):
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--corpus-samples", "0"],
+        ["--corpus-samples=-5"],
+    ],
+)
+def test_non_positive_sample_counts_rejected(args, capsys):
+    assert run_cli(["verify", "--suite", "moments"] + args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "at least 1" in err
+
+
+def test_constants_overflowing_sharp_constant_rejected(capsys):
+    assert run_cli(["constants", "--alpha", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "overflows" in err
+
+
+_FUZZ_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=_FUZZ_FLOATS, p=_FUZZ_FLOATS, alpha=_FUZZ_FLOATS, beta=_FUZZ_FLOATS)
+def test_constants_fuzz_exits_cleanly(k, p, alpha, beta):
+    # every flag value gives exit 0, 1 or 2; a table is printed only
+    # when every constant in it is finite
+    args = ["constants", f"--k={k!r}", f"--p={p!r}", f"--alpha={alpha!r}", f"--beta={beta!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run_cli(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+    else:
+        assert "configuration error:" in err.getvalue()
 
 
 def test_verify_csv_format(tmp_path):

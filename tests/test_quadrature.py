@@ -6,6 +6,7 @@ import pytest
 from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
 from hplap.quadrature import (
+    _SLICE,
     BallRegion,
     Sampler,
     ShellRegion,
@@ -165,6 +166,32 @@ def test_integrate_shells_linearity_common_seed(heis1):
     vals, cov, _ = integrate_shells(heis1, params, _dyadic_regions(-6, 6), multi, 3, 10_000, 9)
     assert vals[2] == pytest.approx(2.0 * vals[0] - 3.0 * vals[1], rel=1e-10)
     assert cov[2, 2] == pytest.approx(4.0 * cov[0, 0] - 12.0 * cov[0, 1] + 9.0 * cov[1, 1], rel=1e-8)
+
+
+def test_mc_region_multi_matches_zero_padded_reference(heis1):
+    # accepted-only reduction in slices equals the zero-padded two-pass
+    # estimate over the whole candidate stream
+    params = params_for(heis1, k=1.0)
+    nf, n = 40, 20_000
+    slices = []
+
+    def multi(Z, T):
+        slices.append(len(Z))
+        d = norm_d(params, (Z, T))
+        return np.stack([np.exp(-j * d / 4.0) * (1.0 + Z[:, 0] ** 2) ** (j % 3) for j in range(nf)])
+
+    sampler = Sampler(heis1, params, ShellRegion(0.5, 1.5), 21, spawn_key=(1,))
+    vals, cov, n_used, accepted = mc_region_multi(sampler, multi, nf, n)
+    assert len(slices) > 1 and max(slices) <= _SLICE // nf and sum(slices) == accepted
+
+    Z, T, mask = sampler.draw(n, sampler.stream())
+    padded = np.zeros((nf, n))
+    padded[:, mask] = multi(Z[mask], T[mask])
+    vol = sampler.box_volume()
+    assert n_used == n and accepted == int(mask.sum())
+    np.testing.assert_allclose(vals, vol * padded.mean(axis=1), rtol=1e-12)
+    ref_cov = vol * vol * np.cov(padded) / n
+    np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_cov)))
 
 
 def test_acceptance_rate_guard(heis1, monkeypatch):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
-from hplap.fields import fd_x_gradient, gaussian_field
+from hplap.fields import DiffBackend, fd_x_gradient, gaussian_field, horizontal_gradient_batch
+from hplap.quadrature import integrate_shells
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
     _radial_1d_integrals,
+    _support_shells,
     AngularModulation,
     HardyTestFunction,
     SharpnessSequenceSpec,
@@ -150,7 +152,7 @@ def test_fd_refinement_order(heis1, rng):
 def test_hardy_ratio_scale_invariance(heis1):
     params = params_for(heis1, k=1.0, p=2.0)
     phi = build_hardy_corpus()[2]
-    res1 = hardy_ratio(heis1, params, phi, 20_000, seed=3)
+    [res1] = hardy_ratio(heis1, [(params, phi)], 20_000, seed=3)
     scaled = HardyTestFunction(
         f=lambda r: -2.5 * phi.f(r),
         df=lambda r: -2.5 * phi.df(r),
@@ -158,7 +160,7 @@ def test_hardy_ratio_scale_invariance(heis1):
         modulation=phi.modulation,
         label="scaled",
     )
-    res2 = hardy_ratio(heis1, params, scaled, 20_000, seed=3)
+    [res2] = hardy_ratio(heis1, [(params, scaled)], 20_000, seed=3)
     assert res2.ratio == pytest.approx(res1.ratio, rel=1e-12)
 
 
@@ -172,8 +174,8 @@ def test_hardy_ratio_dilation_invariance(heis1):
         support=(phi.support[0] / lam, phi.support[1] / lam),
         label="dilated",
     )
-    r1 = hardy_ratio(heis1, params, phi, 60_000, seed=4)
-    r2 = hardy_ratio(heis1, params, dilated, 60_000, seed=5)
+    [r1] = hardy_ratio(heis1, [(params, phi)], 60_000, seed=4)
+    [r2] = hardy_ratio(heis1, [(params, dilated)], 60_000, seed=5)
     se = 3.0 * math.hypot(r1.stderr, r2.stderr)
     assert abs(r1.ratio - r2.ratio) <= se
 
@@ -181,7 +183,52 @@ def test_hardy_ratio_dilation_invariance(heis1):
 def test_hardy_ratio_requires_subcritical_p(heis1):
     params = params_for(heis1, k=1.0, p=5.0)  # p > Q
     with pytest.raises(ValueError):
-        hardy_ratio(heis1, params, build_hardy_corpus()[0], 1000, seed=0)
+        hardy_ratio(heis1, [(params, build_hardy_corpus()[0])], 1000, seed=0)
+
+
+def test_hardy_ratio_shared_cases_match_single_calls(heis1):
+    # one call over every admissible (p, alpha) equals one call per case on
+    # the same spawn key: the shells, d and grad_X d are shared, not changed
+    for phi in (build_hardy_corpus()[0], build_hardy_corpus()[1]):  # radial, modulated
+        grid = [params_for(heis1, k=1.0, p=p, alpha=a) for p in (1.5, 2.0, 3.0) for a in (-1.0, 0.0, 1.0)]
+        cases = [(params, phi) for params in grid if params.p < params.Q + params.alpha]
+        assert len(cases) == 8
+        shared = hardy_ratio(heis1, cases, 8_000, seed=11, spawn_key=(4, 0))
+        for case, res in zip(cases, shared):
+            [single] = hardy_ratio(heis1, [case], 8_000, seed=11, spawn_key=(4, 0))
+            assert res.ratio == pytest.approx(single.ratio, rel=1e-12)
+            assert res.stderr == pytest.approx(single.stderr, rel=1e-12)
+            if phi.radial:
+                assert res.lhs_1d == pytest.approx(single.lhs_1d, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["z1", "t1"])
+def test_hardy_ratio_chain_rule_matches_full_gradient(kind, heis1):
+    # phi'(d) grad_X d * mod + phi(d) grad_X mod against the X-gradient of
+    # the whole field, integrated on the same shells and substreams
+    params = params_for(heis1, k=1.5, p=2.5, alpha=0.5)
+    phi = annulus_bump(0.5, 2.0, "sin2", modulation=AngularModulation(kind, 0.4))
+    fld = phi.as_scalar_field(heis1, params)
+
+    def lhs(Z, T):
+        G = horizontal_gradient_batch(heis1, params, DiffBackend(), fld, Z, T)
+        return [norm_d(params, (Z, T)) ** 0.5 * np.einsum("nj,nj->n", G, G) ** 1.25]
+
+    [res] = hardy_ratio(heis1, [(params, phi)], 8_000, seed=2, spawn_key=(7,))
+    shells = _support_shells(*phi.support)
+    ref, _, _ = integrate_shells(heis1, params, shells, lhs, 1, res.n_samples // len(shells), 2, (7,))
+    assert res.lhs == pytest.approx(ref[0], rel=1e-10)
+
+
+def test_hardy_ratio_rejects_mixed_cases(heis1):
+    phi = build_hardy_corpus()[0]
+    other = annulus_bump(0.5, 4.0)
+    with pytest.raises(ValueError, match="share k"):
+        hardy_ratio(heis1, [(params_for(heis1, k=1.0), phi), (params_for(heis1, k=2.0), phi)], 1000, seed=0)
+    with pytest.raises(ValueError, match="share k"):
+        hardy_ratio(heis1, [(params_for(heis1, k=1.0), phi), (params_for(heis1, k=1.0), other)], 1000, seed=0)
+    with pytest.raises(ValueError):
+        hardy_ratio(heis1, [], 1000, seed=0)
 
 
 def test_hardy_corpus_structure():
@@ -213,7 +260,7 @@ def test_modulated_field_gradient_matches_fd(heis1, rng):
 
 def test_radial_reduction_self_check(heis1):
     params = params_for(heis1, k=2.0, p=2.5, alpha=0.5)
-    res = hardy_ratio(heis1, params, annulus_bump(0.5, 2.0, "poly3"), 40_000, seed=6)
+    [res] = hardy_ratio(heis1, [(params, annulus_bump(0.5, 2.0, "poly3"))], 40_000, seed=6)
     assert res.radial_consistent
     assert res.ratio >= sharp_hardy_constant(params) - 3.0 * res.stderr
 
@@ -253,7 +300,7 @@ def test_sharpness_ratios_decrease(heis1):
     params = params_for(heis1, k=1.0, p=2.0)
     vals = []
     for j in (1, 2, 4, 8):
-        res = hardy_ratio(heis1, params, sharpness_test_function(params, j), 20_000, seed=8, spawn_key=(j,))
+        [res] = hardy_ratio(heis1, [(params, sharpness_test_function(params, j))], 20_000, seed=8, spawn_key=(j,))
         vals.append(res.ratio)
         assert res.radial_consistent
     assert all(a > b for a, b in zip(vals, vals[1:]))
