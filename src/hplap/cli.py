@@ -5,7 +5,7 @@ Usage
 -----
     hplap verify --group heisenberg:1 --k 1 --p 2 --suite lemma1 --out reports/
     hplap constants --group heisenberg:1 --k 1 --p 2
-    hplap sweep --group heisenberg:1 --k 1,2 --p 1.5,2,3 --alpha=-1,0,1 --out sweep.csv
+    hplap sweep --group heisenberg:1 --k 1,2 --p 1.5,2,3 --alpha -1,0,1 --out sweep.csv
 
 Configuration precedence: command-line flags > environment variables
 (prefix ``HPLAP_``, e.g. ``HPLAP_SEED=7``) > config file (plain-text
@@ -280,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha", help="norm-power weight exponent")
         sp.add_argument("--beta", help="gradient-weight exponent")
         sp.add_argument("--seed", help="base seed for all random streams")
-        sp.add_argument("--samples", help="Monte Carlo samples per region")
+        sp.add_argument("--samples", help="Monte Carlo precision: n candidates per region of an equal split, "
+                        "or fewer where the variance is low")
         sp.add_argument("--corpus-samples", dest="corpus_samples", help="samples per test function")
         sp.add_argument("--config", help="plain-text key = value config file")
         sp.add_argument("--out", help="output directory (verify) or file (sweep)")
@@ -301,9 +302,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number_list(token: str) -> bool:
+    try:
+        [float(x) for x in token.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Rewrite ``--flag -1,0`` as ``--flag=-1,0``: argparse takes a token
+    that starts with '-' and is not a plain negative number for an option."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token.startswith("-") and _is_number_list(token) and prev.startswith("--")
+                and "=" not in prev and prev != "--help"):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     if getattr(args, "suite", None) is not None:
         args.suite = ",".join(args.suite)
     else:

@@ -22,13 +22,19 @@ the reported standard errors at the sample sizes used here.
 
 Integrals over a union of regions (an innermost ball plus dyadic shells
 2^a <= d < 2^{a+1}, or the dyadic split of a test function's support) go
-through :func:`integrate_shells`: region i is drawn on substream
-spawn_key + (i,), values and covariances are summed in region order, and
-the outermost region's values come back separately as a tail diagnostic.
+through :func:`integrate_shells`: region i is drawn with its own
+candidate count on substream spawn_key + (i,), values and covariances are
+summed in region order, and the outermost region's values come back
+separately as a tail diagnostic.  :func:`neyman_counts` sizes the regions
+by Neyman allocation (counts proportional to each region's standard
+deviation, estimated by a pilot on disjoint substreams), which reaches the
+error bar of an equal split with fewer candidates when a few regions
+carry most of the variance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,6 +50,7 @@ __all__ = [
     "Sampler",
     "mc_ball_integral",
     "integrate_shells",
+    "neyman_counts",
     "grid_integral_1d",
 ]
 
@@ -183,9 +190,9 @@ def mc_ball_integral(
 
 
 def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_fn: Callable,
-                     nf: int, n: int, seed: int, spawn_key: tuple = ()):
-    """Sum of :func:`mc_region_multi` over regions, region i drawn with n
-    candidates on substream spawn_key + (i,).
+                     nf: int, counts, seed: int, spawn_key: tuple = ()):
+    """Sum of :func:`mc_region_multi` over regions, region i drawn with
+    counts[i] candidates on substream spawn_key + (i,).
 
     Returns (values, covariance, last) with last the outermost region's
     values, so callers can check that a truncated tail has decayed.
@@ -193,12 +200,39 @@ def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_f
     vals = np.zeros(nf)
     cov = np.zeros((nf, nf))
     last = vals
-    for i, region in enumerate(regions):
+    for i, (region, n) in enumerate(zip(regions, counts, strict=True)):
         sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
         last, c, _, _ = mc_region_multi(sampler, multi_fn, nf, n)
         vals += last
         cov += c
     return vals, cov, last
+
+
+def neyman_counts(alg: HTypeAlgebra, params: OperatorParams, regions, f: Callable,
+                  n: int, seed: int, spawn_key: tuple = ()) -> list:
+    """Per-region candidate counts for :func:`integrate_shells` that give
+    the sum over regions of f the variance of an equal split of n per
+    region, with the fewest candidates (Neyman allocation).
+
+    A pilot of P = max(2048, n // 64) candidates per region, region i on
+    substream spawn_key + (i,), estimates each region's standard deviation
+    sigma_i.  Neyman allocation n_i ~ sigma_i reaches the equal split's
+    variance sum(sigma_i^2) / n at the total n sum(sigma)^2 / sum(sigma^2),
+    so n_i = ceil(n sigma_i sum(sigma) / sum(sigma^2)); every region gets
+    at least P, so one whose pilot saw little variance is still sampled.
+    The caller keeps the pilot substreams disjoint from the main ones.
+    """
+    pilot = max(2048, n // 64)
+    sd = np.empty(len(regions))
+    for i, region in enumerate(regions):
+        sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
+        _, c, _, _ = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, pilot)
+        sd[i] = math.sqrt(max(c[0, 0], 0.0))
+    ss = float(np.sum(sd**2))
+    if ss == 0.0:
+        return [pilot] * len(regions)
+    scale = n * float(np.sum(sd)) / ss
+    return [max(pilot, math.ceil(scale * s)) for s in sd]
 
 
 _GL_NODES: dict = {}

@@ -79,6 +79,7 @@ from .quadrature import (
     grid_integral_1d,
     integrate_shells,
     mc_ball_integral,
+    neyman_counts,
 )
 from .report import VerificationReport
 
@@ -462,13 +463,14 @@ def build_hardy_corpus(count: int = 50) -> list:
     annuli = [(0.5, 2.0), (0.25, 1.0), (1.0, 4.0), (0.5, 4.0), (2.0, 8.0)]
     kinds = ["window", "sin2", "poly3", "asym", "plateau"]
     corpus = []
-    i = 0
+    n_mod = 0
     for r0, r1 in annuli:
         for kind in kinds:
             for modded in (False, True):
                 mod = None
                 if modded:
-                    mod = AngularModulation("z1", 0.5) if i % 2 == 0 else AngularModulation("t1", 0.4)
+                    mod = AngularModulation("z1", 0.5) if n_mod % 2 == 0 else AngularModulation("t1", 0.4)
+                    n_mod += 1
                 corpus.append(
                     annulus_bump(
                         r0,
@@ -478,7 +480,6 @@ def build_hardy_corpus(count: int = 50) -> list:
                         label=f"{kind}[{r0},{r1}]" + (f"*{mod.kind}" if mod else ""),
                     )
                 )
-                i += 1
     return corpus[:count]
 
 
@@ -587,7 +588,7 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
 
     shells = _support_shells(*phi0.support)
     n_per = max(2048, int(np.ceil(n / len(shells))))
-    sums, cov, _ = integrate_shells(alg, base, shells, multi, 2 * len(cases), n_per, seed, spawn_key)
+    sums, cov, _ = integrate_shells(alg, base, shells, multi, 2 * len(cases), [n_per] * len(shells), seed, spawn_key)
     out = []
     for i, (params, phi) in enumerate(cases):
         L, R = sums[2 * i], sums[2 * i + 1]
@@ -660,10 +661,12 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
             cols.append(psi_v * np.exp(-(e**2) * zn2 - e ** (4.0 * k) * tn2))
         return np.stack(cols)
 
+    # Neyman allocation: a pilot on substreams (3, i) sizes region i so
+    # that density-total keeps the error bar of n_samples per region
     regions = [BallRegion(2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
-    vals, cov, last = integrate_shells(
-        alg, params, regions, multi, 1 + len(eps_list), config.n_samples, config.seed, (2,)
-    )
+    counts = neyman_counts(alg, params, regions, lambda Zs, Ts: cf.psi(params, (Zs, Ts)),
+                           config.n_samples, config.seed, (3,))
+    vals, cov, last = integrate_shells(alg, params, regions, multi, 1 + len(eps_list), counts, config.seed, (2,))
     if abs(last[0]) > 0.01 * abs(vals[0]):
         raise RuntimeError("scaling-density integral: non-decaying tail at the outermost shell")
     est0 = vals[0]
@@ -1001,7 +1004,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
 
         shells = _support_shells(*phi.support)
         n_per = max(2048, int(np.ceil(config.corpus_n() / len(shells))))
-        sums, cov, _ = integrate_shells(alg, params, shells, multi, 4, n_per, config.seed, (7, fi))
+        sums, cov, _ = integrate_shells(alg, params, shells, multi, 4, [n_per] * len(shells), config.seed, (7, fi))
         i1, i2, i3, bmid = sums
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
         lhs = i1 ** (1.0 / t_exp) * i2 ** (1.0 / s)

@@ -180,6 +180,16 @@ def test_sweep_grid_and_determinism(tmp_path, capsys):
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
 
 
+def test_sweep_accepts_space_separated_negative_grid(tmp_path):
+    # "--alpha -1,0" gives the same rows as "--alpha=-1,0"
+    base = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "1.5", "--corpus-samples", "2000"]
+    assert run_cli(base + ["--alpha", "-1,0", "--out", str(tmp_path / "a.csv")]) == 0
+    assert run_cli(base + ["--alpha=-1,0", "--out", str(tmp_path / "b.csv")]) == 0
+    rows = (tmp_path / "a.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].startswith("1.0,1.5,-1.0,")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
     cfgfile = tmp_path / "conf.txt"
     cfgfile.write_text("group = heisenberg:2\nk = 2\np = 3\n")

@@ -14,6 +14,7 @@ from hplap.quadrature import (
     integrate_shells,
     mc_ball_integral,
     mc_region_multi,
+    neyman_counts,
 )
 from conftest import params_for
 
@@ -145,7 +146,7 @@ def test_integrate_shells_region_uses_own_substream(heis1):
         return [np.where((d >= 2.0) & (d < 4.0), d**-2.0, 0.0)]
 
     regions = _dyadic_regions(-12, 12)
-    vals, cov, last = integrate_shells(heis1, params, regions, f, 1, 20_000, 5, (3,))
+    vals, cov, last = integrate_shells(heis1, params, regions, f, 1, [20_000] * len(regions), 5, (3,))
     idx = regions.index(ShellRegion(2.0, 4.0))
     ref, ref_cov, _, _ = mc_region_multi(Sampler(heis1, params, regions[idx], 5, spawn_key=(3, idx)), f, 1, 20_000)
     assert vals[0] == pytest.approx(ref[0], rel=1e-12) and vals[0] > 0.0
@@ -163,9 +164,53 @@ def test_integrate_shells_linearity_common_seed(heis1):
         g = np.exp(-2.0 * d) * zsq(Z, T)
         return np.stack([f, g, 2.0 * f - 3.0 * g])
 
-    vals, cov, _ = integrate_shells(heis1, params, _dyadic_regions(-6, 6), multi, 3, 10_000, 9)
+    regions = _dyadic_regions(-6, 6)
+    vals, cov, _ = integrate_shells(heis1, params, regions, multi, 3, [10_000] * len(regions), 9)
     assert vals[2] == pytest.approx(2.0 * vals[0] - 3.0 * vals[1], rel=1e-10)
     assert cov[2, 2] == pytest.approx(4.0 * cov[0, 0] - 12.0 * cov[0, 1] + 9.0 * cov[1, 1], rel=1e-8)
+
+
+def test_integrate_shells_unequal_counts_match_per_region_sums(heis1):
+    # region i takes counts[i] candidates on substream spawn_key + (i,);
+    # the totals are the region estimates summed in order, bit for bit
+    params = params_for(heis1, k=1.0)
+
+    def multi(Z, T):
+        d = norm_d(params, (Z, T))
+        return np.stack([np.exp(-d), zsq(Z, T) * np.exp(-2.0 * d)])
+
+    regions = _dyadic_regions(-3, 3)
+    counts = [3_000, 11_000, 2_048, 7_500, 5_000, 9_999, 4_096]
+    vals, cov, last = integrate_shells(heis1, params, regions, multi, 2, counts, 4, (6,))
+    ref_vals, ref_cov = np.zeros(2), np.zeros((2, 2))
+    for i, (region, n) in enumerate(zip(regions, counts)):
+        v, c, n_used, _ = mc_region_multi(Sampler(heis1, params, region, 4, spawn_key=(6, i)), multi, 2, n)
+        assert n_used == n
+        ref_vals += v
+        ref_cov += c
+    assert np.array_equal(vals, ref_vals) and np.array_equal(cov, ref_cov) and np.array_equal(last, v)
+    with pytest.raises(ValueError):
+        integrate_shells(heis1, params, regions, multi, 2, counts[:-1], 4, (6,))
+
+
+def test_neyman_counts_floor_and_zero_variance(heis1):
+    # every region gets at least the pilot size P, including regions where
+    # the integrand vanishes (pilot standard deviation 0)
+    params = params_for(heis1, k=1.0)
+    regions = _dyadic_regions(-2, 2)
+    n = 200_000
+    pilot = max(2048, n // 64)
+
+    def outer(Z, T):
+        d = norm_d(params, (Z, T))
+        return np.where(d >= 1.0, np.exp(-d), 0.0)
+
+    counts = neyman_counts(heis1, params, regions, outer, n, 3, (3,))
+    assert len(counts) == len(regions) and all(isinstance(c, int) for c in counts)
+    assert counts[:3] == [pilot] * 3  # the ball and the shells below d = 1
+    assert min(counts) >= pilot and max(counts) > pilot
+    assert neyman_counts(heis1, params, regions, lambda Z, T: np.zeros(len(Z)), n, 3, (3,)) == [pilot] * len(regions)
+    assert neyman_counts(heis1, params, regions[:1], one, 1_000, 3)[0] >= 2048
 
 
 def test_mc_region_multi_matches_zero_padded_reference(heis1):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
 from hplap.fields import DiffBackend, fd_x_gradient, gaussian_field, horizontal_gradient_batch
-from hplap.quadrature import integrate_shells
+from hplap import verify as verify_mod
+from hplap.quadrature import BallRegion, ShellRegion, integrate_shells
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
     _radial_1d_integrals,
@@ -216,7 +217,7 @@ def test_hardy_ratio_chain_rule_matches_full_gradient(kind, heis1):
 
     [res] = hardy_ratio(heis1, [(params, phi)], 8_000, seed=2, spawn_key=(7,))
     shells = _support_shells(*phi.support)
-    ref, _, _ = integrate_shells(heis1, params, shells, lhs, 1, res.n_samples // len(shells), 2, (7,))
+    ref, _, _ = integrate_shells(heis1, params, shells, lhs, 1, [res.n_samples // len(shells)] * len(shells), 2, (7,))
     assert res.lhs == pytest.approx(ref[0], rel=1e-10)
 
 
@@ -237,6 +238,8 @@ def test_hardy_corpus_structure():
     labels = [c.label for c in corpus]
     assert len(set(labels)) == 50
     assert sum(c.radial for c in corpus) == 25
+    kinds = [c.modulation.kind for c in corpus if c.modulation is not None]
+    assert kinds.count("z1") == 13 and kinds.count("t1") == 12
     for c in corpus:
         assert c.support[0] > 0.0
 
@@ -326,6 +329,47 @@ def test_fundamental_solution_tail_guard(monkeypatch):
     monkeypatch.setattr(cf, "psi", lambda params, g: np.ones(len(g[0])))
     with pytest.raises(RuntimeError, match="tail"):
         verify_fundamental_solution(SuiteConfig(n_samples=2000))
+
+
+def _density_total(report):
+    [check] = [c for c in report.checks if c.check_id == "density-total"]
+    return check
+
+
+def test_fundamental_solution_neyman_matches_equal_split(heis1, monkeypatch):
+    # the allocated density-total keeps the error bar of n candidates in
+    # every region, for at most a fifth of the candidates (pilot included)
+    n = 100_000
+    allocated = []
+    neyman = verify_mod.neyman_counts
+
+    def recording(*args, **kwargs):
+        allocated.append(neyman(*args, **kwargs))
+        return allocated[-1]
+
+    monkeypatch.setattr(verify_mod, "neyman_counts", recording)
+    check = _density_total(verify_fundamental_solution(SuiteConfig(n_samples=n)))
+    [counts] = allocated
+    params = params_for(heis1, k=1.0, p=2.0)
+    regions = [BallRegion(2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
+
+    def psi(Z, T):
+        return [cf.psi(params, (Z, T))]
+
+    _, cov, _ = integrate_shells(heis1, params, regions, psi, 1, [n] * len(regions), SuiteConfig.seed, (2,))
+    assert check.passed
+    assert check.stderr <= 1.05 * math.sqrt(cov[0, 0])
+    assert sum(counts) + len(regions) * max(2048, n // 64) <= 0.2 * n * len(regions)
+
+
+def test_fundamental_solution_density_total_calibrated():
+    # z = (observed - target) / stderr over 20 fixed seeds: the allocated
+    # error bar is neither too narrow nor too wide
+    z = []
+    for seed in range(1000, 1020):
+        check = _density_total(verify_fundamental_solution(SuiteConfig(n_samples=60_000, seed=seed)))
+        z.append((check.observed - check.target) / check.stderr)
+    assert abs(np.mean(z)) <= 0.7 and 0.6 <= np.std(z, ddof=1) <= 1.5
 
 
 def test_lemma1_rejects_invalid_k():
