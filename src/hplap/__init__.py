@@ -20,14 +20,8 @@ from .algebra import (
 )
 from .fields import (
     DiffBackend,
-    HorizontalVectorField,
     RadialProfile,
     ScalarField,
-    apply_X,
-    horizontal_divergence,
-    horizontal_gradient,
-    p_laplacian,
-    weighted_p_laplacian,
 )
 from .closedform import (
     FundamentalSolutionSpec,
@@ -36,14 +30,13 @@ from .closedform import (
     grad_d_eps_sq,
     lap_d4k,
     lap_d_eps,
-    log_gamma,
     psi,
     radial_L,
     sigma_p,
     sigma_p_beta,
     sphere_moment,
 )
-from .quadrature import IntegralEstimate, grid_integral_1d, mc_ball_integral
+from .quadrature import grid_integral_1d
 from .verify import SuiteConfig, hardy_ratio, run_suite
 
 __version__ = "0.1.0"

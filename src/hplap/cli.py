@@ -169,11 +169,15 @@ def _validate(cfg: CliConfig, grid: bool = False) -> None:
     for flag, count in (("--samples", cfg.samples), ("--corpus-samples", cfg.corpus_samples)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
-    combos = (
-        [(k, p, a) for k in _parse_grid(cfg.k) for p in _parse_grid(cfg.p) for a in _parse_grid(cfg.alpha)]
-        if grid
-        else [(cfg.k_f, cfg.p_f, cfg.alpha_f)]
-    )
+    if grid:
+        if cfg.mode not in ("hardy", "sharpness"):
+            raise ValueError(f"unknown sweep mode {cfg.mode!r} (hardy or sharpness)")
+        k_grid, p_grid, a_grid = _parse_grid(cfg.k), _parse_grid(cfg.p), _parse_grid(cfg.alpha)
+        if not (k_grid and p_grid and a_grid):
+            raise ValueError("sweep needs at least one value in each of --k, --p and --alpha")
+        combos = [(k, p, a) for k in k_grid for p in p_grid for a in a_grid]
+    else:
+        combos = [(cfg.k_f, cfg.p_f, cfg.alpha_f)]
     for k, p, a in combos:
         params = OperatorParams.of(alg, k=k, p=p, alpha=a, beta=cfg.beta_f)
         if a != 0.0 or cfg.beta_f != 0.0:

@@ -54,7 +54,10 @@ The moment integrals behind these constants are also exposed:
 
 and sigma_p = sphere_moment((2k-1)p) as a pure arithmetic identity.
 
-All constants are computed in log space through :func:`log_gamma` and
+Pointwise functions take a pair (Z, T) of coordinate batches, shapes
+(n, m) and (n, q), and return (n,) arrays.
+
+All constants are computed in log space through :func:`math.lgamma` and
 exponentiated once.  Powers of possibly negative prefactors follow the
 real-valued pattern nu |nu|^{p-2} so every expression stays real for all
 p > 1, including p > Q.
@@ -71,7 +74,6 @@ from .algebra import OperatorParams
 from .fields import DegenerateFluxWarning, RadialProfile, ScalarField, aniso_scales, profile_field
 
 __all__ = [
-    "log_gamma",
     "grad_d_eps_sq",
     "lap_d4k",
     "lap_d_eps",
@@ -88,65 +90,8 @@ __all__ = [
     "log_profile",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients (relative error well below
-# 1e-13 for x > 0; pinned in the tests by Gamma(1/2) = sqrt(pi) and the
-# factorials rather than by the coefficient set).
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0, elementwise on arrays."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    out = np.empty_like(x)
-    small = x < 0.5
-    xs = np.where(small, 1.0 - x, x)  # evaluate the core on xs >= 0.5
-    t = xs + _LANCZOS_G - 0.5
-    s = np.full_like(xs, _LANCZOS_C[0])
-    for i in range(1, 9):
-        s = s + _LANCZOS_C[i] / (xs - 1.0 + i)
-    core = _HALF_LOG_2PI + (xs - 0.5) * np.log(t) - t + np.log(s)
-    if np.any(small):
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        refl = np.log(np.pi / np.abs(np.sin(np.pi * x))) - core
-        out = np.where(small, refl, core)
-    else:
-        out = core
-    return float(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # pointwise identities
-
-
-def _zt_arrays(g):
-    from .algebra import GroupPoint
-
-    if isinstance(g, GroupPoint):
-        return g.z[None, :], g.t[None, :], True
-    Z, T = g
-    Z = np.asarray(Z, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if Z.ndim == 1:
-        return Z[None, :], T[None, :], True
-    return Z, T, False
 
 
 def _pieces(params: OperatorParams, Z, T, eps: float):
@@ -158,40 +103,40 @@ def _pieces(params: OperatorParams, Z, T, eps: float):
     return zn2, d4, de
 
 
-def grad_d_eps_sq(params: OperatorParams, g, eps: float):
+def grad_d_eps_sq(params: OperatorParams, zt, eps: float):
     """|grad_X d_eps|^2 = d^{4k} d_eps^{2-8k} |z|^{4k-2}."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    Z, T, single = _zt_arrays(g)
+    Z, T = zt
     k = params.k
     zn2, d4, de = _pieces(params, Z, T, eps)
     out = d4 * de ** (2.0 - 8.0 * k) * zn2 ** (2.0 * k - 1.0)
-    return float(out[0]) if single else out
+    return out
 
 
-def lap_d4k(params: OperatorParams, g):
+def lap_d4k(params: OperatorParams, zt):
     """sum_j X_j^2 (d_eps^{4k}) = 4k (4k - 2 + Q) |z|^{4k-2} (eps-free)."""
-    Z, T, single = _zt_arrays(g)
+    Z, T = zt
     k, Q = params.k, params.Q
     zn2 = np.einsum("ni,ni->n", Z, Z)
     out = 4.0 * k * (4.0 * k - 2.0 + Q) * zn2 ** (2.0 * k - 1.0)
-    return float(out[0]) if single else out
+    return out
 
 
-def lap_d_eps(params: OperatorParams, g, eps: float):
+def lap_d_eps(params: OperatorParams, zt, eps: float):
     """sum_j X_j^2 d_eps, in the cancellation-free form
     d_eps^{1-4k} |z|^{4k-2} {4k + Q - 2 - (4k-1) d^{4k}/d_eps^{4k}}."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    Z, T, single = _zt_arrays(g)
+    Z, T = zt
     k, Q = params.k, params.Q
     zn2, d4, de = _pieces(params, Z, T, eps)
     brace = 4.0 * k + Q - 2.0 - (4.0 * k - 1.0) * d4 / de ** (4.0 * k)
     out = de ** (1.0 - 4.0 * k) * zn2 ** (2.0 * k - 1.0) * brace
-    return float(out[0]) if single else out
+    return out
 
 
-def radial_L(params: OperatorParams, profile, g, eps: float):
+def radial_L(params: OperatorParams, profile, zt, eps: float):
     """L_{p,k} of f(d_eps) for a C^2 profile f, via the radial formula.
 
     profile is a :class:`RadialProfile` or a pair (f', f'') of callables.
@@ -204,7 +149,7 @@ def radial_L(params: OperatorParams, profile, g, eps: float):
         df, d2f = profile.df, profile.d2f
     else:
         df, d2f = profile
-    Z, T, single = _zt_arrays(g)
+    Z, T = zt
     k, p, Q = params.k, params.p, params.Q
     zn2, d4, de = _pieces(params, Z, T, eps)
     zpow = zn2 ** ((2.0 * k - 1.0) * p / 2.0)  # |z|^{(2k-1)p}
@@ -231,7 +176,7 @@ def radial_L(params: OperatorParams, profile, g, eps: float):
     )
     if np.any(degenerate):
         out = np.where(degenerate, 0.0, out)
-    return float(out[0]) if single else out
+    return out
 
 
 def psi_prefactor(params: OperatorParams) -> float:
@@ -244,7 +189,7 @@ def psi_prefactor(params: OperatorParams) -> float:
     return nu * abs(nu) ** (p - 2.0) * (4.0 * k * p - 4.0 * k + Q - p)
 
 
-def psi(params: OperatorParams, g):
+def psi(params: OperatorParams, zt):
     """Scaling-limit density of L_{p,k} applied to the regularized
     fundamental-solution power:
 
@@ -254,7 +199,7 @@ def psi(params: OperatorParams, g):
     so that L_{p,k}(d_eps^{(p-Q)/(p-1)}) = eps^{-Q} psi(delta_{1/eps}(z,t)).
     Its group integral equals nu |nu|^{p-2} sigma_p.
     """
-    Z, T, single = _zt_arrays(g)
+    Z, T = zt
     k, p, Q = params.k, params.p, params.Q
     pref = psi_prefactor(params)
     zn2, d4, _ = _pieces(params, Z, T, 0.0)
@@ -263,7 +208,7 @@ def psi(params: OperatorParams, g):
         dpow = np.where(d4 > 0.0, d4 ** ((2.0 * k * p - 4.0 * k) / (4.0 * k)), 0.0)
         out = pref * dpow * zpow / (1.0 + d4) ** ((4.0 * k * p - p + Q) / (4.0 * k))
     out = np.where((zn2 == 0.0), 0.0, out)
-    return float(out[0]) if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +218,16 @@ def psi(params: OperatorParams, g):
 def _log_sigma(params: OperatorParams, p: float, beta: float) -> float:
     k, m, q, Q = params.k, params.m, params.q, params.Q
     gam = (2.0 * k - 1.0) * (p + beta)
+    # the Gamma arguments must be positive: math.lgamma returns log|Gamma|
+    # at negative non-integers instead of failing
+    if not gam > -m:
+        raise ValueError(f"sigma requires (2k-1)(p+beta) > -m = {-m}, got {gam}")
     return (
         (q - 0.5) * math.log(0.25)
         + 0.5 * (q + m) * math.log(math.pi)
-        + log_gamma((gam + m) / (4.0 * k))
-        - log_gamma(0.5 * m)
-        - log_gamma((gam + Q) / (4.0 * k))
+        + math.lgamma((gam + m) / (4.0 * k))
+        - math.lgamma(0.5 * m)
+        - math.lgamma((gam + Q) / (4.0 * k))
     )
 
 
@@ -303,9 +252,9 @@ def ball_moment(params: OperatorParams, gamma: float) -> float:
     lg = (
         (q - 1.0) * math.log(0.25)
         + 0.5 * (q + m) * math.log(math.pi)
-        + log_gamma((gamma + m) / (4.0 * k))
-        - log_gamma(0.5 * m)
-        - log_gamma((gamma + Q) / (4.0 * k))
+        + math.lgamma((gamma + m) / (4.0 * k))
+        - math.lgamma(0.5 * m)
+        - math.lgamma((gamma + Q) / (4.0 * k))
     )
     return math.exp(lg) / (2.0 * (gamma + Q))
 
@@ -329,28 +278,6 @@ class FundamentalSolutionSpec:
     kind: str  # "power" or "log"
     exponent: float
     constant: float
-
-    def evaluate(self, params: OperatorParams, g):
-        """Gamma(g); d = 0 yields a signed infinity rather than raising."""
-        from .algebra import norm_d
-
-        Z, T, single = _zt_arrays(g)
-        d = norm_d(params, (Z, T))
-        with np.errstate(divide="ignore"):
-            if self.kind == "power":
-                out = np.where(
-                    d > 0.0,
-                    self.constant * d ** self.exponent,
-                    math.copysign(math.inf, self.constant) if self.exponent < 0 else 0.0,
-                )
-            else:
-                # constant * log(1/d) -> sign(constant) * inf as d -> 0
-                out = np.where(
-                    d > 0.0,
-                    -self.constant * np.log(np.maximum(d, 1e-320)),
-                    math.copysign(math.inf, self.constant),
-                )
-        return float(out[0]) if single else out
 
     def as_field(self, params: OperatorParams) -> ScalarField:
         if self.kind == "power":

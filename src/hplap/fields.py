@@ -47,28 +47,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import GroupPoint, HTypeAlgebra, OperatorParams, norm_d
+from .algebra import HTypeAlgebra, OperatorParams, norm_d
 
 __all__ = [
     "NearSingularWarning",
     "DegenerateFluxWarning",
     "ScalarField",
-    "HorizontalVectorField",
     "DiffBackend",
     "RadialProfile",
     "aniso_scales",
     "euclid_gradient",
-    "fd_x_gradient",
     "divergence_of_values",
-    "apply_X",
-    "apply_X_batch",
-    "horizontal_gradient",
     "horizontal_gradient_batch",
-    "horizontal_divergence",
-    "horizontal_divergence_batch",
-    "p_laplacian",
     "p_laplacian_batch",
-    "weighted_p_laplacian",
     "weighted_p_laplacian_batch",
     "gradient_weight_batch",
     "gaussian_field",
@@ -111,28 +102,6 @@ class ScalarField:
     euclid_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     label: str = ""
     fd_scales: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
-
-    def at(self, g: GroupPoint) -> float:
-        return float(self.eval(g.z[None, :], g.t[None, :])[0])
-
-
-@dataclass(frozen=True)
-class HorizontalVectorField:
-    """m component functions on the group; components[j] maps batches
-    (Z, T) -> (n,)."""
-
-    components: tuple
-    fd_scales: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
-
-    def values(self, Z: np.ndarray, T: np.ndarray) -> np.ndarray:
-        return np.stack([c(Z, T) for c in self.components], axis=-1)
-
-    @classmethod
-    def from_values(cls, fn: Callable, m: int, fd_scales=None) -> "HorizontalVectorField":
-        comps = tuple((lambda Z, T, _j=j: fn(Z, T)[:, _j]) for j in range(m))
-        obj = cls(components=comps, fd_scales=fd_scales)
-        object.__setattr__(obj, "_values_fn", fn)
-        return obj
 
 
 @dataclass(frozen=True)
@@ -187,17 +156,13 @@ def aniso_scales(params: OperatorParams) -> Callable:
 def _as_batch(Z, T, m: int, q: int):
     Z = np.asarray(Z, dtype=float)
     T = np.asarray(T, dtype=float)
-    single = Z.ndim == 1
-    if single:
-        Z = Z[None, :]
-        T = T[None, :]
-    if Z.shape[-1] != m or T.shape[-1] != q:
-        raise ValueError(f"coordinate blocks must have widths m={m}, q={q}")
-    return Z, T, single
+    if Z.ndim != 2 or T.ndim != 2 or Z.shape[1] != m or T.shape[1] != q:
+        raise ValueError(f"coordinate blocks must be (n, m) and (n, q) batches of widths m={m}, q={q}")
+    return Z, T
 
 
-def _field_scales(f, Z, T):
-    if f is not None and getattr(f, "fd_scales", None) is not None:
+def _field_scales(f: ScalarField, Z, T):
+    if f.fd_scales is not None:
         sz, st = f.fd_scales(Z, T)
         return np.broadcast_to(sz, Z.shape[:1]), np.broadcast_to(st, Z.shape[:1])
     n = Z.shape[0]
@@ -277,29 +242,11 @@ def horizontal_gradient_batch(
     Z: np.ndarray,
     T: np.ndarray,
 ) -> np.ndarray:
-    """grad_X f at a batch of points, shape (n, m)."""
-    Z, T, single = _as_batch(Z, T, alg.m, alg.q)
+    """grad_X f at a batch of points, shape (n, m); column j - 1 is X_j f."""
+    Z, T = _as_batch(Z, T, alg.m, alg.q)
     _near_singular_check(params, Z)
     G = euclid_gradient(backend, f, Z, T)
-    out = _x_from_euclid(alg, params, Z, G)
-    return out[0] if single else out
-
-
-def apply_X_batch(alg, params, backend, f, Z, T, j: int) -> np.ndarray:
-    """X_j f at a batch of points; j is one-based as in X_1 .. X_m."""
-    if not 1 <= j <= alg.m:
-        raise ValueError(f"field index j must satisfy 1 <= j <= m={alg.m}")
-    single = np.asarray(Z).ndim == 1
-    out = horizontal_gradient_batch(alg, params, backend, f, Z, T)[..., j - 1]
-    return float(out) if single else out
-
-
-def apply_X(alg, params, backend, f, g: GroupPoint, j: int) -> float:
-    return apply_X_batch(alg, params, backend, f, g.z, g.t, j)
-
-
-def horizontal_gradient(alg, params, backend, f, g: GroupPoint) -> np.ndarray:
-    return horizontal_gradient_batch(alg, params, backend, f, g.z, g.t)
+    return _x_from_euclid(alg, params, Z, G)
 
 
 # ---------------------------------------------------------------------------
@@ -345,46 +292,16 @@ def _divergence_fd(
     return out
 
 
-def fd_x_gradient(alg, params, f: ScalarField, Z, T, h: float) -> np.ndarray:
-    """Forced central-difference X-gradient with an explicit step factor,
-    regardless of whether f carries an analytic gradient."""
-    Z, T, single = _as_batch(Z, T, alg.m, alg.q)
-    G = _fd_euclid_grad(f, Z, T, h)
-    out = _x_from_euclid(alg, params, Z, G)
-    return out[0] if single else out
-
-
 def divergence_of_values(alg, params, values_fn, Z, T, h: float, scales=None) -> np.ndarray:
     """div_X of a batch vector function values_fn(Z, T) -> (n, m) by
-    central differences with step factor h; scales = (s_z, s_t) arrays or
-    a callable (Z, T) -> (s_z, s_t)."""
-    Z, T, single = _as_batch(Z, T, alg.m, alg.q)
+    central differences with step factor h; scales, when given, is a
+    callable (Z, T) -> (s_z, s_t) of per-point step scales."""
+    Z, T = _as_batch(Z, T, alg.m, alg.q)
     if scales is None:
         sz, st = np.ones(Z.shape[0]), np.ones(Z.shape[0])
-    elif callable(scales):
-        sz, st = scales(Z, T)
     else:
-        sz, st = scales
-    out = _divergence_fd(alg, params, values_fn, Z, T, h, sz, st)
-    return out[0] if single else out
-
-
-def horizontal_divergence_batch(
-    alg, params, backend, F: HorizontalVectorField, Z, T
-) -> np.ndarray:
-    """div_X F = sum_j X_j F_j at a batch of points."""
-    if len(F.components) != alg.m:
-        raise ValueError(f"vector field must have m={alg.m} components")
-    Z, T, single = _as_batch(Z, T, alg.m, alg.q)
-    _near_singular_check(params, Z)
-    sz, st = _field_scales(F, Z, T)
-    vf = getattr(F, "_values_fn", None) or F.values
-    out = _divergence_fd(alg, params, vf, Z, T, backend.h2, sz, st)
-    return out[0] if single else out
-
-
-def horizontal_divergence(alg, params, backend, F, g: GroupPoint) -> float:
-    return float(horizontal_divergence_batch(alg, params, backend, F, g.z, g.t))
+        sz, st = scales(Z, T)
+    return _divergence_fd(alg, params, values_fn, Z, T, h, sz, st)
 
 
 def _flux_factor(G: np.ndarray, p: float) -> np.ndarray:
@@ -434,20 +351,15 @@ def _p_laplacian_impl(alg, params, backend, f, Z, T, weighted: bool) -> np.ndarr
 def p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
     """L_{p,k} f = div_X(|grad_X f|^{p-2} grad_X f) at a batch of points,
     by outer central differences of the flux with step h2."""
-    Z, T, single = _as_batch(Z, T, alg.m, alg.q)
+    Z, T = _as_batch(Z, T, alg.m, alg.q)
     _near_singular_check(params, Z)
-    out = _p_laplacian_impl(alg, params, backend, f, Z, T, weighted=False)
-    return out[0] if single else out
-
-
-def p_laplacian(alg, params, backend, f, g: GroupPoint) -> float:
-    return float(p_laplacian_batch(alg, params, backend, f, g.z, g.t))
+    return _p_laplacian_impl(alg, params, backend, f, Z, T, weighted=False)
 
 
 def weighted_p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
     """div_X(w |grad_X f|^{p-2} grad_X f) with w = d^alpha |grad_X d|^beta."""
     params.validate_weighted()
-    Z, T, single = _as_batch(Z, T, alg.m, alg.q)
+    Z, T = _as_batch(Z, T, alg.m, alg.q)
     _near_singular_check(params, Z)
     d = norm_d(params, (Z, T))
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
@@ -457,12 +369,7 @@ def weighted_p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
             NearSingularWarning,
             stacklevel=2,
         )
-    out = _p_laplacian_impl(alg, params, backend, f, Z, T, weighted=True)
-    return out[0] if single else out
-
-
-def weighted_p_laplacian(alg, params, backend, f, g: GroupPoint) -> float:
-    return float(weighted_p_laplacian_batch(alg, params, backend, f, g.z, g.t))
+    return _p_laplacian_impl(alg, params, backend, f, Z, T, weighted=True)
 
 
 # ---------------------------------------------------------------------------

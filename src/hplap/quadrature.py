@@ -44,11 +44,9 @@ from .algebra import HTypeAlgebra, OperatorParams, norm_d
 
 __all__ = [
     "mc_region_multi",
-    "IntegralEstimate",
     "BallRegion",
     "ShellRegion",
     "Sampler",
-    "mc_ball_integral",
     "integrate_shells",
     "neyman_counts",
     "grid_integral_1d",
@@ -62,30 +60,14 @@ _SLICE = 1 << 17
 
 
 @dataclass(frozen=True)
-class IntegralEstimate:
-    """A Monte Carlo integral value with its standard error."""
-
-    value: float
-    stderr: float
-    n_samples: int
-    region: str
-
-
-@dataclass(frozen=True)
 class BallRegion:
     radius: float
-
-    def describe(self) -> str:
-        return f"d-ball({self.radius!r})"
 
 
 @dataclass(frozen=True)
 class ShellRegion:
     r_min: float
     r_max: float
-
-    def describe(self) -> str:
-        return f"d-shell({self.r_min!r},{self.r_max!r})"
 
 
 @dataclass(frozen=True)
@@ -161,32 +143,6 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     mean = s1 / n
     cov = (s2 / n - np.outer(mean, mean)) / max(n - 1, 1)
     return vol * mean, vol * vol * cov, n, accepted
-
-
-def mc_ball_integral(
-    alg: HTypeAlgebra,
-    params: OperatorParams,
-    f: Callable,
-    R: float,
-    n: int,
-    seed: int,
-) -> IntegralEstimate:
-    """Monte Carlo estimate of the integral of f over the gauge ball d < R.
-
-    f takes coordinate batches (Z, T) -> (n,) (a ScalarField.eval works).
-    """
-    sampler = Sampler(alg, params, BallRegion(R), seed)
-    vals, cov, n_used, accepted = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, n)
-    if accepted < max(1.0, 1e-4 * n):
-        raise RuntimeError(
-            f"acceptance rate {accepted / n:.2e} below 1e-4 for {sampler.region.describe()}"
-        )
-    return IntegralEstimate(
-        value=float(vals[0]),
-        stderr=float(np.sqrt(max(cov[0, 0], 0.0))),
-        n_samples=n_used,
-        region=sampler.region.describe(),
-    )
 
 
 def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_fn: Callable,

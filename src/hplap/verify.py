@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -67,7 +67,6 @@ from .fields import (
     ScalarField,
     aniso_scales,
     divergence_of_values,
-    fd_x_gradient,
     horizontal_gradient_batch,
     p_laplacian_batch,
     profile_field,
@@ -75,10 +74,11 @@ from .fields import (
 )
 from .quadrature import (
     BallRegion,
+    Sampler,
     ShellRegion,
     grid_integral_1d,
     integrate_shells,
-    mc_ball_integral,
+    mc_region_multi,
     neyman_counts,
 )
 from .report import VerificationReport
@@ -87,7 +87,6 @@ __all__ = [
     "SuiteConfig",
     "HardyTestFunction",
     "AngularModulation",
-    "SharpnessSequenceSpec",
     "HardyRatioResult",
     "hardy_ratio",
     "build_hardy_corpus",
@@ -112,8 +111,7 @@ _ANALYTIC = DiffBackend(mode="analytic")
 
 @dataclass
 class SuiteConfig:
-    """Knobs shared by all suites; tolerances can be overridden per check
-    id through the ``tolerances`` mapping."""
+    """Knobs shared by all suites."""
 
     group: str = "heisenberg:1"
     k: float = 1.0
@@ -126,7 +124,6 @@ class SuiteConfig:
     seed: int = 20240
     j_max: int = 8
     eps_sweep: tuple = tuple(0.5**a for a in range(9))
-    tolerances: dict = field(default_factory=dict)
 
     def algebra(self) -> HTypeAlgebra:
         return resolve_group(self.group)
@@ -136,9 +133,6 @@ class SuiteConfig:
         kw = dict(k=self.k, p=self.p, alpha=self.alpha, beta=self.beta)
         kw.update(over)
         return OperatorParams.of(alg, **kw)
-
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
 
     def rng(self, *key: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(1000,) + key)
@@ -158,7 +152,7 @@ class SuiteConfig:
         return self.corpus_samples * (4 if alg.m + alg.q >= 7 else 1)
 
     def sweep_tol(self) -> float:
-        return float(self.tolerances.get("sweep-final", 0.02 if self.mc_nsigma() > 3.0 else 0.01))
+        return 0.02 if self.mc_nsigma() > 3.0 else 0.01
 
     def echo(self) -> dict:
         return {
@@ -240,7 +234,7 @@ def fd_grad_d_eps(alg, params, Z, T, eps: float, h: float = 6e-6) -> np.ndarray:
     itself is hopelessly ill-conditioned when eps >> d (the derivative of
     an O(1) function smaller by a factor (d/d_eps)^{4k})."""
     k = params.k
-    Xv = fd_x_gradient(alg, params, _gauge_field(params), Z, T, h)
+    Xv = horizontal_gradient_batch(alg, params, DiffBackend("central-fd", h1=h), _gauge_field(params), Z, T)
     de = norm_d_eps(params, (Z, T), eps)
     return (de ** (1.0 - 4.0 * k) / (4.0 * k))[:, None] * Xv
 
@@ -261,23 +255,22 @@ def verify_lemma1(config: SuiteConfig, eps_list=(1.0, 0.1, 0.01)) -> Verificatio
         fd = np.einsum("nj,nj->n", G, G)
         ref = cf.grad_d_eps_sq(params, (Z, T), eps)
         err_grad = max(err_grad, _max_rel_err(fd, ref))
-    report.add_deterministic("grad-sq", err_grad, config.tol("grad-sq", 1e-6))
+    report.add_deterministic("grad-sq", err_grad, 1e-6)
 
     # eps-independent Laplacian of the gauge: nested FD, inner step near
     # eps_machine^{1/4} because its output is differenced again
     gfield = _gauge_field(params)
-    inner = lambda Zp, Tp: fd_x_gradient(alg, params, gfield, Zp, Tp, 1e-4)
+    inner_fd = DiffBackend("central-fd", h1=1e-4)
+    inner = lambda Zp, Tp: horizontal_gradient_batch(alg, params, inner_fd, gfield, Zp, Tp)
     fd_lap4k = divergence_of_values(alg, params, inner, Z, T, 3e-4, scales)
-    report.add_deterministic(
-        "lap-gauge", _max_rel_err(fd_lap4k, cf.lap_d4k(params, (Z, T))), config.tol("lap-gauge", 1e-5)
-    )
+    report.add_deterministic("lap-gauge", _max_rel_err(fd_lap4k, cf.lap_d4k(params, (Z, T))), 1e-5)
 
     err_lap = 0.0
     for eps in eps_list:
         inner_eps = lambda Zp, Tp, e=eps: fd_grad_d_eps(alg, params, Zp, Tp, e)
         fd_lap = divergence_of_values(alg, params, inner_eps, Z, T, 3e-4, scales)
         err_lap = max(err_lap, _max_rel_err(fd_lap, cf.lap_d_eps(params, (Z, T), eps)))
-    report.add_deterministic("lap-norm", err_lap, config.tol("lap-norm", 1e-4))
+    report.add_deterministic("lap-norm", err_lap, 1e-4)
     return _finish(report, t0)
 
 
@@ -639,9 +632,7 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
     gn = np.sqrt(np.einsum("nj,nj->n", G, G))
     d = norm_d(params, (Z, T))
     scale = gn ** (p - 1.0) / d
-    report.add_deterministic(
-        "harmonicity", float(np.max(resid / scale)), config.tol("harmonicity", 1e-4)
-    )
+    report.add_deterministic("harmonicity", float(np.max(resid / scale)), 1e-4)
 
     if abs(p - Q) < 1e-12:
         # the scaling density and its sweep are defined for p != Q only
@@ -690,26 +681,25 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
 
 def verify_moments(config: SuiteConfig) -> VerificationReport:
     """Monte Carlo gauge-ball moments vs Gamma closed forms (3 sigma) and
-    the arithmetic consistency chain between the constants (1e-12)."""
+    the arithmetic consistency chain between the constants (1e-12).  All
+    moments are columns of one sample of the unit ball."""
     report, t0 = _new_report("moments", config)
     alg = config.algebra()
     params = config.params(alg)
-    k, p, beta, Q = params.k, params.p, params.beta, params.Q
-    gammas = []
-    for g in (0.0, 1.0, (2.0 * k - 1.0) * p, (2.0 * k - 1.0) * (p + beta)):
-        if g not in gammas:
-            gammas.append(g)
-    for gi, gamma in enumerate(gammas):
+    k, p, beta, n = params.k, params.p, params.beta, config.n_samples
+    gammas = list(dict.fromkeys((0.0, 1.0, (2.0 * k - 1.0) * p, (2.0 * k - 1.0) * (p + beta))))
 
-        def f(Z, T, g=gamma):
-            zn2 = np.einsum("ni,ni->n", Z, Z)
-            return zn2 ** (g / 2.0)
+    def multi(Z, T):
+        zn2 = np.einsum("ni,ni->n", Z, Z)
+        return np.stack([zn2 ** (g / 2.0) for g in gammas])
 
-        est = mc_ball_integral(alg, params, f, 1.0, config.n_samples, config.seed)
-        report.add_stochastic(
-            f"ball-moment-{gamma:g}", est.value, cf.ball_moment(params, gamma), est.stderr,
-            nsigma=config.mc_nsigma(),
-        )
+    vals, cov, _, accepted = mc_region_multi(Sampler(alg, params, BallRegion(1.0), config.seed), multi, len(gammas), n)
+    if accepted < max(1.0, 1e-4 * n):
+        raise ValueError(f"moments: acceptance rate {accepted / n:.2e} in the unit gauge ball is below 1e-4 "
+                         f"at n_samples={n}; raise --samples")
+    for i, gamma in enumerate(gammas):
+        report.add_stochastic(f"ball-moment-{gamma:g}", vals[i], cf.ball_moment(params, gamma),
+                              math.sqrt(max(cov[i, i], 0.0)), nsigma=config.mc_nsigma())
     gam_p = (2.0 * k - 1.0) * p
     sp = cf.sigma_p(params)
     report.add_deterministic(
@@ -762,9 +752,7 @@ def verify_hardy(config: SuiteConfig, p_list=(1.5, 2.0, 3.0), alpha_list=(-1.0, 
     # fails), whereas the angularly concentrated |z|-power integrands
     # occasionally defeat the small-sample variance estimate on a single
     # function; honest sampling noise keeps the median z near 1
-    report.add_deterministic(
-        "radial-reduction-median-z", float(np.median(radial_devs)), config.tol("radial-reduction-median-z", 3.0)
-    )
+    report.add_deterministic("radial-reduction-median-z", float(np.median(radial_devs)), 3.0)
     report.add_bound(
         "radial-reduction-consistent-fraction", float(np.mean(radial_flags)), 0.9, "above"
     )
@@ -775,27 +763,14 @@ def verify_hardy(config: SuiteConfig, p_list=(1.5, 2.0, 3.0), alpha_list=(-1.0, 
 # sharpness suite
 
 
-@dataclass(frozen=True)
-class SharpnessSequenceSpec:
-    """The dyadic extremizing sequence: u_j = d^{exponent} psi_j(d) with
-    psi_j = 1 on [2^-j, 1], supported on [2^{-j-1}, 2], C^2 quintic
-    transitions, |psi_j'| <= C 2^j on the inner band."""
-
-    j: int
-    cutoff_order: int = 2
-    exponent: float = 0.0
-
-    @classmethod
-    def for_params(cls, params: OperatorParams, j: int) -> "SharpnessSequenceSpec":
-        if j < 1:
-            raise ValueError("sequence index j must be >= 1")
-        expo = (params.p - params.Q - params.alpha) / params.p - 1.0 / j
-        return cls(j=j, cutoff_order=2, exponent=expo)
-
-
 def sharpness_test_function(params: OperatorParams, j: int) -> HardyTestFunction:
-    spec = SharpnessSequenceSpec.for_params(params, j)
-    a = -spec.exponent
+    """The dyadic extremizing sequence: u_j = d^{-a} psi_j(d) with
+    a = (Q + alpha - p)/p + 1/j, psi_j = 1 on [2^-j, 1], supported on
+    [2^{-j-1}, 2], C^2 quintic transitions, |psi_j'| <= C 2^j on the inner
+    band."""
+    if j < 1:
+        raise ValueError("sequence index j must be >= 1")
+    a = -((params.p - params.Q - params.alpha) / params.p - 1.0 / j)
     r_in0, r_in1 = 2.0 ** (-j - 1), 2.0**-j
     r_out0, r_out1 = 1.0, 2.0
     w_in = r_in1 - r_in0
@@ -884,7 +859,7 @@ def verify_sharpness(config: SuiteConfig) -> VerificationReport:
     c0_alt = (2.0**p - 1.0) / p * cf.sphere_moment(params, (2.0 * k + 1.0) * p)
     rel_main = abs(slope - c0_main) / c0_main
     rel_alt = abs(slope - c0_alt) / c0_alt
-    report.add_deterministic("growth-slope-vs-moment", rel_main, config.tol("growth-slope-vs-moment", 0.1))
+    report.add_deterministic("growth-slope-vs-moment", rel_main, 0.1)
     report.add_bound("growth-slope-discriminates", rel_alt - rel_main, 0.0, "above")
     return _finish(report, t0)
 
@@ -941,7 +916,7 @@ def verify_lemma2(config: SuiteConfig) -> VerificationReport:
     d = norm_d(params, (Z, T))
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     rhs = lam * d**a * zn ** ((2.0 * k - 1.0) * p) / d ** (2.0 * k * p) * d ** (mu * (p - 1.0))
-    report.add_deterministic("witness-pointwise", _max_rel_err(-Lv, rhs), config.tol("witness-pointwise", 1e-4))
+    report.add_deterministic("witness-pointwise", _max_rel_err(-Lv, rhs), 1e-4)
 
     # (ii) conclusion on a corpus slice
     ns = config.mc_nsigma()

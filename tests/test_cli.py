@@ -213,3 +213,30 @@ def test_custom_group_via_cli(tmp_path, capsys):
     jfile.write_text("0 -1\n1 0\n")
     assert run_cli(["constants", "--group", f"custom:{jfile}", "--k", "1", "--p", "2"]) == 0
     assert "2, 1" in capsys.readouterr().out
+
+
+def test_sweep_rejects_unknown_mode(tmp_path, capsys):
+    args = ["sweep", "--k", "1", "--p", "1.5", "--alpha", "0", "--corpus-samples", "2000", "--out", str(tmp_path / "s.csv")]
+    assert run_cli(args + ["--mode", "bogus"]) == 2
+    assert "configuration error: unknown sweep mode 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    assert run_cli(args + ["--mode", "sharpness"]) == 0
+
+
+@pytest.mark.parametrize("empty", ["--k", "--p", "--alpha"])
+def test_sweep_rejects_empty_grid(empty, tmp_path, capsys):
+    grid = {"--k": "1", "--p": "1.5", "--alpha": "0"}
+    grid[empty] = ","
+    args = ["sweep", "--corpus-samples", "2000", "--out", str(tmp_path / "s.csv")]
+    assert run_cli(args + [token for item in grid.items() for token in item]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["--samples", "1"], ["--group", "quaternionic:2", "--samples", "100"]])
+def test_moments_too_few_accepted_samples_exit_two(args, tmp_path, capsys):
+    # no candidate falls in the unit ball: a configuration error naming
+    # --samples, not a traceback
+    assert run_cli(["verify", "--suite", "moments", "--out", str(tmp_path)] + args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "--samples" in err and "Traceback" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hplap import closedform as cf
-from hplap.algebra import GroupPoint, make_heisenberg, norm_d
+from hplap.algebra import make_heisenberg, norm_d
 from hplap.fields import DiffBackend, RadialProfile, p_laplacian_batch, profile_field
 from hplap.verify import sample_gauge_points
 from conftest import moment_oracle_1d, params_for
@@ -12,38 +12,27 @@ from conftest import moment_oracle_1d, params_for
 AN = DiffBackend(mode="analytic")
 
 
+def point(z, t):
+    """One point as a (1, m), (1, q) batch."""
+    return np.array([z], dtype=float), np.array([t], dtype=float)
+
+
 # --------------------------------------------------------------------- gamma
 
 
-def test_log_gamma_pinned_identities():
-    assert cf.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert cf.log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert cf.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-    assert cf.log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-
-
-def test_log_gamma_accuracy_grid():
-    # against the C library implementation, relative to max(1, |ref|)
-    xs = np.concatenate(
-        [np.linspace(0.05, 2.0, 500), np.linspace(2.0, 20.0, 500), np.linspace(20.0, 200.0, 500)]
-    )
-    ours = cf.log_gamma(xs)
-    ref = np.array([math.lgamma(x) for x in xs])
-    err = np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)
-    assert np.max(err) < 1e-13
-
-
-def test_log_gamma_recurrence():
-    # Gamma(x+1) = x Gamma(x)
-    for x in (0.07, 0.3, 1.7, 41.5):
-        assert cf.log_gamma(x + 1.0) == pytest.approx(cf.log_gamma(x) + math.log(x), rel=1e-13, abs=1e-13)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        cf.log_gamma(0.0)
-    with pytest.raises(ValueError):
-        cf.log_gamma(-3.2)
+def test_gamma_argument_domain(heis1):
+    # every Gamma argument of the constants must be positive: at
+    # (2k-1)(p+beta) <= -m the first one is not, and math.lgamma would
+    # return log|Gamma| there instead of failing
+    params = params_for(heis1, k=1.0, p=2.0, beta=-4.0)  # (2k-1)(p+beta) = -2 = -m
+    with pytest.raises(ValueError, match="sigma requires"):
+        cf.sigma_p_beta(params)
+    with pytest.raises(ValueError, match="sigma requires"):
+        cf.sigma_p_beta(params_for(heis1, k=1.0, p=2.0, beta=-5.5))  # first argument -1/2
+    assert cf.sigma_p_beta(params_for(heis1, k=1.0, p=2.0, beta=-3.9)) > 0.0
+    for gamma in (-2.0, -3.0):  # gamma <= -m
+        with pytest.raises(ValueError, match="ball moment"):
+            cf.ball_moment(params, gamma)
 
 
 # ---------------------------------------------------------- point identities
@@ -51,9 +40,9 @@ def test_log_gamma_domain():
 
 def test_grad_d_eps_sq_values(heis1):
     params = params_for(heis1, k=1.0)
-    assert cf.grad_d_eps_sq(params, GroupPoint([0.0, 0.0], [0.3]), 1.0) == 0.0
-    g = GroupPoint([1.0, 0.0], [0.0])
-    assert cf.grad_d_eps_sq(params, g, 1.0) == pytest.approx(2.0**-1.5, rel=1e-14)
+    assert cf.grad_d_eps_sq(params, point([0.0, 0.0], [0.3]), 1.0)[0] == 0.0
+    got = cf.grad_d_eps_sq(params, point([1.0, 0.0], [0.0]), 1.0)
+    assert got.shape == (1,) and got[0] == pytest.approx(2.0**-1.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
@@ -70,7 +59,7 @@ def test_grad_d_eps_sq_eps_limit(k, heis1, rng):
 
 def test_lap_d4k_values(heis1, rng):
     params = params_for(heis1, k=1.0)
-    assert cf.lap_d4k(params, GroupPoint([0.0, 0.0], [0.2])) == 0.0
+    assert cf.lap_d4k(params, point([0.0, 0.0], [0.2]))[0] == 0.0
     Z = rng.standard_normal((10, 2))
     T = rng.standard_normal((10, 1))
     zn2 = np.einsum("ni,ni->n", Z, Z)
@@ -87,7 +76,7 @@ def test_lap_d_eps_limit(heis1, rng):
     want = (Q - 1.0) * d ** (1.0 - 4.0 * k) * zn2 ** (2.0 * k - 1.0)
     got = cf.lap_d_eps(params, (Z, T), 1e-8)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
-    assert cf.lap_d_eps(params, GroupPoint([0.0, 0.0], [0.1]), 1.0) == 0.0
+    assert cf.lap_d_eps(params, point([0.0, 0.0], [0.1]), 1.0)[0] == 0.0
 
 
 def test_radial_identity_profile_reduces_to_lap(heis1, rng):
@@ -118,7 +107,7 @@ def test_radial_L_degenerate_profile_flagged(heis1):
     params = params_for(heis1, k=1.0, p=1.5)
     flat = (lambda x: np.zeros_like(x), lambda x: np.ones_like(x))  # f' = 0
     with pytest.warns(DegenerateFluxWarning):
-        val = cf.radial_L(params, flat, (np.array([[1.0, 0.0]]), np.array([[0.1]])), 1.0)
+        val = cf.radial_L(params, flat, point([1.0, 0.0], [0.1]), 1.0)
     assert val[0] == 0.0
 
 
@@ -141,7 +130,7 @@ def test_radial_L_matches_nested_differences(heis1, rng):
 
 def test_psi_signs_and_zeros(heis1, rng):
     params = params_for(heis1, k=1.0, p=2.0)
-    assert cf.psi(params, GroupPoint([0.0, 0.0], [0.4])) == 0.0
+    assert cf.psi(params, point([0.0, 0.0], [0.4]))[0] == 0.0
     Z = rng.standard_normal((100, 2))
     T = rng.standard_normal((100, 1))
     assert np.all(cf.psi(params, (Z, T)) <= 0.0)  # 1 < p < Q
@@ -241,13 +230,14 @@ def test_fundamental_solution_weighted_exponent(heis1):
 
 
 def test_fundamental_solution_origin_is_signed_infinity(heis1):
-    params = params_for(heis1, k=1.0, p=2.0)
-    spec = cf.fundamental_solution(params)
-    val = spec.evaluate(params, GroupPoint([0.0, 0.0], [0.0]))
-    assert math.isinf(val) and val < 0  # constant is negative
-    spec_log = cf.fundamental_solution(params_for(heis1, k=1.0, p=4.0))
-    val_log = spec_log.evaluate(params_for(heis1, k=1.0, p=4.0), GroupPoint([0.0, 0.0], [0.0]))
-    assert math.isinf(val_log) and val_log < 0
+    # the field of Gamma (power and log branch) is -inf at d = 0, since
+    # both constants are negative
+    origin = point([0.0, 0.0], [0.0])
+    for p in (2.0, 4.0):
+        params = params_for(heis1, k=1.0, p=p)
+        with np.errstate(divide="ignore"):
+            val = cf.fundamental_solution(params).as_field(params).eval(*origin)
+        assert val.shape == (1,) and math.isinf(val[0]) and val[0] < 0
 
 
 def test_fundamental_solution_harmonic_for_p_above_Q(heis1, rng):

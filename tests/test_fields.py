@@ -2,26 +2,20 @@ import numpy as np
 import pytest
 
 from hplap import closedform as cf
-from hplap.algebra import GroupPoint, make_heisenberg, make_quaternionic, norm_d, norm_d_eps
+from hplap.algebra import norm_d
 from hplap.fields import (
     DegenerateFluxWarning,
     DiffBackend,
-    HorizontalVectorField,
     NearSingularWarning,
     RadialProfile,
-    apply_X,
-    apply_X_batch,
     aniso_scales,
+    divergence_of_values,
     euclid_gradient,
     gaussian_field,
     gradient_weight_batch,
-    horizontal_divergence,
-    horizontal_divergence_batch,
-    horizontal_gradient,
     horizontal_gradient_batch,
     linear_combination_field,
     monomial_field,
-    p_laplacian,
     p_laplacian_batch,
     profile_field,
     scale_field,
@@ -56,10 +50,11 @@ def test_apply_x_coordinate_example(heis1):
     # f = t_1, k = 1, g = (e_1, 0): X_2 f = (1/2)(J_1 e_1)_2
     params = params_for(heis1, k=1.0)
     f = monomial_field([0, 0], [1])
-    g = GroupPoint([1.0, 0.0], [0.0])
+    Z, T = np.array([[1.0, 0.0]]), np.array([[0.0]])
     expected = 0.5 * (heis1.J[0] @ np.array([1.0, 0.0]))[1]
     for backend in (AN, FD):
-        assert apply_X(heis1, params, backend, f, g, 2) == pytest.approx(expected, rel=1e-8)
+        G = horizontal_gradient_batch(heis1, params, backend, f, Z, T)
+        assert G.shape == (1, 2) and G[0, 1] == pytest.approx(expected, rel=1e-8)
     assert expected == pytest.approx(0.5)
 
 
@@ -69,7 +64,7 @@ def test_apply_x_kills_z_constant(heis2, rng):
         f = monomial_field(np.eye(4, dtype=int)[j - 1], [0])
         Z = rng.standard_normal((20, 4))
         T = rng.standard_normal((20, 1))
-        vals = apply_X_batch(heis2, params, AN, f, Z, T, j)
+        vals = horizontal_gradient_batch(heis2, params, AN, f, Z, T)[:, j - 1]
         assert np.allclose(vals, 1.0, atol=1e-9)
 
 
@@ -84,7 +79,7 @@ def test_apply_x_gauge_identity(k, quat1, rng):
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     Jtz = np.einsum("iab,ni,nb->na", alg.J, T, Z)
     for j in (1, alg.m):
-        got = apply_X_batch(alg, params, FD, f, Z, T, j)
+        got = horizontal_gradient_batch(alg, params, FD, f, Z, T)[:, j - 1]
         want = 4.0 * k * zn ** (4.0 * k - 2.0) * Z[:, j - 1] + 16.0 * k * zn ** (
             2.0 * k - 2.0
         ) * Jtz[:, j - 1]
@@ -148,12 +143,13 @@ def test_scalar_field_grad_matches_fd(heis1, rng):
 
 def test_divergence_constant_field_zero(heis1, rng):
     params = params_for(heis1, k=1.3)
-    F = HorizontalVectorField(
-        components=tuple((lambda Z, T, c=c: np.full(len(Z), c)) for c in (1.0, -2.0))
-    )
+
+    def F(Z, T):
+        return np.broadcast_to([1.0, -2.0], Z.shape)
+
     Z = rng.standard_normal((10, 2)) + 2.0
     T = rng.standard_normal((10, 1))
-    assert np.max(np.abs(horizontal_divergence_batch(heis1, params, AN, F, Z, T))) < 1e-9
+    assert np.max(np.abs(divergence_of_values(heis1, params, F, Z, T, AN.h2))) < 1e-9
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0])
@@ -170,8 +166,7 @@ def test_divergence_of_gauge_gradient(k, heis1, rng):
     def grad_vals(Zp, Tp):
         return horizontal_gradient_batch(heis1, params, AN, f, Zp, Tp)
 
-    F = HorizontalVectorField.from_values(grad_vals, heis1.m, fd_scales=aniso_scales(params))
-    got = horizontal_divergence_batch(heis1, params, AN, F, Z, T)
+    got = divergence_of_values(heis1, params, grad_vals, Z, T, AN.h2, aniso_scales(params))
     want = cf.lap_d4k(params, (Z, T))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-5
 
@@ -181,19 +176,17 @@ def test_divergence_linear(heis1, rng):
     g1 = gaussian_field(0.5, 0.7, 2, 1)
     g2 = gaussian_field(1.1, 0.2, 2, 1)
 
-    def mk(f):
+    def div_grad(f):
         def vals(Z, T):
             return horizontal_gradient_batch(heis1, params, AN, f, Z, T)
 
-        return HorizontalVectorField.from_values(vals, 2)
+        return divergence_of_values(heis1, params, vals, Z, T, AN.h2)
 
     Z = rng.standard_normal((10, 2))
     T = rng.standard_normal((10, 1))
-    dsum = horizontal_divergence_batch(
-        heis1, params, AN, mk(linear_combination_field([1.0, 1.0], [g1, g2])), Z, T
-    )
-    d1 = horizontal_divergence_batch(heis1, params, AN, mk(g1), Z, T)
-    d2 = horizontal_divergence_batch(heis1, params, AN, mk(g2), Z, T)
+    dsum = div_grad(linear_combination_field([1.0, 1.0], [g1, g2]))
+    d1 = div_grad(g1)
+    d2 = div_grad(g2)
     assert np.allclose(dsum, d1 + d2, rtol=1e-7, atol=1e-9)
 
 
@@ -254,13 +247,11 @@ def test_leibniz_rule(heis1, rng):
     def phiF_vals(Z, T):
         return phi.eval(Z, T)[:, None] * F_vals(Z, T)
 
-    F = HorizontalVectorField.from_values(F_vals, 2)
-    phiF = HorizontalVectorField.from_values(phiF_vals, 2)
     Z, T = sample_gauge_points(heis1, params, 20, rng, d_range=(0.5, 2.0))
-    lhs = horizontal_divergence_batch(heis1, params, AN, phiF, Z, T)
+    lhs = divergence_of_values(heis1, params, phiF_vals, Z, T, AN.h2)
     gphi = horizontal_gradient_batch(heis1, params, AN, phi, Z, T)
-    rhs = np.einsum("nj,nj->n", gphi, F_vals(Z, T)) + phi.eval(Z, T) * horizontal_divergence_batch(
-        heis1, params, AN, F, Z, T
+    rhs = np.einsum("nj,nj->n", gphi, F_vals(Z, T)) + phi.eval(Z, T) * divergence_of_values(
+        heis1, params, F_vals, Z, T, AN.h2
     )
     scale = np.maximum(np.abs(lhs), np.abs(rhs)) + 1e-9
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-5
@@ -345,18 +336,17 @@ def test_degenerate_flux_warning(heis1):
         p_laplacian_batch(heis1, params, AN, f, np.array([[0.0, 0.0]]), np.array([[0.0]]))
 
 
-def test_vector_field_length_checked(heis1, rng):
-    params = params_for(heis1, k=1.0)
-    F = HorizontalVectorField(components=(lambda Z, T: np.zeros(len(Z)),))
-    with pytest.raises(ValueError):
-        horizontal_divergence(heis1, params, AN, F, GroupPoint([1.0, 0.0], [0.0]))
-
-
-def test_apply_x_index_range(heis1):
+def test_vector_field_length_checked(heis1):
+    # a vector field is evaluated on (Z, T) blocks of widths (m, q); a batch
+    # of other widths, or a single unbatched point, is refused
     params = params_for(heis1, k=1.0)
     f = gaussian_field(1.0, 1.0, 2, 1)
-    g = GroupPoint([1.0, 0.0], [0.0])
-    with pytest.raises(ValueError):
-        apply_X(heis1, params, AN, f, g, 0)
-    with pytest.raises(ValueError):
-        apply_X(heis1, params, AN, f, g, 3)
+
+    def F(Z, T):
+        return horizontal_gradient_batch(heis1, params, AN, f, Z, T)
+
+    for Z, T in ((np.ones((1, 3)), np.ones((1, 1))), (np.ones((1, 2)), np.ones((1, 2))), (np.ones(2), np.ones(1))):
+        with pytest.raises(ValueError, match="widths"):
+            divergence_of_values(heis1, params, F, Z, T, AN.h2)
+        with pytest.raises(ValueError, match="widths"):
+            p_laplacian_batch(heis1, params, AN, f, Z, T)

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
-from hplap.fields import DiffBackend, fd_x_gradient, gaussian_field, horizontal_gradient_batch
+from hplap.fields import DiffBackend, horizontal_gradient_batch
 from hplap import verify as verify_mod
-from hplap.quadrature import BallRegion, ShellRegion, integrate_shells
+from hplap.quadrature import BallRegion, Sampler, ShellRegion, integrate_shells, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
     _radial_1d_integrals,
     _support_shells,
     AngularModulation,
     HardyTestFunction,
-    SharpnessSequenceSpec,
     SuiteConfig,
     annulus_bump,
     build_hardy_corpus,
@@ -272,19 +271,26 @@ def test_radial_reduction_self_check(heis1):
 
 
 def test_sharpness_spec_invariants(heis1):
+    # u_5 = d^{(p-Q-alpha)/p - 1/5} on [2^-5, 1], with a C^2 cutoff: psi_5
+    # and psi_5' are continuous at both ends of the inner band; j >= 1
     params = params_for(heis1, k=1.0, p=2.0)
-    spec = SharpnessSequenceSpec.for_params(params, 5)
-    assert spec.cutoff_order >= 2
-    assert spec.exponent == pytest.approx((2.0 - 4.0) / 2.0 - 1.0 / 5.0)
+    phi = sharpness_test_function(params, 5)
+    r = np.geomspace(2.0**-5, 1.0, 50)
+    assert np.allclose(phi.f(r), r ** ((2.0 - 4.0) / 2.0 - 1.0 / 5.0), rtol=1e-12)
+    a = 1.0 + 1.0 / 5.0
+    for edge in (2.0**-6, 2.0**-5):
+        x = edge * np.array([1.0 - 1e-7, 1.0 + 1e-7])
+        psi, dpsi = phi.f(x) * x**a, phi.df(x) * x**a + a * x ** (a - 1.0) * phi.f(x)
+        assert abs(psi[1] - psi[0]) < 1e-5 and abs(dpsi[1] - dpsi[0]) < 1e-3 * 2.0**5
     with pytest.raises(ValueError):
-        SharpnessSequenceSpec.for_params(params, 0)
+        sharpness_test_function(params, 0)
 
 
 @pytest.mark.parametrize("j", [1, 4, 8])
 def test_sharpness_cutoff_shape(j, heis1):
     params = params_for(heis1, k=1.0, p=2.0)
     phi = sharpness_test_function(params, j)
-    a = -SharpnessSequenceSpec.for_params(params, j).exponent
+    a = (params.Q + params.alpha - params.p) / params.p + 1.0 / j
     # equals the pure power on [2^-j, 1]
     r = np.linspace(2.0**-j, 1.0, 101)
     assert np.allclose(phi.f(r), r**-a, rtol=1e-12)
@@ -380,6 +386,20 @@ def test_lemma1_rejects_invalid_k():
 def test_uncertainty_requires_s_in_range():
     with pytest.raises(ValueError):
         verify_uncertainty(SuiteConfig(group="heisenberg:1", k=1.0, p=5.0, **FAST))
+
+
+def test_moments_columns_match_single_column_estimates(heis1):
+    # the gamma columns share one ball sample; each equals the one-column
+    # estimate on the same sampler, in value and stderr
+    cfg = SuiteConfig(k=2.0, p=2.0, beta=1.0, n_samples=200_000, seed=31)
+    params = cfg.params(heis1)
+    checks = [c for c in verify_moments(cfg).checks if c.check_id.startswith("ball-moment-")]
+    assert [c.check_id for c in checks] == ["ball-moment-0", "ball-moment-1", "ball-moment-6", "ball-moment-9"]
+    sampler = Sampler(heis1, params, BallRegion(1.0), cfg.seed)
+    for check, gamma in zip(checks, (0.0, 1.0, 6.0, 9.0)):
+        vals, cov, _, _ = mc_region_multi(sampler, lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (gamma / 2.0)], 1, cfg.n_samples)
+        assert check.observed == pytest.approx(vals[0], rel=1e-12)
+        assert check.stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
 
 def test_moments_suite_has_consistency_checks():
