@@ -8,9 +8,9 @@ Usage
     hplap sweep --group heisenberg:1 --k 1,2 --p 1.5,2,3 --alpha -1,0,1 --out sweep.csv
 
 Configuration precedence: command-line flags > environment variables
-(prefix ``HPLAP_``, e.g. ``HPLAP_SEED=7``) > config file (plain-text
-``key = value`` lines, selected with --config or ``HPLAP_CONFIG``) >
-built-in defaults.
+(prefix ``HPLAP_``, e.g. ``HPLAP_SEED=7``) > config file (``key = value``
+lines with flag names only, selected with --config or ``HPLAP_CONFIG``)
+> built-in defaults.
 
 ``verify`` writes one report document per suite to
 ``<out>/<suite>-<group>-<stamp>.kv`` (colons in the group id become
@@ -57,6 +57,7 @@ _DEFAULTS = {
     "out": "reports",
     "format": "kv",
     "mode": "hardy",
+    "j": "8",
     "stamp": "",
 }
 
@@ -79,6 +80,7 @@ class CliConfig:
     out: str
     format: str
     mode: str
+    j: str
     stamp: str
 
     @property
@@ -122,6 +124,8 @@ def _read_config_file(path: str) -> dict:
             key, sep, val = line.partition("=")
             if not sep:
                 raise ValueError(f"malformed config line: {line!r}")
+            if key.strip() not in _DEFAULTS:
+                raise ValueError(f"unknown config key {key.strip()!r} in {path}; known: {', '.join(_DEFAULTS)}")
             out[key.strip()] = val.strip()
     return out
 
@@ -158,6 +162,7 @@ def _resolve(args: argparse.Namespace) -> CliConfig:
         out=str(values["out"]),
         format=str(values["format"]),
         mode=str(values["mode"]),
+        j=str(values["j"]),
         stamp=str(values["stamp"]),
     )
 
@@ -169,6 +174,8 @@ def _validate(cfg: CliConfig, grid: bool = False) -> None:
     for flag, count in (("--samples", cfg.samples), ("--corpus-samples", cfg.corpus_samples)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
+    if not (cfg.j.strip().isdecimal() and int(cfg.j) >= 1):
+        raise ValueError(f"--j must be an integer of at least 1, got {cfg.j!r}")
     if grid:
         if cfg.mode not in ("hardy", "sharpness"):
             raise ValueError(f"unknown sweep mode {cfg.mode!r} (hardy or sharpness)")
@@ -193,17 +200,16 @@ def _fname_group(group: str) -> str:
 
 
 def cmd_verify(cfg: CliConfig) -> int:
+    # all suites run before any file is written: a configuration error leaves no partial report set
+    reports = [run_suite(name, cfg.suite_config()) for name in cfg.suites]
     os.makedirs(cfg.out, exist_ok=True)
     stamp = _stamp(cfg)
-    all_pass = True
-    for name in cfg.suites:
-        report = run_suite(name, cfg.suite_config())
-        all_pass &= report.overall_pass
+    for name, report in zip(cfg.suites, reports):
         path = os.path.join(cfg.out, f"{name}-{_fname_group(cfg.group)}-{stamp}.{cfg.format}")
         with open(path, "w") as fh:
             fh.write(to_kv(report) if cfg.format == "kv" else to_csv(report))
         print(report.summary_line() + f" -> {path}")
-    return 0 if all_pass else 1
+    return 0 if all(report.overall_pass for report in reports) else 1
 
 
 def _fmt(x: float) -> str:
@@ -269,7 +275,8 @@ def cmd_sweep(cfg: CliConfig, k_grid, p_grid, a_grid, out_path: str, j_index: in
     finally:
         if fh is not sys.stdout:
             fh.close()
-    print(f"sweep: {len(rows)} configurations -> {out_path}")
+    # with --out - the rows go to stdout, so the summary must not
+    print(f"sweep: {len(rows)} configurations -> {out_path}", file=sys.stderr if out_path == "-" else sys.stdout)
     return 0
 
 
@@ -302,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sweep Rayleigh quotients over a (k, p, alpha) grid")
     common(sp)
     sp.add_argument("--mode", help="hardy (corpus function) or sharpness (u_j)")
-    sp.add_argument("--j", default="8", help="sequence index for sharpness mode")
+    sp.add_argument("--j", help="sequence index for sharpness mode")
     return parser
 
 
@@ -351,7 +358,7 @@ def main(argv=None) -> int:
                 _parse_grid(cfg.p),
                 _parse_grid(cfg.alpha),
                 out,
-                j_index=int(args.j),
+                j_index=int(cfg.j),
             )
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError, OverflowError) as exc:

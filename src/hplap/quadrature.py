@@ -200,9 +200,12 @@ def _leggauss(deg: int):
     return _GL_NODES[deg]
 
 
-def grid_integral_1d(profile: Callable, a: float, b: float, n: int = 2048) -> float:
+def grid_integral_1d(profile: Callable, a: float, b: float, n: int = 2048):
     """Composite Gauss-Legendre integral of a continuous profile on [a, b];
-    absolute error <= 1e-10 for smooth profiles at n = 2048 nodes."""
+    absolute error <= 1e-10 for smooth profiles at n = 2048 nodes.
+
+    A profile that returns (c, N) values at N nodes gives the c integrals
+    as an array, all on the same nodes; a scalar profile gives a float."""
     if not a < b:
         raise ValueError(f"grid_integral_1d requires a < b, got [{a}, {b}]")
     deg = 32
@@ -213,5 +216,6 @@ def grid_integral_1d(profile: Callable, a: float, b: float, n: int = 2048) -> fl
     half = 0.5 * (edges[1:] - lo)
     # nodes for all panels at once: (panels, deg)
     xs = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
-    vals = profile(xs.ravel()).reshape(panels, deg)
-    return float(np.sum(half[:, None] * w[None, :] * vals))
+    vals = np.asarray(profile(xs.ravel()))
+    out = np.sum(half[:, None] * w[None, :] * vals.reshape(vals.shape[:-1] + (panels, deg)), axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out

@@ -48,8 +48,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Optional
+from functools import lru_cache, partial
+from typing import Optional
 
 import numpy as np
 
@@ -394,11 +394,12 @@ class AngularModulation:
 class HardyTestFunction:
     """A smooth test function Phi = profile(d) * modulation supported on an
     annulus r0 <= d <= r1 with r0 > 0 (compactly supported away from the
-    identity, as the inequality requires)."""
+    identity, as the inequality requires).  The profile is d^{-power} F(d)
+    for a shape (F, dF) that several test functions may share."""
 
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
+    shape: tuple  # (F, dF)
     support: tuple
+    power: float = 0.0
     modulation: Optional[AngularModulation] = None
     label: str = ""
 
@@ -410,6 +411,20 @@ class HardyTestFunction:
     @property
     def radial(self) -> bool:
         return self.modulation is None
+
+    def profile(self, r, F, dF):
+        """(profile, profile') at r from F(r), dF(r): r^{-power} F, r^{-power} (dF - power F / r)."""
+        if self.power == 0.0:
+            return F, dF
+        r = np.maximum(r, self.support[0])  # F = 0 below r0; the clamp keeps r^{-power} finite at r = 0
+        rp = r**-self.power
+        return rp * F, rp * (dF - self.power * F / r)
+
+    def f(self, r):
+        return np.maximum(r, self.support[0]) ** -self.power * self.shape[0](r)
+
+    def df(self, r):
+        return self.profile(r, self.shape[0](r), self.shape[1](r))[1]
 
     def as_scalar_field(self, alg: HTypeAlgebra, params: OperatorParams) -> ScalarField:
         mod = self.modulation
@@ -445,7 +460,7 @@ def annulus_bump(r0: float, r1: float, kind: str = "window", modulation=None, la
         return np.where((xi > 0.0) & (xi < 1.0), dF(np.clip(xi, 0.0, 1.0)) / w, 0.0)
 
     return HardyTestFunction(
-        f=f, df=df, support=(r0, r1), modulation=modulation, label=label or f"{kind}[{r0},{r1}]"
+        shape=(f, df), support=(r0, r1), modulation=modulation, label=label or f"{kind}[{r0},{r1}]"
     )
 
 
@@ -505,24 +520,37 @@ def _support_shells(r0: float, r1: float) -> list:
     return shells
 
 
-def _radial_1d_integrals(params: OperatorParams, phi: HardyTestFunction):
+def _radial_1d_batch(cases) -> np.ndarray:
     """Polar reduction for radial Phi: both sides factor through the
     sphere moment of |z|^{(2k-1)p}:
 
         lhs = S * int r^{Q-1+alpha} |phi'(r)|^p dr
         rhs = S * int r^{Q-1+alpha-p} |phi(r)|^p dr.
 
-    Each integrand is evaluated as one p-th power, (r^{e/p} |phi|)^p, so a
-    steep power profile near r = 0 does not overflow a factor on its own.
+    One grid_integral_1d call per dyadic shell of the shared support
+    evaluates each distinct shape once; returns the (lhs, rhs) rows.  With
+    phi = r^{-a} F each integrand is one p-th power, so a steep power
+    profile near r = 0 does not overflow a factor on its own.
     """
-    p, Q, a = params.p, params.Q, params.alpha
-    S = cf.sphere_moment(params, (2.0 * params.k - 1.0) * p)
-    el, er = (Q - 1.0 + a) / p, (Q - 1.0 + a - p) / p
-    lhs = rhs = 0.0
-    for sh in _support_shells(*phi.support):
-        lhs += grid_integral_1d(lambda r: (r**el * np.abs(phi.df(r))) ** p, sh.r_min, sh.r_max, 4096)
-        rhs += grid_integral_1d(lambda r: (r**er * np.abs(phi.f(r))) ** p, sh.r_min, sh.r_max, 4096)
-    return S * lhs, S * rhs
+    shapes = {id(phi.shape): phi.shape for _, phi in cases}
+    S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
+
+    def profile(r):
+        vals = {sid: (F(r), dF(r)) for sid, (F, dF) in shapes.items()}
+        out = np.empty((2 * len(cases), len(r)))
+        for i, (params, phi) in enumerate(cases):
+            p, e, a = params.p, params.Q - 1.0 + params.alpha, phi.power
+            F, dF = vals[id(phi.shape)]
+            out[2 * i] = (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p
+            out[2 * i + 1] = (r ** ((e - p) / p - a) * np.abs(F)) ** p
+        return out
+
+    sums = sum(grid_integral_1d(profile, sh.r_min, sh.r_max, 4096) for sh in _support_shells(*cases[0][1].support))
+    return S[:, None] * sums.reshape(-1, 2)
+
+
+def _radial_1d_integrals(params: OperatorParams, phi: HardyTestFunction):
+    return tuple(_radial_1d_batch([(params, phi)])[0])
 
 
 def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = ()) -> list[HardyRatioResult]:
@@ -534,13 +562,13 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     support, with a delta-method standard error using the shared-sample
     covariance.  All cases share one set of shells (common random
     numbers), so they must share k and the support of phi.  On each batch
-    d, |z|/d and grad_X d are computed once; each distinct phi adds
-    phi(d), phi'(d) and, if modulated, the X-gradient of its modulation,
-    and grad_X Phi = phi'(d) grad_X d * mod + phi(d) grad_X mod.
+    d, |z|/d and grad_X d are computed once, F(d), F'(d) once per distinct
+    shape, and d^{-a} and the X-gradient of any modulation once per distinct
+    phi = d^{-a} F: grad_X Phi = phi'(d) grad_X d * mod + phi(d) grad_X mod.
 
-    For radial Phi the 1-D polar reduction is evaluated too and must agree
-    with the Monte Carlo values within 5 standard errors (built-in
-    self-check).  Returns one :class:`HardyRatioResult` per case.
+    For radial Phi the 1-D polar reduction (one batch for all radial cases)
+    must agree with the Monte Carlo values within 5 standard errors
+    (built-in self-check).  Returns one :class:`HardyRatioResult` per case.
     """
     if not cases:
         raise ValueError("hardy_ratio needs at least one (params, phi) case")
@@ -552,9 +580,9 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
             raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + params.alpha}, got p={params.p}")
     k = base.k
     d_field = ScalarField(eval=lambda Z, T: norm_d(base, (Z, T)), euclid_grad=lambda Z, T: _d_and_grad(base, Z, T)[1])
-    groups = {}  # id(phi) -> (phi, indices of the cases that use it)
+    shapes = {}  # id(shape) -> (shape, {id(phi): (phi, indices of the cases that use it)})
     for i, (_, phi) in enumerate(cases):
-        groups.setdefault(id(phi), (phi, []))[1].append(i)
+        shapes.setdefault(id(phi.shape), (phi.shape, {}))[1].setdefault(id(phi), (phi, []))[1].append(i)
 
     def multi(Z, T):
         d = norm_d(base, (Z, T))
@@ -562,26 +590,30 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         Xd = horizontal_gradient_batch(alg, base, _ANALYTIC, d_field, Z, T)
         Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
         out = np.empty((2 * len(cases), len(d)))
-        for phi, idx in groups.values():
-            f, df = phi.f(d), phi.df(d)
-            mod = phi.modulation
-            if mod is None:
-                u, gu = np.abs(f), np.abs(df) * Xd_norm
-            else:
-                mod_field = ScalarField(eval=partial(mod.value, base), euclid_grad=partial(mod.grad, base))
-                Xm = horizontal_gradient_batch(alg, base, _ANALYTIC, mod_field, Z, T)
-                mv = mod.value(base, Z, T)
-                G = (df * mv)[:, None] * Xd + f[:, None] * Xm
-                u, gu = np.abs(f * mv), np.sqrt(np.einsum("nj,nj->n", G, G))
-            for i in idx:
-                p, a = cases[i][0].p, cases[i][0].alpha
-                out[2 * i] = d**a * gu**p
-                out[2 * i + 1] = d ** (a - p) * gd**p * u**p
+        for (F, dF), phis in shapes.values():
+            Fd, dFd = F(d), dF(d)
+            for phi, idx in phis.values():
+                f, df = phi.profile(d, Fd, dFd)
+                mod = phi.modulation
+                if mod is None:
+                    u, gu = np.abs(f), np.abs(df) * Xd_norm
+                else:
+                    mod_field = ScalarField(eval=partial(mod.value, base), euclid_grad=partial(mod.grad, base))
+                    Xm = horizontal_gradient_batch(alg, base, _ANALYTIC, mod_field, Z, T)
+                    mv = mod.value(base, Z, T)
+                    G = (df * mv)[:, None] * Xd + f[:, None] * Xm
+                    u, gu = np.abs(f * mv), np.sqrt(np.einsum("nj,nj->n", G, G))
+                for i in idx:
+                    p, a = cases[i][0].p, cases[i][0].alpha
+                    out[2 * i] = d**a * gu**p
+                    out[2 * i + 1] = d ** (a - p) * gd**p * u**p
         return out
 
     shells = _support_shells(*phi0.support)
     n_per = max(2048, int(np.ceil(n / len(shells))))
     sums, cov, _ = integrate_shells(alg, base, shells, multi, 2 * len(cases), [n_per] * len(shells), seed, spawn_key)
+    radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
+    one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial]))) if radial else {}
     out = []
     for i, (params, phi) in enumerate(cases):
         L, R = sums[2 * i], sums[2 * i + 1]
@@ -590,7 +622,7 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         res = HardyRatioResult(float(L), float(R), float(L / R), math.sqrt(max(var_ratio, 0.0)),
                                math.sqrt(max(varL, 0.0)), math.sqrt(max(varR, 0.0)), n_per * len(shells))
         if phi.radial:
-            lhs1, rhs1 = _radial_1d_integrals(params, phi)
+            lhs1, rhs1 = one_d[i]
             # 5 sigma: this self-check runs hundreds of times per suite, so a
             # 3 sigma band would trip on sampling noise alone (family-wise),
             # while genuine factor errors sit at z >> 100
@@ -763,14 +795,10 @@ def verify_hardy(config: SuiteConfig, p_list=(1.5, 2.0, 3.0), alpha_list=(-1.0, 
 # sharpness suite
 
 
-def sharpness_test_function(params: OperatorParams, j: int) -> HardyTestFunction:
-    """The dyadic extremizing sequence: u_j = d^{-a} psi_j(d) with
-    a = (Q + alpha - p)/p + 1/j, psi_j = 1 on [2^-j, 1], supported on
-    [2^{-j-1}, 2], C^2 quintic transitions, |psi_j'| <= C 2^j on the inner
-    band."""
-    if j < 1:
-        raise ValueError("sequence index j must be >= 1")
-    a = -((params.p - params.Q - params.alpha) / params.p - 1.0 / j)
+@lru_cache(maxsize=None)
+def _cutoff(j: int) -> tuple:
+    """(psi_j, psi_j') of :func:`sharpness_test_function`, cached so that
+    every u_j of one j holds the same shape."""
     r_in0, r_in1 = 2.0 ** (-j - 1), 2.0**-j
     r_out0, r_out1 = 1.0, 2.0
     w_in = r_in1 - r_in0
@@ -787,17 +815,18 @@ def sharpness_test_function(params: OperatorParams, j: int) -> HardyTestFunction
         out = np.where(r > r_out0, -_quintic_d(r_out1 - r), out)
         return np.where((r <= r_in0) | (r >= r_out1), 0.0, out)
 
-    def f(r):
-        with np.errstate(divide="ignore"):
-            return np.where(r > 0.0, r ** (-a), 0.0) * psi(r)
+    return psi, dpsi
 
-    def df(r):
-        with np.errstate(divide="ignore"):
-            rp = np.where(r > 0.0, r ** (-a), 0.0)
-            rpm = np.where(r > 0.0, r ** (-a - 1.0), 0.0)
-        return -a * rpm * psi(r) + rp * dpsi(r)
 
-    return HardyTestFunction(f=f, df=df, support=(r_in0, r_out1), label=f"u_{j}")
+def sharpness_test_function(params: OperatorParams, j: int) -> HardyTestFunction:
+    """The dyadic extremizing sequence: u_j = d^{-a} psi_j(d) with
+    a = (Q + alpha - p)/p + 1/j, psi_j = 1 on [2^-j, 1], supported on
+    [2^{-j-1}, 2], C^2 quintic transitions, |psi_j'| <= C 2^j on the inner
+    band."""
+    if j < 1:
+        raise ValueError("sequence index j must be >= 1")
+    a = (params.Q + params.alpha - params.p) / params.p + 1.0 / j
+    return HardyTestFunction(shape=_cutoff(j), support=(2.0 ** (-j - 1), 2.0), power=a, label=f"u_{j}")
 
 
 def verify_sharpness(config: SuiteConfig) -> VerificationReport:

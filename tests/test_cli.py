@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import math
 import os
@@ -206,6 +207,60 @@ def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
     assert run_cli(["constants", "--config", str(cfgfile), "--group", "heisenberg:1"]) == 0
     out = capsys.readouterr().out
     assert "2, 1" in out
+    # the sweep's sequence index j follows the same chain: flag > env > file
+    monkeypatch.delenv("HPLAP_GROUP")
+    sweep = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "2", "--alpha", "0", "--mode", "sharpness",
+             "--corpus-samples", "2000", "--out", "-"]
+
+    def rows(args):
+        assert run_cli(sweep + args) == 0
+        return capsys.readouterr().out
+
+    by_flag = {j: rows(["--j", j]) for j in ("2", "3", "8")}
+    assert len(set(by_flag.values())) == 3
+    jfile = tmp_path / "j.txt"
+    jfile.write_text("j = 3\n")
+    assert rows(["--config", str(jfile)]) == by_flag["3"]
+    monkeypatch.setenv("HPLAP_J", "2")
+    assert rows(["--config", str(jfile)]) == by_flag["2"]
+    assert rows(["--config", str(jfile), "--j", "8"]) == by_flag["8"]
+
+
+@pytest.mark.parametrize("j", ["0", "2.5", "x"])
+def test_sweep_rejects_bad_j(j, monkeypatch, capsys):
+    monkeypatch.setenv("HPLAP_J", j)
+    assert run_cli(["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "2000", "--out", "-"]) == 2
+    assert "configuration error: --j" in capsys.readouterr().err
+
+
+def test_config_file_unknown_key_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "conf.txt"
+    cfgfile.write_text("group = heisenberg:1\nsampels = 10\n")
+    assert run_cli(["constants", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "sampels" in err
+
+
+def test_verify_configuration_error_writes_no_report(tmp_path, capsys):
+    # lemma1 and fundamental_solution pass at --samples 1, moments then
+    # raises: no suite may leave a report behind the configuration error
+    out = tmp_path / "reports"
+    assert run_cli(["verify", "--suite", "all", "--samples", "1", "--out", str(out), "--stamp", "T"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.kv"))
+
+
+def test_sweep_to_stdout_is_pure_csv(capsys):
+    args = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "1.5,2", "--alpha", "0,1",
+            "--corpus-samples", "2000", "--out", "-"]
+    assert run_cli(args) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert len(rows) == 4
+    for row in rows:
+        assert list(row) == ["k", "p", "alpha", "ratio", "stderr", "sharp_constant", "margin"]
+        assert all(math.isfinite(float(v)) for v in row.values())
+    assert "sweep: 4 configurations -> -" in captured.err
 
 
 def test_custom_group_via_cli(tmp_path, capsys):

@@ -47,6 +47,15 @@ def test_grid_integral_smooth_accuracy():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_grid_integral_batched_profile():
+    # a (3, N) profile gives the three scalar integrals on the same nodes
+    fs = [lambda x: x**2, lambda x: np.exp(-x) * np.sin(3.0 * x), lambda x: np.abs(x - 0.3) ** 1.5]
+    got = grid_integral_1d(lambda x: np.stack([f(x) for f in fs]), 0.0, 2.0, 512)
+    assert got.shape == (3,)
+    for g, f in zip(got, fs):
+        assert g == pytest.approx(grid_integral_1d(f, 0.0, 2.0, 512), rel=1e-15, abs=1e-15)
+
+
 def test_grid_integral_rejects_bad_interval():
     with pytest.raises(ValueError):
         grid_integral_1d(lambda x: x, 1.0, 1.0)

@@ -154,8 +154,7 @@ def test_hardy_ratio_scale_invariance(heis1):
     phi = build_hardy_corpus()[2]
     [res1] = hardy_ratio(heis1, [(params, phi)], 20_000, seed=3)
     scaled = HardyTestFunction(
-        f=lambda r: -2.5 * phi.f(r),
-        df=lambda r: -2.5 * phi.df(r),
+        shape=(lambda r: -2.5 * phi.f(r), lambda r: -2.5 * phi.df(r)),
         support=phi.support,
         modulation=phi.modulation,
         label="scaled",
@@ -169,8 +168,7 @@ def test_hardy_ratio_dilation_invariance(heis1):
     phi = annulus_bump(0.5, 2.0, "window")
     lam = 2.0
     dilated = HardyTestFunction(
-        f=lambda r: phi.f(lam * r),
-        df=lambda r: lam * phi.df(lam * r),
+        shape=(lambda r: phi.f(lam * r), lambda r: lam * phi.df(lam * r)),
         support=(phi.support[0] / lam, phi.support[1] / lam),
         label="dilated",
     )
@@ -186,20 +184,62 @@ def test_hardy_ratio_requires_subcritical_p(heis1):
         hardy_ratio(heis1, [(params, build_hardy_corpus()[0])], 1000, seed=0)
 
 
+def _admissible_grid(alg):
+    grid = [params_for(alg, k=1.0, p=p, alpha=a) for p in (1.5, 2.0, 3.0) for a in (-1.0, 0.0, 1.0)]
+    grid = [params for params in grid if params.p < params.Q + params.alpha]
+    assert len(grid) == 8
+    return grid
+
+
 def test_hardy_ratio_shared_cases_match_single_calls(heis1):
     # one call over every admissible (p, alpha) equals one call per case on
-    # the same spawn key: the shells, d and grad_X d are shared, not changed
-    for phi in (build_hardy_corpus()[0], build_hardy_corpus()[1]):  # radial, modulated
-        grid = [params_for(heis1, k=1.0, p=p, alpha=a) for p in (1.5, 2.0, 3.0) for a in (-1.0, 0.0, 1.0)]
-        cases = [(params, phi) for params in grid if params.p < params.Q + params.alpha]
-        assert len(cases) == 8
+    # the same spawn key: the shells, d, grad_X d and each shape's values
+    # are shared, not changed
+    grid = _admissible_grid(heis1)
+    case_lists = [[(params, phi) for params in grid] for phi in build_hardy_corpus()[:2]]  # radial, modulated
+    case_lists.append([(params, sharpness_test_function(params, 8)) for params in grid])  # one shape, 8 powers
+    for cases in case_lists:
         shared = hardy_ratio(heis1, cases, 8_000, seed=11, spawn_key=(4, 0))
         for case, res in zip(cases, shared):
             [single] = hardy_ratio(heis1, [case], 8_000, seed=11, spawn_key=(4, 0))
             assert res.ratio == pytest.approx(single.ratio, rel=1e-12)
             assert res.stderr == pytest.approx(single.stderr, rel=1e-12)
-            if phi.radial:
+            if case[1].radial:
                 assert res.lhs_1d == pytest.approx(single.lhs_1d, rel=1e-12)
+                assert res.rhs_1d == pytest.approx(single.rhs_1d, rel=1e-12)
+
+
+def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
+    # 8 cases on one shape: F and dF run once per Monte Carlo batch and once
+    # per 1-D shell, not once per case
+    calls = {"F": 0, "dF": 0, "batches": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    u = sharpness_test_function(params_for(heis1), 3)
+    shape = (counted("F", u.shape[0]), counted("dF", u.shape[1]))
+    cases = [(params, HardyTestFunction(shape, u.support, power=sharpness_test_function(params, 3).power))
+             for params in _admissible_grid(heis1)]
+    integrate = verify_mod.integrate_shells
+    monkeypatch.setattr(verify_mod, "integrate_shells",
+                        lambda alg, params, regions, multi_fn, *rest: integrate(alg, params, regions,
+                                                                                counted("batches", multi_fn), *rest))
+    hardy_ratio(heis1, cases, 8_000, seed=11)
+    n_shells = len(_support_shells(*u.support))
+    assert calls["batches"] >= n_shells
+    assert calls["F"] == calls["dF"] == calls["batches"] + n_shells
+
+
+def test_sharpness_shape_shared_across_params(heis1):
+    P1, P2 = params_for(heis1, k=1.0, p=2.0), params_for(heis1, k=1.0, p=3.0, alpha=1.0)
+    assert sharpness_test_function(P1, 6).shape is sharpness_test_function(P2, 6).shape
+    assert sharpness_test_function(P1, 6).shape is not sharpness_test_function(P1, 7).shape
+    assert sharpness_test_function(P1, 6).power != sharpness_test_function(P2, 6).power
 
 
 @pytest.mark.parametrize("kind", ["z1", "t1"])
@@ -245,7 +285,7 @@ def test_hardy_corpus_structure():
 
 def test_test_function_support_validated():
     with pytest.raises(ValueError):
-        HardyTestFunction(f=lambda r: r, df=lambda r: 1.0, support=(0.0, 1.0))
+        HardyTestFunction(shape=(lambda r: r, lambda r: 1.0), support=(0.0, 1.0))
 
 
 def test_modulated_field_gradient_matches_fd(heis1, rng):
@@ -294,9 +334,9 @@ def test_sharpness_cutoff_shape(j, heis1):
     # equals the pure power on [2^-j, 1]
     r = np.linspace(2.0**-j, 1.0, 101)
     assert np.allclose(phi.f(r), r**-a, rtol=1e-12)
-    # vanishes outside the support
-    outside = np.array([2.0 ** (-j - 1) * 0.99, 2.01, 3.0])
-    assert np.all(phi.f(outside) == 0.0)
+    # vanishes outside the support, the origin included
+    outside = np.array([0.0, 2.0 ** (-j - 1) * 0.99, 2.01, 3.0])
+    assert np.all(phi.f(outside) == 0.0) and np.all(phi.df(outside) == 0.0)
     # |psi_j'| <= C 2^j on the inner transition band with C independent
     # of j: the quintic transition satisfies |psi'| <= 1.875 * 2^{j+1}
     band = np.linspace(2.0 ** (-j - 1), 2.0**-j, 512)
