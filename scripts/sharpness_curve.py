@@ -13,7 +13,7 @@ Example:
 import argparse
 
 from hplap.algebra import OperatorParams, resolve_group
-from hplap.verify import hardy_ratio, sharp_hardy_constant, sharpness_test_function
+from hplap.verify import SuiteConfig, hardy_ratio, sharp_hardy_constant, sharpness_test_function
 
 
 def main():
@@ -23,8 +23,8 @@ def main():
     ap.add_argument("--p", type=float, default=2.0)
     ap.add_argument("--alpha", type=float, default=0.0)
     ap.add_argument("--jmax", type=int, default=12)
-    ap.add_argument("--samples", type=int, default=60_000)
-    ap.add_argument("--seed", type=int, default=20240)
+    ap.add_argument("--samples", type=int, default=SuiteConfig.corpus_samples)
+    ap.add_argument("--seed", type=int, default=SuiteConfig.seed)
     args = ap.parse_args()
 
     alg = resolve_group(args.group)

@@ -31,7 +31,8 @@ attached to the operator; they are group automorphisms only for k = 1.
 
 All types are immutable and all operations are pure functions; vector
 arguments may carry leading batch axes.  Matrices are dense; m, q are
-assumed to be desk-scale (<= 64).
+assumed to be desk-scale (<= 64), which the catalog families enforce
+for m.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def make_heisenberg(n: int) -> HTypeAlgebra:
     Convention: J_1 = [[0, -I_n], [I_n, 0]], i.e. J_1 e_j = e_{n+j} and
     J_1 e_{n+j} = -e_j.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    if not 1 <= n <= 32:
+        raise ValueError(f"n must be an integer in 1..32 (m = 2n <= 64), got {n}")
     Z = np.zeros((n, n))
     eye = np.eye(n)
     J1 = np.block([[Z, -eye], [eye, Z]])
@@ -240,8 +241,8 @@ def make_quaternionic(n: int) -> HTypeAlgebra:
     J_1, J_2, J_3 are block-diagonal copies of the left multiplications by
     i, j, k; they anticommute and satisfy J_1 J_2 = J_3.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    if not 1 <= n <= 16:
+        raise ValueError(f"n must be an integer in 1..16 (m = 4n <= 64), got {n}")
     eye_n = np.eye(n)
     J = np.stack(
         [np.kron(eye_n, L) for L in (_QUAT_LI, _QUAT_LJ, _QUAT_LK)], axis=0

@@ -12,6 +12,11 @@ Configuration precedence: command-line flags > environment variables
 lines with flag names only, selected with --config or ``HPLAP_CONFIG``)
 > built-in defaults.
 
+Defaults are SuiteConfig's (``--j``: ``j_max``); ``--out`` is
+``reports`` for verify and ``sweep.csv`` for sweep.  Every region of a
+shell integral draws at least ``quadrature.MIN_REGION_CANDIDATES`` (2048)
+candidates, whatever ``--samples`` or ``--corpus-samples`` asks.
+
 ``verify`` writes one report document per suite to
 ``<out>/<suite>-<group>-<stamp>.kv`` (colons in the group id become
 underscores) and prints a one-line summary per suite.  Exit status: 0 if
@@ -24,14 +29,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import closedform as cf
-from .algebra import OperatorParams, resolve_group
+from .algebra import resolve_group
+from .quadrature import MIN_REGION_CANDIDATES
 from .report import to_csv, to_kv
 from .verify import (
     SUITES,
@@ -43,75 +49,34 @@ from .verify import (
     sharpness_test_function,
 )
 
-__all__ = ["CliConfig", "cmd_verify", "cmd_constants", "cmd_sweep", "main"]
+__all__ = ["cmd_verify", "cmd_constants", "cmd_sweep", "main"]
 
 _ENV_PREFIX = "HPLAP_"
 
-# option keys that set a SuiteConfig field, and that field's name
-_SUITE_FIELDS = {"group": "group", "k": "k", "p": "p", "alpha": "alpha", "beta": "beta",
-                 "seed": "seed", "samples": "n_samples", "corpus_samples": "corpus_samples"}
 
+def _count(text: str) -> int:
+    return int(float(text))
+
+
+# option key -> (the SuiteConfig field it sets, the parser of its text)
+_SUITE_FIELDS = {
+    "group": ("group", str), "k": ("k", float), "p": ("p", float), "alpha": ("alpha", float),
+    "beta": ("beta", float), "seed": ("seed", int), "samples": ("n_samples", _count),
+    "corpus_samples": ("corpus_samples", _count),
+}
+
+# every option key (a flag name with _ for -) and its default text; sweep
+# writes to _SWEEP_OUT unless --out is set
 _DEFAULTS = {
-    **{key: str(getattr(SuiteConfig, name)) for key, name in _SUITE_FIELDS.items()},
+    **{key: str(getattr(SuiteConfig, field)) for key, (field, _) in _SUITE_FIELDS.items()},
     "suite": "all",
     "out": "reports",
     "format": "kv",
     "mode": "hardy",
-    "j": "8",
+    "j": str(SuiteConfig.j_max),
     "stamp": "",
 }
-
-
-@dataclass
-class CliConfig:
-    """Resolved configuration for one invocation.  The parameter fields
-    hold raw strings so that ``sweep`` can receive comma-separated grids;
-    single-value commands parse them through the ``*_f`` properties."""
-
-    group: str
-    k: str
-    p: str
-    alpha: str
-    beta: str
-    suites: list
-    seed: int
-    samples: int
-    corpus_samples: int
-    out: str
-    format: str
-    mode: str
-    j: str
-    stamp: str
-
-    @property
-    def k_f(self) -> float:
-        return float(self.k)
-
-    @property
-    def p_f(self) -> float:
-        return float(self.p)
-
-    @property
-    def alpha_f(self) -> float:
-        return float(self.alpha)
-
-    @property
-    def beta_f(self) -> float:
-        return float(self.beta)
-
-    def suite_config(self, **over) -> SuiteConfig:
-        kw = dict(
-            group=self.group,
-            k=self.k_f,
-            p=self.p_f,
-            alpha=self.alpha_f,
-            beta=self.beta_f,
-            n_samples=self.samples,
-            corpus_samples=self.corpus_samples,
-            seed=self.seed,
-        )
-        kw.update(over)
-        return SuiteConfig(**kw)
+_SWEEP_OUT = "sweep.csv"
 
 
 def _read_config_file(path: str) -> dict:
@@ -130,8 +95,10 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(args: argparse.Namespace) -> CliConfig:
-    values = dict(_DEFAULTS)
+def _resolve(args: argparse.Namespace) -> dict:
+    """The option text of every key of _DEFAULTS, merged by precedence:
+    flag > environment > config file > default."""
+    values = dict(_DEFAULTS, out=_SWEEP_OUT) if args.command == "sweep" else dict(_DEFAULTS)
     cfg_path = args.config or os.environ.get(_ENV_PREFIX + "CONFIG")
     if cfg_path:
         values.update(_read_config_file(cfg_path))
@@ -142,72 +109,64 @@ def _resolve(args: argparse.Namespace) -> CliConfig:
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
-    suites = [s.strip() for s in str(values["suite"]).split(",") if s.strip()]
+            values[key] = ",".join(flag) if key == "suite" else flag
+    return values
+
+
+def _suites(text: str) -> list:
+    suites = [s.strip() for s in text.split(",") if s.strip()]
     if "all" in suites:
-        suites = list(SUITES)
+        return list(SUITES)
     for s in suites:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; available: {', '.join(SUITES)}, all")
-    return CliConfig(
-        group=str(values["group"]),
-        k=str(values["k"]),
-        p=str(values["p"]),
-        alpha=str(values["alpha"]),
-        beta=str(values["beta"]),
-        suites=suites,
-        seed=int(values["seed"]),
-        samples=int(float(values["samples"])),
-        corpus_samples=int(float(values["corpus_samples"])),
-        out=str(values["out"]),
-        format=str(values["format"]),
-        mode=str(values["mode"]),
-        j=str(values["j"]),
-        stamp=str(values["stamp"]),
-    )
+    return suites
 
 
-def _validate(cfg: CliConfig, grid: bool = False) -> None:
-    alg = resolve_group(cfg.group)  # raises on unknown ids
-    if cfg.format not in ("kv", "csv"):
-        raise ValueError(f"unknown output format {cfg.format!r} (kv or csv)")
-    for flag, count in (("--samples", cfg.samples), ("--corpus-samples", cfg.corpus_samples)):
+def _parse_grid(text: str) -> list:
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+def _validate(values: dict, command: str) -> list:
+    """The validated SuiteConfig of every configuration the command runs,
+    one list per k: for sweep one config per (p, alpha) of the grid in
+    each k's list, in grid order, and [[config]] otherwise."""
+    alg = resolve_group(values["group"])  # raises on unknown ids
+    if values["format"] not in ("kv", "csv"):
+        raise ValueError(f"unknown output format {values['format']!r} (kv or csv)")
+    if command == "sweep":
+        if values["mode"] not in ("hardy", "sharpness"):
+            raise ValueError(f"unknown sweep mode {values['mode']!r} (hardy or sharpness)")
+        k_grid, p_grid, a_grid = grids = [_parse_grid(values[key]) for key in ("k", "p", "alpha")]
+        if not all(grids):
+            raise ValueError("sweep needs at least one value in each of --k, --p and --alpha")
+        combos = [[dict(k=k, p=p, alpha=a) for p in p_grid for a in a_grid] for k in k_grid]
+    else:
+        combos = [[{}]]
+    # a sweep's k, p and alpha come from its grid
+    parsed = {field: parse(values[key]) for key, (field, parse) in _SUITE_FIELDS.items() if key not in combos[0][0]}
+    for flag, count in (("--samples", parsed["n_samples"]), ("--corpus-samples", parsed["corpus_samples"])):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
-    if not (cfg.j.strip().isdecimal() and int(cfg.j) >= 1):
-        raise ValueError(f"--j must be an integer of at least 1, got {cfg.j!r}")
-    if grid:
-        if cfg.mode not in ("hardy", "sharpness"):
-            raise ValueError(f"unknown sweep mode {cfg.mode!r} (hardy or sharpness)")
-        k_grid, p_grid, a_grid = _parse_grid(cfg.k), _parse_grid(cfg.p), _parse_grid(cfg.alpha)
-        if not (k_grid and p_grid and a_grid):
-            raise ValueError("sweep needs at least one value in each of --k, --p and --alpha")
-        combos = [(k, p, a) for k in k_grid for p in p_grid for a in a_grid]
-    else:
-        combos = [(cfg.k_f, cfg.p_f, cfg.alpha_f)]
-    for k, p, a in combos:
-        params = OperatorParams.of(alg, k=k, p=p, alpha=a, beta=cfg.beta_f)
-        if a != 0.0 or cfg.beta_f != 0.0:
+    if not (values["j"].strip().isdecimal() and int(values["j"]) >= 1):
+        raise ValueError(f"--j must be an integer of at least 1, got {values['j']!r}")
+    configs = [[SuiteConfig(**parsed, **combo) for combo in row] for row in combos]
+    for config in itertools.chain.from_iterable(configs):
+        params = config.params(alg)
+        if config.alpha != 0.0 or config.beta != 0.0:
             params.validate_weighted()
+    return configs
 
 
-def _stamp(cfg: CliConfig) -> str:
-    return cfg.stamp or time.strftime("%Y%m%dT%H%M%S")
-
-
-def _fname_group(group: str) -> str:
-    return group.replace(":", "_")
-
-
-def cmd_verify(cfg: CliConfig) -> int:
+def cmd_verify(config: SuiteConfig, suites: list, out: str, fmt: str, stamp: str) -> int:
     # all suites run before any file is written: a configuration error leaves no partial report set
-    reports = [run_suite(name, cfg.suite_config()) for name in cfg.suites]
-    os.makedirs(cfg.out, exist_ok=True)
-    stamp = _stamp(cfg)
-    for name, report in zip(cfg.suites, reports):
-        path = os.path.join(cfg.out, f"{name}-{_fname_group(cfg.group)}-{stamp}.{cfg.format}")
+    reports = [run_suite(name, config) for name in suites]
+    os.makedirs(out, exist_ok=True)
+    stamp = stamp or time.strftime("%Y%m%dT%H%M%S")
+    for name, report in zip(suites, reports):
+        path = os.path.join(out, f"{name}-{config.group.replace(':', '_')}-{stamp}.{fmt}")
         with open(path, "w") as fh:
-            fh.write(to_kv(report) if cfg.format == "kv" else to_csv(report))
+            fh.write(to_kv(report) if fmt == "kv" else to_csv(report))
         print(report.summary_line() + f" -> {path}")
     return 0 if all(report.overall_pass for report in reports) else 1
 
@@ -216,13 +175,13 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def cmd_constants(cfg: CliConfig) -> int:
-    alg = resolve_group(cfg.group)
-    params = OperatorParams.of(alg, k=cfg.k_f, p=cfg.p_f, alpha=cfg.alpha_f, beta=cfg.beta_f)
-    weighted = cfg.alpha_f != 0.0 or cfg.beta_f != 0.0
+def cmd_constants(config: SuiteConfig) -> int:
+    alg = config.algebra()
+    params = config.params(alg)
+    weighted = config.alpha != 0.0 or config.beta != 0.0
     spec = cf.fundamental_solution(params, weighted=weighted)
     sigma = cf.sigma_p_beta(params) if weighted else cf.sigma_p(params)
-    admissible = cfg.p_f < params.Q + cfg.alpha_f
+    admissible = config.p < params.Q + config.alpha
     sharp = sharp_hardy_constant(params) if admissible else 0.0
     if not all(map(math.isfinite, (sigma, spec.exponent, spec.constant, sharp))):
         raise ValueError("a constant is not finite at these parameters; they are out of range")
@@ -236,33 +195,32 @@ def cmd_constants(cfg: CliConfig) -> int:
         ("sharp Hardy constant", _fmt(sharp) if admissible else "n/a (requires p < Q + alpha)"),
     ]
     width = max(len(r[0]) for r in rows)
-    print(f"group={cfg.group} k={_fmt(cfg.k_f)} p={_fmt(cfg.p_f)} alpha={_fmt(cfg.alpha_f)} beta={_fmt(cfg.beta_f)}")
+    print(f"group={config.group} k={_fmt(config.k)} p={_fmt(config.p)} alpha={_fmt(config.alpha)} beta={_fmt(config.beta)}")
     for name, val in rows:
         print(f"  {name:<{width}}  {val}")
     return 0
 
 
-def _parse_grid(text: str) -> list:
-    return [float(x) for x in str(text).split(",") if x.strip()]
-
-
-def cmd_sweep(cfg: CliConfig, k_grid, p_grid, a_grid, out_path: str, j_index: int = 8) -> int:
-    alg = resolve_group(cfg.group)
+def cmd_sweep(configs: list, mode: str, j: int, out_path: str) -> int:
+    """One CSV row per admissible configuration; configs holds one list
+    per k, and every config shares group, seed and corpus_samples."""
+    first = configs[0][0]
+    alg = first.algebra()
     corpus_phi = build_hardy_corpus()[0]
     fieldnames = ["k", "p", "alpha", "ratio", "stderr", "sharp_constant", "margin"]
     rows = []
-    for ki, k in enumerate(k_grid):
-        # one hardy_ratio call per k: every row of that k shares its shells
+    for ki, k_configs in enumerate(configs):
+        # one hardy_ratio call per k: every row of that k shares its shells;
+        # the quotient carries no gradient weight, so beta is 0
         cases = []
-        for p in p_grid:
-            for a in a_grid:
-                params = OperatorParams.of(alg, k=k, p=p, alpha=a)
-                if p < params.Q + a:
-                    phi = corpus_phi if cfg.mode == "hardy" else sharpness_test_function(params, j_index)
-                    cases.append((params, phi))
+        for config in k_configs:
+            params = config.params(alg, beta=0.0)
+            if params.p < params.Q + params.alpha:
+                phi = corpus_phi if mode == "hardy" else sharpness_test_function(params, j)
+                cases.append((params, phi))
         if not cases:
             continue
-        results = hardy_ratio(alg, cases, cfg.corpus_samples, cfg.seed, spawn_key=(9, ki))
+        results = hardy_ratio(alg, cases, first.corpus_samples, first.seed, spawn_key=(9, ki))
         for (params, _), res in zip(cases, results):
             sharp = sharp_hardy_constant(params)
             row = (params.k, params.p, params.alpha, res.ratio, res.stderr, sharp, res.ratio - sharp)
@@ -292,10 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", help="gradient-weight exponent")
         sp.add_argument("--seed", help="base seed for all random streams")
         sp.add_argument("--samples", help="Monte Carlo precision: n candidates per region of an equal split, "
-                        "or fewer where the variance is low")
-        sp.add_argument("--corpus-samples", dest="corpus_samples", help="samples per test function")
+                        f"or fewer where the variance is low, but at least {MIN_REGION_CANDIDATES} per region")
+        sp.add_argument("--corpus-samples", dest="corpus_samples", help="samples per test function, split over "
+                        f"its support shells with at least {MIN_REGION_CANDIDATES} per shell")
         sp.add_argument("--config", help="plain-text key = value config file")
-        sp.add_argument("--out", help="output directory (verify) or file (sweep)")
+        sp.add_argument("--out", help=f"output directory (verify, default {_DEFAULTS['out']}) "
+                        f"or file (sweep, default {_SWEEP_OUT}; - for stdout)")
         sp.add_argument("--format", help="report format: kv or csv")
         sp.add_argument("--stamp", help="fixed timestamp string for output filenames")
 
@@ -309,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sweep Rayleigh quotients over a (k, p, alpha) grid")
     common(sp)
     sp.add_argument("--mode", help="hardy (corpus function) or sharpness (u_j)")
-    sp.add_argument("--j", help="sequence index for sharpness mode")
+    sp.add_argument("--j", help=f"sequence index for sharpness mode (default {_DEFAULTS['j']})")
     return parser
 
 
@@ -338,29 +298,15 @@ def _attach_negative_values(argv: list) -> list:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    if getattr(args, "suite", None) is not None:
-        args.suite = ",".join(args.suite)
-    else:
-        if hasattr(args, "suite"):
-            args.suite = None
     try:
-        cfg = _resolve(args)
-        _validate(cfg, grid=args.command == "sweep")
+        values = _resolve(args)
+        suites = _suites(values["suite"])
+        configs = _validate(values, args.command)
         if args.command == "verify":
-            return cmd_verify(cfg)
+            return cmd_verify(configs[0][0], suites, values["out"], values["format"], values["stamp"])
         if args.command == "constants":
-            return cmd_constants(cfg)
-        if args.command == "sweep":
-            out = cfg.out if cfg.out != _DEFAULTS["out"] else "sweep.csv"
-            return cmd_sweep(
-                cfg,
-                _parse_grid(cfg.k),
-                _parse_grid(cfg.p),
-                _parse_grid(cfg.alpha),
-                out,
-                j_index=int(cfg.j),
-            )
-        raise ValueError(f"unknown command {args.command!r}")
+            return cmd_constants(configs[0][0])
+        return cmd_sweep(configs, values["mode"], int(values["j"]), values["out"])
     except (ValueError, OSError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -161,14 +161,6 @@ def _as_batch(Z, T, m: int, q: int):
     return Z, T
 
 
-def _field_scales(f: ScalarField, Z, T):
-    if f.fd_scales is not None:
-        sz, st = f.fd_scales(Z, T)
-        return np.broadcast_to(sz, Z.shape[:1]), np.broadcast_to(st, Z.shape[:1])
-    n = Z.shape[0]
-    return np.ones(n), np.ones(n)
-
-
 def _near_singular_check(params: OperatorParams, Z: np.ndarray) -> None:
     # |z|^{2k-2} is real-analytic for integer k; otherwise it is not smooth
     # across {z = 0} (and not even Lipschitz for 1 < k < 3/2).
@@ -185,31 +177,29 @@ def _near_singular_check(params: OperatorParams, Z: np.ndarray) -> None:
         )
 
 
+def _central_differences(fn: Callable, Z: np.ndarray, T: np.ndarray, h: float, scales=None):
+    """Central difference quotients of fn(Z, T) -> (n,) or (n, m) in each of
+    the m + q coordinates, z first: yields (coordinate index, quotient).
+    Coordinate c moves by h * (s + |c|), s from scales(Z, T) -> (s_z, s_t)
+    or 1, and the quotient divides by the representable step
+    (c+ - c) + (c - c-)."""
+    n, m = Z.shape
+    sz, st = (np.ones(n), np.ones(n)) if scales is None else scales(Z, T)
+    for c in range(m + T.shape[1]):
+        X, s, i = (Z, sz, c) if c < m else (T, st, c - m)
+        hc = h * (s + np.abs(X[:, i]))
+        Xp = X.copy()
+        Xp[:, i] = X[:, i] + hc
+        Xm = X.copy()
+        Xm[:, i] = X[:, i] - hc
+        h_eff = (Xp[:, i] - X[:, i]) + (X[:, i] - Xm[:, i])
+        fp, fm = (fn(Xp, T), fn(Xm, T)) if c < m else (fn(Z, Xp), fn(Z, Xm))
+        yield c, (fp - fm) / (h_eff if fp.ndim == 1 else h_eff[:, None])
+
+
 def _fd_euclid_grad(f: ScalarField, Z: np.ndarray, T: np.ndarray, h: float) -> np.ndarray:
     """Central differences of f.eval in all m + q coordinates."""
-    n, m = Z.shape
-    q = T.shape[1]
-    sz, st = _field_scales(f, Z, T)
-    out = np.empty((n, m + q))
-    for j in range(m):
-        hj = h * (sz + np.abs(Z[:, j]))
-        zp = Z.copy()
-        zp[:, j] = Z[:, j] + hj
-        hj_eff_p = zp[:, j] - Z[:, j]  # representable step
-        zm = Z.copy()
-        zm[:, j] = Z[:, j] - hj
-        hj_eff = hj_eff_p + (Z[:, j] - zm[:, j])
-        out[:, j] = (f.eval(zp, T) - f.eval(zm, T)) / hj_eff
-    for i in range(q):
-        hi = h * (st + np.abs(T[:, i]))
-        tp = T.copy()
-        tp[:, i] = T[:, i] + hi
-        hi_eff_p = tp[:, i] - T[:, i]
-        tm = T.copy()
-        tm[:, i] = T[:, i] - hi
-        hi_eff = hi_eff_p + (T[:, i] - tm[:, i])
-        out[:, m + i] = (f.eval(Z, tp) - f.eval(Z, tm)) / hi_eff
-    return out
+    return np.stack([dq for _, dq in _central_differences(f.eval, Z, T, h, f.fd_scales)], axis=1)
 
 
 def euclid_gradient(
@@ -221,17 +211,20 @@ def euclid_gradient(
     return _fd_euclid_grad(f, Z, T, backend.h1)
 
 
+def _drift(alg: HTypeAlgebra, params: OperatorParams, Z: np.ndarray) -> tuple:
+    """The center part of X_j: (k/2) |z|^{2k-2}, shape (n,), and
+    (J_i z)_a, shape (n, q, m)."""
+    zn2 = np.einsum("ni,ni->n", Z, Z)
+    # |z|^{2k-2}; the k = 1 case is the constant 1 including at z = 0
+    return 0.5 * params.k * zn2 ** (params.k - 1.0), np.einsum("iab,nb->nia", alg.J, Z)
+
+
 def _x_from_euclid(
     alg: HTypeAlgebra, params: OperatorParams, Z: np.ndarray, G: np.ndarray
 ) -> np.ndarray:
     """Contract Euclidean partials (n, m+q) into the X-gradient (n, m)."""
-    m, k = alg.m, params.k
-    Gz, Gt = G[:, :m], G[:, m:]
-    zn2 = np.einsum("ni,ni->n", Z, Z)
-    # |z|^{2k-2}; the k = 1 case is the constant 1 including at z = 0
-    coef = 0.5 * k * zn2 ** (k - 1.0)
-    Jz = np.einsum("iab,nb->nia", alg.J, Z)  # (n, q, m): (J_i z)_a
-    return Gz + coef[:, None] * np.einsum("nia,ni->na", Jz, Gt)
+    coef, Jz = _drift(alg, params, Z)
+    return G[:, :alg.m] + coef[:, None] * np.einsum("nia,ni->na", Jz, G[:, alg.m:])
 
 
 def horizontal_gradient_batch(
@@ -253,55 +246,19 @@ def horizontal_gradient_batch(
 # divergence and p-Laplacians
 
 
-def _divergence_fd(
-    alg: HTypeAlgebra,
-    params: OperatorParams,
-    values_fn: Callable,
-    Z: np.ndarray,
-    T: np.ndarray,
-    h: float,
-    sz: np.ndarray,
-    st: np.ndarray,
-) -> np.ndarray:
-    """div_X of a batch vector field given by values_fn(Z, T) -> (n, m),
-    by central differences with per-coordinate steps h * (scale + |c|)."""
-    n, m = Z.shape
-    q = T.shape[1]
-    k = params.k
-    zn2 = np.einsum("ni,ni->n", Z, Z)
-    coef = 0.5 * k * zn2 ** (k - 1.0)
-    Jz = np.einsum("iab,nb->nia", alg.J, Z)
-    out = np.zeros(n)
-    for j in range(m):
-        hj = h * (sz + np.abs(Z[:, j]))
-        zp = Z.copy()
-        zp[:, j] = Z[:, j] + hj
-        zm = Z.copy()
-        zm[:, j] = Z[:, j] - hj
-        hj_eff = (zp[:, j] - Z[:, j]) + (Z[:, j] - zm[:, j])
-        out += (values_fn(zp, T)[:, j] - values_fn(zm, T)[:, j]) / hj_eff
-    for i in range(q):
-        hi = h * (st + np.abs(T[:, i]))
-        tp = T.copy()
-        tp[:, i] = T[:, i] + hi
-        tm = T.copy()
-        tm[:, i] = T[:, i] - hi
-        hi_eff = (tp[:, i] - T[:, i]) + (T[:, i] - tm[:, i])
-        dF = (values_fn(Z, tp) - values_fn(Z, tm)) / hi_eff[:, None]  # (n, m)
-        out += coef * np.einsum("nj,nj->n", Jz[:, i, :], dF)
-    return out
-
-
 def divergence_of_values(alg, params, values_fn, Z, T, h: float, scales=None) -> np.ndarray:
     """div_X of a batch vector function values_fn(Z, T) -> (n, m) by
     central differences with step factor h; scales, when given, is a
     callable (Z, T) -> (s_z, s_t) of per-point step scales."""
     Z, T = _as_batch(Z, T, alg.m, alg.q)
-    if scales is None:
-        sz, st = np.ones(Z.shape[0]), np.ones(Z.shape[0])
-    else:
-        sz, st = scales(Z, T)
-    return _divergence_fd(alg, params, values_fn, Z, T, h, sz, st)
+    coef, Jz = _drift(alg, params, Z)
+    out = np.zeros(Z.shape[0])
+    for c, dF in _central_differences(values_fn, Z, T, h, scales):
+        if c < alg.m:
+            out += dF[:, c]
+        else:
+            out += coef * np.einsum("nj,nj->n", Jz[:, c - alg.m, :], dF)
+    return out
 
 
 def _flux_factor(G: np.ndarray, p: float) -> np.ndarray:
@@ -344,8 +301,7 @@ def _p_laplacian_impl(alg, params, backend, f, Z, T, weighted: bool) -> np.ndarr
             fac = fac * gradient_weight_batch(params, Zp, Tp)
         return fac[:, None] * Xg
 
-    sz, st = _field_scales(f, Z, T)
-    return _divergence_fd(alg, params, flux, Z, T, backend.h2, sz, st)
+    return divergence_of_values(alg, params, flux, Z, T, backend.h2, f.fd_scales)
 
 
 def p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:

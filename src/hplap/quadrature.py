@@ -55,6 +55,10 @@ __all__ = [
 #: rejection radius around the center tube {z = 0}
 SINGULAR_Z_REJECT = 1e-12
 
+#: fewest candidates any region of a shell integral draws, whatever the
+#: requested sample count
+MIN_REGION_CANDIDATES = 2048
+
 _CHUNK = 1 << 19
 _SLICE = 1 << 17
 
@@ -170,15 +174,16 @@ def neyman_counts(alg: HTypeAlgebra, params: OperatorParams, regions, f: Callabl
     the sum over regions of f the variance of an equal split of n per
     region, with the fewest candidates (Neyman allocation).
 
-    A pilot of P = max(2048, n // 64) candidates per region, region i on
-    substream spawn_key + (i,), estimates each region's standard deviation
-    sigma_i.  Neyman allocation n_i ~ sigma_i reaches the equal split's
-    variance sum(sigma_i^2) / n at the total n sum(sigma)^2 / sum(sigma^2),
-    so n_i = ceil(n sigma_i sum(sigma) / sum(sigma^2)); every region gets
-    at least P, so one whose pilot saw little variance is still sampled.
+    A pilot of P = max(MIN_REGION_CANDIDATES, n // 64) candidates per
+    region, region i on substream spawn_key + (i,), estimates each region's
+    standard deviation sigma_i.  Neyman allocation n_i ~ sigma_i reaches
+    the equal split's variance sum(sigma_i^2) / n at the total
+    n sum(sigma)^2 / sum(sigma^2), so n_i = ceil(n sigma_i sum(sigma) /
+    sum(sigma^2)); every region gets at least P, so one whose pilot saw
+    little variance is still sampled.
     The caller keeps the pilot substreams disjoint from the main ones.
     """
-    pilot = max(2048, n // 64)
+    pilot = max(MIN_REGION_CANDIDATES, n // 64)
     sd = np.empty(len(regions))
     for i, region in enumerate(regions):
         sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))

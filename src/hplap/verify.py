@@ -73,6 +73,7 @@ from .fields import (
     weighted_p_laplacian_batch,
 )
 from .quadrature import (
+    MIN_REGION_CANDIDATES,
     BallRegion,
     Sampler,
     ShellRegion,
@@ -239,7 +240,11 @@ def fd_grad_d_eps(alg, params, Z, T, eps: float, h: float = 6e-6) -> np.ndarray:
     return (de ** (1.0 - 4.0 * k) / (4.0 * k))[:, None] * Xv
 
 
-def verify_lemma1(config: SuiteConfig, eps_list=(1.0, 0.1, 0.01)) -> VerificationReport:
+#: regularization parameters of the d_eps identities checked by lemma1
+_LEMMA1_EPS = (1.0, 0.1, 0.01)
+
+
+def verify_lemma1(config: SuiteConfig) -> VerificationReport:
     """Gradient/Laplacian identities of d_eps vs the finite-difference
     oracle: squared gradient to 1e-6, gauge Laplacian to 1e-5, norm
     Laplacian to 1e-4 (max relative error over points and eps)."""
@@ -250,7 +255,7 @@ def verify_lemma1(config: SuiteConfig, eps_list=(1.0, 0.1, 0.01)) -> Verificatio
     scales = aniso_scales(params)
 
     err_grad = 0.0
-    for eps in eps_list:
+    for eps in _LEMMA1_EPS:
         G = fd_grad_d_eps(alg, params, Z, T, eps)
         fd = np.einsum("nj,nj->n", G, G)
         ref = cf.grad_d_eps_sq(params, (Z, T), eps)
@@ -266,7 +271,7 @@ def verify_lemma1(config: SuiteConfig, eps_list=(1.0, 0.1, 0.01)) -> Verificatio
     report.add_deterministic("lap-gauge", _max_rel_err(fd_lap4k, cf.lap_d4k(params, (Z, T))), 1e-5)
 
     err_lap = 0.0
-    for eps in eps_list:
+    for eps in _LEMMA1_EPS:
         inner_eps = lambda Zp, Tp, e=eps: fd_grad_d_eps(alg, params, Zp, Tp, e)
         fd_lap = divergence_of_values(alg, params, inner_eps, Z, T, 3e-4, scales)
         err_lap = max(err_lap, _max_rel_err(fd_lap, cf.lap_d_eps(params, (Z, T), eps)))
@@ -610,7 +615,7 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         return out
 
     shells = _support_shells(*phi0.support)
-    n_per = max(2048, int(np.ceil(n / len(shells))))
+    n_per = max(MIN_REGION_CANDIDATES, int(np.ceil(n / len(shells))))
     sums, cov, _ = integrate_shells(alg, base, shells, multi, 2 * len(cases), [n_per] * len(shells), seed, spawn_key)
     radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
     one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial]))) if radial else {}
@@ -750,7 +755,12 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
 # Hardy suite
 
 
-def verify_hardy(config: SuiteConfig, p_list=(1.5, 2.0, 3.0), alpha_list=(-1.0, 0.0, 1.0)) -> VerificationReport:
+#: the (p, alpha) grid of the hardy suite; inadmissible pairs are skipped
+_HARDY_P = (1.5, 2.0, 3.0)
+_HARDY_ALPHA = (-1.0, 0.0, 1.0)
+
+
+def verify_hardy(config: SuiteConfig) -> VerificationReport:
     """Every corpus Rayleigh quotient must sit above the sharp constant
     minus 3 standard errors, for each admissible (p, alpha); radial
     quotients must also agree with their 1-D polar reduction.  One
@@ -760,7 +770,7 @@ def verify_hardy(config: SuiteConfig, p_list=(1.5, 2.0, 3.0), alpha_list=(-1.0, 
     alg = config.algebra()
     corpus = build_hardy_corpus()
     ns = config.mc_nsigma()
-    grid = [config.params(alg, p=p, alpha=a) for p in p_list for a in alpha_list]
+    grid = [config.params(alg, p=p, alpha=a) for p in _HARDY_P for a in _HARDY_ALPHA]
     grid = [params for params in grid if params.p < params.Q + params.alpha]
     worst = [(math.inf, math.nan, 0.0)] * len(grid)  # (margin, ratio, stderr)
     radial_flags = []
@@ -1007,7 +1017,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
             return np.stack([i1, i2, i3, bmid])
 
         shells = _support_shells(*phi.support)
-        n_per = max(2048, int(np.ceil(config.corpus_n() / len(shells))))
+        n_per = max(MIN_REGION_CANDIDATES, int(np.ceil(config.corpus_n() / len(shells))))
         sums, cov, _ = integrate_shells(alg, params, shells, multi, 4, [n_per] * len(shells), config.seed, (7, fi))
         i1, i2, i3, bmid = sums
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))

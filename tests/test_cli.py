@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hplap.cli import main
+from hplap.cli import _DEFAULTS, _build_parser, main
 from hplap.report import _CHECK_FIELDS, from_kv
+from hplap.verify import SuiteConfig
 
 FAST_SAMPLES = ["--samples", "40000", "--corpus-samples", "8000"]
 
@@ -295,3 +297,52 @@ def test_moments_too_few_accepted_samples_exit_two(args, tmp_path, capsys):
     assert run_cli(["verify", "--suite", "moments", "--out", str(tmp_path)] + args) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and "--samples" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("group", ["heisenberg:1000000000", "quaternionic:1000000000"])
+def test_oversized_group_id_exit_two(group, capsys):
+    # refused before any J matrix is allocated
+    assert run_cli(["constants", "--group", group]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "Traceback" not in err
+
+
+def test_sweep_out_defaults_per_command(tmp_path, monkeypatch):
+    # sweep writes sweep.csv by default, and an explicit --out is taken
+    # as given, also when it names verify's default directory
+    monkeypatch.chdir(tmp_path)
+    args = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "2000"]
+    assert run_cli(args) == 0
+    assert (tmp_path / "sweep.csv").is_file()
+    (tmp_path / "sweep.csv").unlink()
+    assert run_cli(args + ["--out", "reports"]) == 0
+    assert (tmp_path / "reports").is_file() and not (tmp_path / "sweep.csv").exists()
+    assert (tmp_path / "reports").read_text().startswith("k,p,alpha,ratio,")
+
+
+def test_config_keys_are_the_flag_names():
+    # a config-file key or HPLAP_* variable exists for every flag but --config, and for nothing else
+    parser = _build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sp in commands.choices.values() for a in sp._actions if a.dest != "help"}
+    assert dests - {"config"} == set(_DEFAULTS)
+
+
+def test_sweep_j_defaults_to_j_max(capsys):
+    args = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "1.5,2", "--alpha", "0", "--mode", "sharpness",
+            "--corpus-samples", "2000", "--out", "-"]
+    assert run_cli(args) == 0
+    default = capsys.readouterr().out
+    assert run_cli(args + ["--j", str(SuiteConfig.j_max)]) == 0
+    assert capsys.readouterr().out.splitlines() == default.splitlines()
+    assert len(default.splitlines()) == 3
+
+
+def test_sweep_spawn_key_follows_k_position(capsys):
+    # each entry of the k grid draws on its own stream (9, k index), also a repeated value
+    args = ["sweep", "--group", "heisenberg:1", "--p", "2", "--alpha", "0", "--corpus-samples", "2000", "--out", "-"]
+    assert run_cli(args + ["--k", "1"]) == 0
+    [single] = capsys.readouterr().out.splitlines()[1:]
+    assert run_cli(args + ["--k", "1,1"]) == 0
+    first, second = capsys.readouterr().out.splitlines()[1:]
+    assert first == single and second != first

@@ -350,3 +350,46 @@ def test_vector_field_length_checked(heis1):
             divergence_of_values(heis1, params, F, Z, T, AN.h2)
         with pytest.raises(ValueError, match="widths"):
             p_laplacian_batch(heis1, params, AN, f, Z, T)
+
+
+def _reference_quotients(fn, Z, T, h, sz, st):
+    # central differences written out coordinate by coordinate, z first:
+    # step h (s + |c|), divided by the representable step (c+ - c) + (c - c-)
+    out = []
+    for j in range(Z.shape[1]):
+        zp, zm = Z.copy(), Z.copy()
+        zp[:, j] += h * (sz + np.abs(Z[:, j]))
+        zm[:, j] -= h * (sz + np.abs(Z[:, j]))
+        fp, fm = fn(zp, T), fn(zm, T)
+        step = (zp[:, j] - Z[:, j]) + (Z[:, j] - zm[:, j])
+        out.append((fp - fm) / step.reshape((-1,) + (1,) * (fp.ndim - 1)))
+    for i in range(T.shape[1]):
+        tp, tm = T.copy(), T.copy()
+        tp[:, i] += h * (st + np.abs(T[:, i]))
+        tm[:, i] -= h * (st + np.abs(T[:, i]))
+        fp, fm = fn(Z, tp), fn(Z, tm)
+        step = (tp[:, i] - T[:, i]) + (T[:, i] - tm[:, i])
+        out.append((fp - fm) / step.reshape((-1,) + (1,) * (fp.ndim - 1)))
+    return out
+
+
+def test_central_differences_match_reference_bit_for_bit(quat1, rng):
+    # the finite-difference gradient and divergence keep their arithmetic:
+    # same steps, same quotients, summed z first, then t
+    params = params_for(quat1, k=1.5, p=2.5)
+    f = profile_field(params, EXP_PROFILE, 0.0)
+    Z, T = sample_gauge_points(quat1, params, 50, rng)
+    sz, st = f.fd_scales(Z, T)
+    G = np.stack(_reference_quotients(f.eval, Z, T, FD.h1, sz, st), axis=1)
+    assert np.array_equal(euclid_gradient(FD, f, Z, T), G)
+
+    def flux(Zp, Tp):
+        return horizontal_gradient_batch(quat1, params, AN, f, Zp, Tp)
+
+    m = quat1.m
+    coef = 0.5 * params.k * np.einsum("ni,ni->n", Z, Z) ** (params.k - 1.0)
+    Jz = np.einsum("iab,nb->nia", quat1.J, Z)
+    expected = np.zeros(len(Z))
+    for c, dF in enumerate(_reference_quotients(flux, Z, T, 3e-4, sz, st)):
+        expected += dF[:, c] if c < m else coef * np.einsum("nj,nj->n", Jz[:, c - m, :], dF)
+    assert np.array_equal(divergence_of_values(quat1, params, flux, Z, T, 3e-4, f.fd_scales), expected)
