@@ -7,10 +7,18 @@ Usage
     hplap constants --group heisenberg:1 --k 1 --p 2
     hplap sweep --group heisenberg:1 --k 1,2 --p 1.5,2,3 --alpha -1,0,1 --out sweep.csv
 
-Configuration precedence: command-line flags > environment variables
-(prefix ``HPLAP_``, e.g. ``HPLAP_SEED=7``) > config file (``key = value``
-lines with flag names only, selected with --config or ``HPLAP_CONFIG``)
-> built-in defaults.
+Each command takes only the options it reads (and --config):
+
+    verify     group k p alpha beta seed samples corpus-samples out format stamp suite
+    constants  group k p alpha beta
+    sweep      group k p alpha seed corpus-samples out mode j
+
+An option's value comes from its flag, else its environment variable
+(``HPLAP_`` and the key in capitals, e.g. ``HPLAP_SEED=7``), else the
+config file (``key = value`` lines with flag names only, selected with
+--config or ``HPLAP_CONFIG``), else the built-in default.  Variables and
+config keys of options a command does not read are ignored; a config key
+that names no option is an error.
 
 Defaults are SuiteConfig's (``--j``: ``j_max``); ``--out`` is
 ``reports`` for verify and ``sweep.csv`` for sweep.  Every region of a
@@ -78,6 +86,21 @@ _DEFAULTS = {
 }
 _SWEEP_OUT = "sweep.csv"
 
+# every option key and its help text; each command adds the keys it reads
+_HELP = {
+    "group": "group id: heisenberg:n, quaternionic:n, custom:<file>", "k": "field parameter k >= 1",
+    "p": "p-Laplacian exponent p > 1", "alpha": "norm-power weight exponent", "beta": "gradient-weight exponent",
+    "seed": "base seed for all random streams (a non-negative integer)",
+    "samples": "Monte Carlo precision: n candidates per region of an equal split, "
+               f"or fewer where the variance is low, but at least {MIN_REGION_CANDIDATES} per region",
+    "corpus_samples": f"samples per test function, split over its support shells with at least "
+                      f"{MIN_REGION_CANDIDATES} per shell",
+    "out": f"output directory (verify, default {_DEFAULTS['out']}) or file (sweep, default {_SWEEP_OUT}; - for stdout)",
+    "format": "report format: kv or csv", "stamp": "fixed timestamp string for output filenames",
+    "suite": "suite name (repeatable) or 'all'", "mode": "hardy (corpus function) or sharpness (u_j)",
+    "j": f"sequence index for sharpness mode (default {_DEFAULTS['j']})",
+}
+
 
 def _read_config_file(path: str) -> dict:
     out = {}
@@ -96,19 +119,18 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The option text of every key of _DEFAULTS, merged by precedence:
+    """The option text of each key the command reads, merged by precedence:
     flag > environment > config file > default."""
-    values = dict(_DEFAULTS, out=_SWEEP_OUT) if args.command == "sweep" else dict(_DEFAULTS)
+    defaults = dict(_DEFAULTS, out=_SWEEP_OUT) if args.command == "sweep" else _DEFAULTS
     cfg_path = args.config or os.environ.get(_ENV_PREFIX + "CONFIG")
-    if cfg_path:
-        values.update(_read_config_file(cfg_path))
-    for key in _DEFAULTS:
-        env = os.environ.get(_ENV_PREFIX + key.upper())
-        if env is not None:
-            values[key] = env
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
+    from_file = _read_config_file(cfg_path) if cfg_path else {}
+    values = {}
+    for key, flag in vars(args).items():
+        if key in ("command", "config"):
+            continue
+        if flag is None:
+            values[key] = os.environ.get(_ENV_PREFIX + key.upper(), from_file.get(key, defaults[key]))
+        else:
             values[key] = ",".join(flag) if key == "suite" else flag
     return values
 
@@ -130,9 +152,10 @@ def _parse_grid(text: str) -> list:
 def _validate(values: dict, command: str) -> list:
     """The validated SuiteConfig of every configuration the command runs,
     one list per k: for sweep one config per (p, alpha) of the grid in
-    each k's list, in grid order, and [[config]] otherwise."""
+    each k's list, in grid order, and [[config]] otherwise.  Only the keys
+    in values are parsed; the other fields keep SuiteConfig's defaults."""
     alg = resolve_group(values["group"])  # raises on unknown ids
-    if values["format"] not in ("kv", "csv"):
+    if command == "verify" and values["format"] not in ("kv", "csv"):
         raise ValueError(f"unknown output format {values['format']!r} (kv or csv)")
     if command == "sweep":
         if values["mode"] not in ("hardy", "sharpness"):
@@ -144,13 +167,16 @@ def _validate(values: dict, command: str) -> list:
     else:
         combos = [[{}]]
     # a sweep's k, p and alpha come from its grid
-    parsed = {field: parse(values[key]) for key, (field, parse) in _SUITE_FIELDS.items() if key not in combos[0][0]}
-    for flag, count in (("--samples", parsed["n_samples"]), ("--corpus-samples", parsed["corpus_samples"])):
-        if count < 1:
-            raise ValueError(f"{flag} must be at least 1, got {count}")
-    if not (values["j"].strip().isdecimal() and int(values["j"]) >= 1):
+    parsed = {key: parse(values[key]) for key, (_, parse) in _SUITE_FIELDS.items()
+              if key in values and key not in combos[0][0]}
+    for key, least, rule in (("samples", 1, "at least 1"), ("corpus_samples", 1, "at least 1"),
+                             ("seed", 0, "a non-negative integer")):
+        if key in parsed and parsed[key] < least:
+            raise ValueError(f"--{key.replace('_', '-')} must be {rule}, got {parsed[key]}")
+    if command == "sweep" and not (values["j"].strip().isdecimal() and int(values["j"]) >= 1):
         raise ValueError(f"--j must be an integer of at least 1, got {values['j']!r}")
-    configs = [[SuiteConfig(**parsed, **combo) for combo in row] for row in combos]
+    fields = {_SUITE_FIELDS[key][0]: value for key, value in parsed.items()}
+    configs = [[SuiteConfig(**fields, **combo) for combo in row] for row in combos]
     for config in itertools.chain.from_iterable(configs):
         params = config.params(alg)
         if config.alpha != 0.0 or config.beta != 0.0:
@@ -211,10 +237,10 @@ def cmd_sweep(configs: list, mode: str, j: int, out_path: str) -> int:
     rows = []
     for ki, k_configs in enumerate(configs):
         # one hardy_ratio call per k: every row of that k shares its shells;
-        # the quotient carries no gradient weight, so beta is 0
+        # the quotient carries no gradient weight, so beta keeps its default 0
         cases = []
         for config in k_configs:
-            params = config.params(alg, beta=0.0)
+            params = config.params(alg)
             if params.p < params.Q + params.alpha:
                 phi = corpus_phi if mode == "hardy" else sharpness_test_function(params, j)
                 cases.append((params, phi))
@@ -241,35 +267,17 @@ def cmd_sweep(configs: list, mode: str, j: int, out_path: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hplap", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--group", help="group id: heisenberg:n, quaternionic:n, custom:<file>")
-        sp.add_argument("--k", help="field parameter k >= 1")
-        sp.add_argument("--p", help="p-Laplacian exponent p > 1")
-        sp.add_argument("--alpha", help="norm-power weight exponent")
-        sp.add_argument("--beta", help="gradient-weight exponent")
-        sp.add_argument("--seed", help="base seed for all random streams")
-        sp.add_argument("--samples", help="Monte Carlo precision: n candidates per region of an equal split, "
-                        f"or fewer where the variance is low, but at least {MIN_REGION_CANDIDATES} per region")
-        sp.add_argument("--corpus-samples", dest="corpus_samples", help="samples per test function, split over "
-                        f"its support shells with at least {MIN_REGION_CANDIDATES} per shell")
+    for command, help_text, keys in (
+        ("verify", "run verification suites and write reports",
+         "group k p alpha beta seed samples corpus_samples out format stamp suite"),
+        ("constants", "print the constants table for a configuration", "group k p alpha beta"),
+        ("sweep", "sweep Rayleigh quotients over a (k, p, alpha) grid", "group k p alpha seed corpus_samples out mode j"),
+    ):
+        sp = sub.add_parser(command, help=help_text)
+        for key in keys.split():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP[key],
+                            action="append" if key == "suite" else "store")
         sp.add_argument("--config", help="plain-text key = value config file")
-        sp.add_argument("--out", help=f"output directory (verify, default {_DEFAULTS['out']}) "
-                        f"or file (sweep, default {_SWEEP_OUT}; - for stdout)")
-        sp.add_argument("--format", help="report format: kv or csv")
-        sp.add_argument("--stamp", help="fixed timestamp string for output filenames")
-
-    sp = sub.add_parser("verify", help="run verification suites and write reports")
-    common(sp)
-    sp.add_argument("--suite", action="append", help="suite name (repeatable) or 'all'")
-
-    sp = sub.add_parser("constants", help="print the constants table for a configuration")
-    common(sp)
-
-    sp = sub.add_parser("sweep", help="sweep Rayleigh quotients over a (k, p, alpha) grid")
-    common(sp)
-    sp.add_argument("--mode", help="hardy (corpus function) or sharpness (u_j)")
-    sp.add_argument("--j", help=f"sequence index for sharpness mode (default {_DEFAULTS['j']})")
     return parser
 
 
@@ -300,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         values = _resolve(args)
-        suites = _suites(values["suite"])
+        suites = _suites(values["suite"]) if args.command == "verify" else []
         configs = _validate(values, args.command)
         if args.command == "verify":
             return cmd_verify(configs[0][0], suites, values["out"], values["format"], values["stamp"])

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,11 +62,7 @@ __all__ = [
     "p_laplacian_batch",
     "weighted_p_laplacian_batch",
     "gradient_weight_batch",
-    "gaussian_field",
-    "monomial_field",
-    "linear_combination_field",
     "profile_field",
-    "scale_field",
 ]
 
 #: exclusion radius around {z = 0} where the field coefficients are
@@ -329,70 +325,7 @@ def weighted_p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# test corpus: anisotropic Gaussians, coordinate monomials, profiles of d
-
-
-def gaussian_field(a: float, b: float, m: int, q: int) -> ScalarField:
-    """exp(-a |z|^2 - b |t|^2) with analytic gradient."""
-
-    def ev(Z, T):
-        return np.exp(-a * np.einsum("ni,ni->n", Z, Z) - b * np.einsum("ni,ni->n", T, T))
-
-    def gr(Z, T):
-        v = ev(Z, T)
-        return np.concatenate([-2.0 * a * Z * v[:, None], -2.0 * b * T * v[:, None]], axis=1)
-
-    return ScalarField(eval=ev, euclid_grad=gr, label=f"gauss(a={a},b={b})")
-
-
-def monomial_field(z_pows: Sequence[int], t_pows: Sequence[int]) -> ScalarField:
-    """prod_j z_j^{a_j} * prod_i t_i^{b_i} with analytic gradient."""
-    za = np.asarray(z_pows, dtype=int)
-    tb = np.asarray(t_pows, dtype=int)
-
-    def ev(Z, T):
-        return np.prod(Z**za, axis=1) * np.prod(T**tb, axis=1)
-
-    def gr(Z, T):
-        n = Z.shape[0]
-        out = np.zeros((n, len(za) + len(tb)))
-        base = ev(Z, T)
-        for j, a in enumerate(za):
-            if a:
-                col = a * Z[:, j] ** (a - 1) * np.prod(np.delete(Z, j, axis=1) ** np.delete(za, j), axis=1)
-                out[:, j] = col * np.prod(T**tb, axis=1)
-        for i, b in enumerate(tb):
-            if b:
-                col = b * T[:, i] ** (b - 1) * np.prod(np.delete(T, i, axis=1) ** np.delete(tb, i), axis=1)
-                out[:, len(za) + i] = col * np.prod(Z**za, axis=1)
-        return out
-
-    lbl = "*".join(
-        [f"z{j + 1}^{a}" for j, a in enumerate(za) if a]
-        + [f"t{i + 1}^{b}" for i, b in enumerate(tb) if b]
-    )
-    return ScalarField(eval=ev, euclid_grad=gr, label=lbl or "1")
-
-
-def linear_combination_field(coeffs: Sequence[float], fields: Sequence[ScalarField]) -> ScalarField:
-    cs = [float(c) for c in coeffs]
-
-    def ev(Z, T):
-        return sum(c * f.eval(Z, T) for c, f in zip(cs, fields))
-
-    grads = [f.euclid_grad for f in fields]
-    gr = None
-    if all(g is not None for g in grads):
-
-        def gr(Z, T):
-            return sum(c * g(Z, T) for c, g in zip(cs, grads))
-
-    scales = next((f.fd_scales for f in fields if f.fd_scales is not None), None)
-    return ScalarField(eval=ev, euclid_grad=gr, label="+".join(f.label for f in fields), fd_scales=scales)
-
-
-def scale_field(c: float, f: ScalarField) -> ScalarField:
-    return linear_combination_field([c], [f])
+# radial fields: profiles of the regularized gauge norm
 
 
 def profile_field(params: OperatorParams, profile: RadialProfile, eps: float) -> ScalarField:

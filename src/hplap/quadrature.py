@@ -1,18 +1,18 @@
-"""Deterministic-seeded Monte Carlo and 1-D quadrature over gauge regions.
+"""Deterministic-seeded Monte Carlo and 1-D quadrature over gauge shells.
 
-Monte Carlo estimates are rejection-sampled from the anisotropic bounding
-box of a gauge ball or shell: for radius R the box is z in [-R, R]^m,
-|t_i| <= R^{2k}/4 (the ball satisfies 16 |t|^2 <= d^{4k}).  Estimates are
-unbiased sample means of f * indicator over the full candidate stream,
-with the usual standard error, so identical (seed, region, n) reproduce
-bit-identical results.  Several integrands evaluated as columns of one
-call share every sample (common random numbers); the Hardy suite and
-the sweep evaluate a whole (p, alpha) grid on one sample this way.
+The one region type is the gauge shell r_min <= d < r_max; a ball of
+radius R is the shell with r_min = 0.  Monte Carlo estimates are
+rejection-sampled from the shell's anisotropic bounding box: z in
+[-r_max, r_max]^m, |t_i| <= r_max^{2k}/4 (the ball d < r_max satisfies
+16 |t|^2 < r_max^{4k}).  Estimates are unbiased sample means of
+f * indicator over the full candidate stream, with the usual standard
+error, so identical (seed, region, n) reproduce bit-identical results.
+Several integrands evaluated as columns of one call share every sample
+(common random numbers); the Hardy suite and the sweep evaluate a whole
+(p, alpha) grid on one sample this way.
 
-The generator is Philox, a counter-based PRNG; per-region substreams are
-derived from the base seed with distinct spawn keys, so shard merging is
-an ordered deterministic reduction and a parallel evaluation reproduces
-the serial stream.
+The generator is Philox, a counter-based PRNG; each region draws on its
+own substream, derived from the base seed with a distinct spawn key.
 
 Candidates with |z| < 1e-12 are rejected so integrands with an
 integrable singularity along {z = 0} (exponents > -m) can be sampled
@@ -20,7 +20,7 @@ safely; the induced bias is bounded by the measure of the excluded tube
 (~ R^{Q-m} * 1e-12m) times the local integrand bound and is far below
 the reported standard errors at the sample sizes used here.
 
-Integrals over a union of regions (an innermost ball plus dyadic shells
+Integrals over a union of shells (an innermost ball plus dyadic shells
 2^a <= d < 2^{a+1}, or the dyadic split of a test function's support) go
 through :func:`integrate_shells`: region i is drawn with its own
 candidate count on substream spawn_key + (i,), values and covariances are
@@ -31,7 +31,6 @@ deviation, estimated by a pilot on disjoint substreams), which reaches the
 error bar of an equal split with fewer candidates when a few regions
 carry most of the variance.
 """
-
 from __future__ import annotations
 
 import math
@@ -44,7 +43,6 @@ from .algebra import HTypeAlgebra, OperatorParams, norm_d
 
 __all__ = [
     "mc_region_multi",
-    "BallRegion",
     "ShellRegion",
     "Sampler",
     "integrate_shells",
@@ -64,12 +62,9 @@ _SLICE = 1 << 17
 
 
 @dataclass(frozen=True)
-class BallRegion:
-    radius: float
-
-
-@dataclass(frozen=True)
 class ShellRegion:
+    """The gauge shell r_min <= d < r_max; r_min = 0 gives the ball."""
+
     r_min: float
     r_max: float
 
@@ -81,12 +76,12 @@ class Sampler:
 
     alg: HTypeAlgebra
     params: OperatorParams
-    region: object
+    region: ShellRegion
     seed: int
     spawn_key: tuple = ()
 
     def _box(self):
-        R = self.region.radius if isinstance(self.region, BallRegion) else self.region.r_max
+        R = self.region.r_max
         return R, R ** (2.0 * self.params.k) / 4.0
 
     def box_volume(self) -> float:
@@ -106,12 +101,8 @@ class Sampler:
         T = rng.uniform(-th, th, size=(n, q))
         zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
         mask = zn >= SINGULAR_Z_REJECT
-        if isinstance(self.region, BallRegion):
-            d = norm_d(self.params, (Z, T))
-            mask &= d < self.region.radius
-        elif isinstance(self.region, ShellRegion):
-            d = norm_d(self.params, (Z, T))
-            mask &= (d >= self.region.r_min) & (d < self.region.r_max)
+        d = norm_d(self.params, (Z, T))
+        mask &= (d >= self.region.r_min) & (d < self.region.r_max)
         return Z, T, mask
 
 

@@ -49,7 +49,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -74,7 +74,6 @@ from .fields import (
 )
 from .quadrature import (
     MIN_REGION_CANDIDATES,
-    BallRegion,
     Sampler,
     ShellRegion,
     grid_integral_1d,
@@ -123,8 +122,8 @@ class SuiteConfig:
     n_samples: int = 1_000_000
     corpus_samples: int = 60_000
     seed: int = 20240
-    j_max: int = 8
-    eps_sweep: tuple = tuple(0.5**a for a in range(9))
+    j_max: ClassVar[int] = 8
+    eps_sweep: ClassVar[tuple] = tuple(0.5**a for a in range(9))
 
     def algebra(self) -> HTypeAlgebra:
         return resolve_group(self.group)
@@ -469,7 +468,7 @@ def annulus_bump(r0: float, r1: float, kind: str = "window", modulation=None, la
     )
 
 
-def build_hardy_corpus(count: int = 50) -> list:
+def build_hardy_corpus() -> list:
     """The frozen test-function corpus: 5 annuli x 5 profile shapes x
     {radial, modulated}, modulation kind alternating between the two
     homogeneous coordinates."""
@@ -493,7 +492,7 @@ def build_hardy_corpus(count: int = 50) -> list:
                         label=f"{kind}[{r0},{r1}]" + (f"*{mod.kind}" if mod else ""),
                     )
                 )
-    return corpus[:count]
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +690,7 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
 
     # Neyman allocation: a pilot on substreams (3, i) sizes region i so
     # that density-total keeps the error bar of n_samples per region
-    regions = [BallRegion(2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
+    regions = [ShellRegion(0.0, 2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
     counts = neyman_counts(alg, params, regions, lambda Zs, Ts: cf.psi(params, (Zs, Ts)),
                            config.n_samples, config.seed, (3,))
     vals, cov, last = integrate_shells(alg, params, regions, multi, 1 + len(eps_list), counts, config.seed, (2,))
@@ -730,7 +729,7 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
         zn2 = np.einsum("ni,ni->n", Z, Z)
         return np.stack([zn2 ** (g / 2.0) for g in gammas])
 
-    vals, cov, _, accepted = mc_region_multi(Sampler(alg, params, BallRegion(1.0), config.seed), multi, len(gammas), n)
+    vals, cov, _, accepted = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
     if accepted < max(1.0, 1e-4 * n):
         raise ValueError(f"moments: acceptance rate {accepted / n:.2e} in the unit gauge ball is below 1e-4 "
                          f"at n_samples={n}; raise --samples")

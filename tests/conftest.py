@@ -1,7 +1,10 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from hplap.algebra import OperatorParams, make_heisenberg, make_quaternionic
+from hplap.fields import ScalarField
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +62,70 @@ def moment_oracle_1d(m, q, k, gamma, nodes=800):
     prof = np.sum(ww * np.cos(th) ** (2.0 * c) * s ** (q - 1) * 0.25 * np.cos(th))
     t_factor = om(q) * prof if q > 1 else 2.0 * prof
     return om(m) / (gamma + m) * t_factor
+
+
+# test fields: anisotropic Gaussians, coordinate monomials and their
+# linear combinations, all with analytic gradients
+
+
+def gaussian_field(a: float, b: float, m: int, q: int) -> ScalarField:
+    """exp(-a |z|^2 - b |t|^2) with analytic gradient."""
+
+    def ev(Z, T):
+        return np.exp(-a * np.einsum("ni,ni->n", Z, Z) - b * np.einsum("ni,ni->n", T, T))
+
+    def gr(Z, T):
+        v = ev(Z, T)
+        return np.concatenate([-2.0 * a * Z * v[:, None], -2.0 * b * T * v[:, None]], axis=1)
+
+    return ScalarField(eval=ev, euclid_grad=gr, label=f"gauss(a={a},b={b})")
+
+
+def monomial_field(z_pows: Sequence[int], t_pows: Sequence[int]) -> ScalarField:
+    """prod_j z_j^{a_j} * prod_i t_i^{b_i} with analytic gradient."""
+    za = np.asarray(z_pows, dtype=int)
+    tb = np.asarray(t_pows, dtype=int)
+
+    def ev(Z, T):
+        return np.prod(Z**za, axis=1) * np.prod(T**tb, axis=1)
+
+    def gr(Z, T):
+        n = Z.shape[0]
+        out = np.zeros((n, len(za) + len(tb)))
+        base = ev(Z, T)
+        for j, a in enumerate(za):
+            if a:
+                col = a * Z[:, j] ** (a - 1) * np.prod(np.delete(Z, j, axis=1) ** np.delete(za, j), axis=1)
+                out[:, j] = col * np.prod(T**tb, axis=1)
+        for i, b in enumerate(tb):
+            if b:
+                col = b * T[:, i] ** (b - 1) * np.prod(np.delete(T, i, axis=1) ** np.delete(tb, i), axis=1)
+                out[:, len(za) + i] = col * np.prod(Z**za, axis=1)
+        return out
+
+    lbl = "*".join(
+        [f"z{j + 1}^{a}" for j, a in enumerate(za) if a]
+        + [f"t{i + 1}^{b}" for i, b in enumerate(tb) if b]
+    )
+    return ScalarField(eval=ev, euclid_grad=gr, label=lbl or "1")
+
+
+def linear_combination_field(coeffs: Sequence[float], fields: Sequence[ScalarField]) -> ScalarField:
+    cs = [float(c) for c in coeffs]
+
+    def ev(Z, T):
+        return sum(c * f.eval(Z, T) for c, f in zip(cs, fields))
+
+    grads = [f.euclid_grad for f in fields]
+    gr = None
+    if all(g is not None for g in grads):
+
+        def gr(Z, T):
+            return sum(c * g(Z, T) for c, g in zip(cs, grads))
+
+    scales = next((f.fd_scales for f in fields if f.fd_scales is not None), None)
+    return ScalarField(eval=ev, euclid_grad=gr, label="+".join(f.label for f in fields), fd_scales=scales)
+
+
+def scale_field(c: float, f: ScalarField) -> ScalarField:
+    return linear_combination_field([c], [f])

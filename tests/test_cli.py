@@ -346,3 +346,52 @@ def test_sweep_spawn_key_follows_k_position(capsys):
     assert run_cli(args + ["--k", "1,1"]) == 0
     first, second = capsys.readouterr().out.splitlines()[1:]
     assert first == single and second != first
+
+
+# the options each command reads: its flags, and the only HPLAP_* variables
+# and config keys it looks at
+_READS = {
+    "verify": {"group", "k", "p", "alpha", "beta", "seed", "samples", "corpus_samples", "out", "format", "stamp",
+               "suite"},
+    "constants": {"group", "k", "p", "alpha", "beta"},
+    "sweep": {"group", "k", "p", "alpha", "seed", "corpus_samples", "out", "mode", "j"},
+}
+
+
+def test_each_command_takes_the_options_it_reads():
+    parser = _build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(_READS)
+    for name, sp in commands.choices.items():
+        assert {a.dest for a in sp._actions} - {"help", "config"} == _READS[name], name
+
+
+def _runnable(command, tmp_path):
+    return {
+        "verify": ["verify", "--suite", "lemma1", "--out", str(tmp_path)],
+        "constants": ["constants"],
+        "sweep": ["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "2000", "--out", "-"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, key", [(c, key) for c in _READS for key in sorted(set(_DEFAULTS) - _READS[c])])
+def test_unread_option_is_refused_as_flag_and_ignored_as_variable(command, key, tmp_path, capsys, monkeypatch):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_runnable(command, tmp_path) + [flag, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    for bad in ("nope", "0"):
+        monkeypatch.setenv("HPLAP_" + key.upper(), bad)
+        assert run_cli(_runnable(command, tmp_path)) == 0, (key, bad)
+
+
+@pytest.mark.parametrize("args", [["verify", "--suite", "lemma1"],
+                                  ["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "2000"]])
+def test_negative_seed_names_the_option(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --seed must be a non-negative integer, got -1" in err and "Traceback" not in err
+    assert not out.exists()

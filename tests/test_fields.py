@@ -2,27 +2,24 @@ import numpy as np
 import pytest
 
 from hplap import closedform as cf
-from hplap.algebra import norm_d
+from hplap.algebra import GroupPoint, group_product, norm_d
 from hplap.fields import (
     DegenerateFluxWarning,
     DiffBackend,
     NearSingularWarning,
     RadialProfile,
+    ScalarField,
     aniso_scales,
     divergence_of_values,
     euclid_gradient,
-    gaussian_field,
     gradient_weight_batch,
     horizontal_gradient_batch,
-    linear_combination_field,
-    monomial_field,
     p_laplacian_batch,
     profile_field,
-    scale_field,
     weighted_p_laplacian_batch,
 )
 from hplap.verify import sample_gauge_points
-from conftest import params_for
+from conftest import gaussian_field, linear_combination_field, monomial_field, params_for, scale_field
 
 FD = DiffBackend(mode="central-fd")
 AN = DiffBackend(mode="analytic")
@@ -66,6 +63,28 @@ def test_apply_x_kills_z_constant(heis2, rng):
         T = rng.standard_normal((20, 1))
         vals = horizontal_gradient_batch(heis2, params, AN, f, Z, T)[:, j - 1]
         assert np.allclose(vals, 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("group", ["heis2", "quat1"])
+def test_k1_fields_are_left_invariant_derivatives(group, request, rng):
+    # for k = 1, X_j f(g) = d/ds f(g . (s e_j, 0)) at s = 0, by central
+    # differences through the group law; the k = 2 fields are not these
+    alg = request.getfixturevalue(group)
+    a, b = rng.standard_normal(alg.m), rng.standard_normal(alg.q)
+
+    def ev(Z, T):
+        return np.exp(-0.4 * np.einsum("ni,ni->n", Z, Z) - 0.7 * np.einsum("ni,ni->n", T, T)) * np.sin(1.0 + Z @ a + T @ b)
+
+    f = ScalarField(eval=ev)
+    Z, T = rng.standard_normal((12, alg.m)), 0.5 * rng.standard_normal((12, alg.q))
+    h = 1e-5
+    left = np.empty_like(Z)
+    for j in range(alg.m):
+        ends = [group_product(alg, GroupPoint(Z, T), GroupPoint(s * np.eye(alg.m)[j], np.zeros(alg.q))) for s in (h, -h)]
+        left[:, j] = (ev(ends[0].z, ends[0].t) - ev(ends[1].z, ends[1].t)) / (2.0 * h)
+    rel = {k: np.linalg.norm(horizontal_gradient_batch(alg, params_for(alg, k=k), FD, f, Z, T) - left)
+           / np.linalg.norm(left) for k in (1.0, 2.0)}
+    assert rel[1.0] <= 1e-8 and rel[2.0] > 0.1
 
 
 @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])

@@ -7,7 +7,6 @@ from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
 from hplap.quadrature import (
     _SLICE,
-    BallRegion,
     Sampler,
     ShellRegion,
     grid_integral_1d,
@@ -29,7 +28,7 @@ def one(Z, T):
 
 def ball_integral(alg, params, f, R, n, seed):
     """(value, stderr) of the integral of f over the gauge ball d < R."""
-    vals, cov, _, _ = mc_region_multi(Sampler(alg, params, BallRegion(R), seed), lambda Z, T: [f(Z, T)], 1, n)
+    vals, cov, _, _ = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, R), seed), lambda Z, T: [f(Z, T)], 1, n)
     return float(vals[0]), math.sqrt(cov[0, 0])
 
 
@@ -148,7 +147,7 @@ def test_dilation_covariance(heis1):
 
 
 def _dyadic_regions(a0: int, a1: int) -> list:
-    return [BallRegion(2.0**a0)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(a0, a1)]
+    return [ShellRegion(0.0, 2.0**a0)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(a0, a1)]
 
 
 def test_integrate_shells_region_uses_own_substream(heis1):
@@ -282,7 +281,7 @@ def test_sampler_stream_reproducible(heis1):
 
 def test_ball_sampler_excludes_center_tube(heis1):
     params = params_for(heis1, k=1.0)
-    s = Sampler(heis1, params, BallRegion(1.0), seed=0)
+    s = Sampler(heis1, params, ShellRegion(0.0, 1.0), seed=0)
     Z, T, mask = s.draw(10_000)
     zn = np.sqrt(np.einsum("ni,ni->n", Z[mask], Z[mask]))
     assert np.all(zn >= 1e-12)

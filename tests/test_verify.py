@@ -9,7 +9,7 @@ from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
 from hplap.fields import DiffBackend, horizontal_gradient_batch
 from hplap import verify as verify_mod
-from hplap.quadrature import BallRegion, Sampler, ShellRegion, integrate_shells, mc_region_multi
+from hplap.quadrature import Sampler, ShellRegion, integrate_shells, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
     _radial_1d_integrals,
@@ -397,7 +397,7 @@ def test_fundamental_solution_neyman_matches_equal_split(heis1, monkeypatch):
     check = _density_total(verify_fundamental_solution(SuiteConfig(n_samples=n)))
     [counts] = allocated
     params = params_for(heis1, k=1.0, p=2.0)
-    regions = [BallRegion(2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
+    regions = [ShellRegion(0.0, 2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
 
     def psi(Z, T):
         return [cf.psi(params, (Z, T))]
@@ -435,7 +435,7 @@ def test_moments_columns_match_single_column_estimates(heis1):
     params = cfg.params(heis1)
     checks = [c for c in verify_moments(cfg).checks if c.check_id.startswith("ball-moment-")]
     assert [c.check_id for c in checks] == ["ball-moment-0", "ball-moment-1", "ball-moment-6", "ball-moment-9"]
-    sampler = Sampler(heis1, params, BallRegion(1.0), cfg.seed)
+    sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), cfg.seed)
     for check, gamma in zip(checks, (0.0, 1.0, 6.0, 9.0)):
         vals, cov, _, _ = mc_region_multi(sampler, lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (gamma / 2.0)], 1, cfg.n_samples)
         assert check.observed == pytest.approx(vals[0], rel=1e-12)
