@@ -4,14 +4,10 @@ the numerical verification suites that confront every closed form with an
 independent differentiation or quadrature oracle."""
 
 from .algebra import (
-    GroupPoint,
     HTypeAlgebra,
     OperatorParams,
     bracket,
-    dilate,
     from_j_matrices,
-    group_inverse,
-    group_product,
     make_heisenberg,
     make_quaternionic,
     norm_d,

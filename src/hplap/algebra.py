@@ -1,4 +1,4 @@
-"""H-type group algebra: J-maps, bracket, group law, dilations, gauge norm.
+"""H-type group algebra: J-maps, bracket, gauge norm, group catalog.
 
 An H-type algebra is a step-two nilpotent Lie algebra V + t (dim V = m,
 dim t = q) carrying skew maps J_1, ..., J_q on V, one per orthonormal
@@ -29,8 +29,10 @@ homogeneous of degree one under delta_lam.  Volume scales as lam^Q with
 Q = m + 2kq.  For k != 1 the dilations are plain coordinate scalings
 attached to the operator; they are group automorphisms only for k = 1.
 
-All types are immutable and all operations are pure functions; vector
-arguments may carry leading batch axes.  Matrices are dense; m, q are
+The group law and the dilations are mathematics here, not API: points
+are (z, t) pairs of coordinate arrays of widths m and q.  All types are
+immutable and all operations are pure functions; vector arguments may
+carry leading batch axes.  Matrices are dense; m, q are
 assumed to be desk-scale (<= 64), which the catalog families enforce
 for m.
 """
@@ -47,7 +49,6 @@ import numpy as np
 __all__ = [
     "AlgebraValidationError",
     "HTypeAlgebra",
-    "GroupPoint",
     "OperatorParams",
     "make_heisenberg",
     "make_quaternionic",
@@ -55,10 +56,6 @@ __all__ = [
     "resolve_group",
     "bracket",
     "j_map",
-    "group_identity",
-    "group_product",
-    "group_inverse",
-    "dilate",
     "norm_d",
     "norm_d_eps",
 ]
@@ -99,18 +96,6 @@ class HTypeAlgebra:
                 "shape", (), f"J must have shape ({self.q}, {self.m}, {self.m}), got {self.J.shape}"
             )
         self.J.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class GroupPoint:
-    """A point g = (z, t) of the group in exponential coordinates."""
-
-    z: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -286,7 +271,7 @@ def resolve_group(group_id: str) -> HTypeAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# algebra and group operations (vector args may carry leading batch axes)
+# algebra operations and the gauge (vector args may carry leading batch axes)
 
 
 def j_map(alg: HTypeAlgebra, t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -305,40 +290,6 @@ def bracket(alg: HTypeAlgebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("iab,...b,...a->...i", alg.J, u, v)
 
 
-def group_identity(alg: HTypeAlgebra) -> GroupPoint:
-    return GroupPoint(z=np.zeros(alg.m), t=np.zeros(alg.q))
-
-
-def group_product(alg: HTypeAlgebra, g: GroupPoint, h: GroupPoint) -> GroupPoint:
-    """(z_g, t_g)(z_h, t_h) = (z_g + z_h, t_g + t_h + [z_g, z_h]/2)."""
-    if g.z.shape[-1] != alg.m or h.z.shape[-1] != alg.m:
-        raise ValueError(f"horizontal coordinates must have length m={alg.m}")
-    if g.t.shape[-1] != alg.q or h.t.shape[-1] != alg.q:
-        raise ValueError(f"central coordinates must have length q={alg.q}")
-    return GroupPoint(
-        z=g.z + h.z,
-        t=g.t + h.t + 0.5 * bracket(alg, g.z, h.z),
-    )
-
-
-def group_inverse(g: GroupPoint) -> GroupPoint:
-    return GroupPoint(z=-g.z, t=-g.t)
-
-
-def dilate(params: OperatorParams, g: GroupPoint, lam: float) -> GroupPoint:
-    """Anisotropic dilation delta_lam(z, t) = (lam z, lam^{2k} t), lam > 0."""
-    if not lam > 0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    return GroupPoint(z=lam * g.z, t=lam ** (2.0 * params.k) * g.t)
-
-
-def _zt(g) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(g, GroupPoint):
-        return g.z, g.t
-    z, t = g
-    return np.asarray(z, dtype=float), np.asarray(t, dtype=float)
-
-
 def gauge4k(params: OperatorParams, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d^{4k} = |z|^{4k} + 16 |t|^2, the polynomial gauge."""
     z2 = np.einsum("...i,...i->...", z, z)
@@ -346,15 +297,15 @@ def gauge4k(params: OperatorParams, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z2 ** (2.0 * params.k) + 16.0 * t2
 
 
-def norm_d(params: OperatorParams, g) -> np.ndarray:
+def norm_d(params: OperatorParams, zt) -> np.ndarray:
     """Gauge norm d(z, t) = (|z|^{4k} + 16 |t|^2)^{1/(4k)}."""
-    z, t = _zt(g)
+    z, t = zt
     return gauge4k(params, z, t) ** (0.25 / params.k)
 
 
-def norm_d_eps(params: OperatorParams, g, eps: float) -> np.ndarray:
+def norm_d_eps(params: OperatorParams, zt, eps: float) -> np.ndarray:
     """Regularized norm d_eps = (d^{4k} + eps^{4k})^{1/(4k)}, eps > 0."""
     if not eps > 0:
         raise ValueError(f"regularization eps must be positive, got {eps}")
-    z, t = _zt(g)
+    z, t = zt
     return (gauge4k(params, z, t) + eps ** (4.0 * params.k)) ** (0.25 / params.k)

@@ -305,7 +305,11 @@ def _attach_negative_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args, extra = parser.parse_known_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    if extra:
+        # the command's own usage line names the flags it does take
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        commands.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         values = _resolve(args)
         suites = _suites(values["suite"]) if args.command == "verify" else []

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorParams
-from .fields import DegenerateFluxWarning, RadialProfile, ScalarField, aniso_scales, profile_field
+from .fields import DegenerateFluxWarning, RadialProfile, ScalarField, profile_field
 
 __all__ = [
     "grad_d_eps_sq",
@@ -136,19 +136,14 @@ def lap_d_eps(params: OperatorParams, zt, eps: float):
     return out
 
 
-def radial_L(params: OperatorParams, profile, zt, eps: float):
+def radial_L(params: OperatorParams, profile: RadialProfile, zt, eps: float):
     """L_{p,k} of f(d_eps) for a C^2 profile f, via the radial formula.
 
-    profile is a :class:`RadialProfile` or a pair (f', f'') of callables.
     The |grad_X d_eps|^p factor and the d^{4k} denominator are combined
     into explicit powers so nothing divides by d^{4k}.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if isinstance(profile, RadialProfile):
-        df, d2f = profile.df, profile.d2f
-    else:
-        df, d2f = profile
     Z, T = zt
     k, p, Q = params.k, params.p, params.Q
     zn2, d4, de = _pieces(params, Z, T, eps)
@@ -160,8 +155,8 @@ def radial_L(params: OperatorParams, profile, zt, eps: float):
             d4 > 0.0, d4 ** (p / 2.0 - 1.0), 0.0
         ) * zpow * de ** ((1.0 - 4.0 * k) * p)
     K_eps = (4.0 * k * p - 4.0 * k + Q - p) * float(eps) ** (4.0 * k)
-    fp = df(de)
-    fpp = d2f(de)
+    fp = profile.df(de)
+    fpp = profile.d2f(de)
     degenerate = (np.abs(fp) < 1e-10) & (p < 2.0)
     if np.any(degenerate):
         warnings.warn(
@@ -284,13 +279,7 @@ class FundamentalSolutionSpec:
             prof = power_profile(self.exponent, scale=self.constant)
         else:
             prof = log_profile(scale=self.constant)
-        f = profile_field(params, prof, eps=0.0)
-        return ScalarField(
-            eval=f.eval,
-            euclid_grad=f.euclid_grad,
-            label=f"Gamma[{self.kind}]",
-            fd_scales=aniso_scales(params),
-        )
+        return profile_field(params, prof, eps=0.0)
 
 
 def power_profile(exponent: float, scale: float = 1.0) -> RadialProfile:

@@ -28,11 +28,11 @@ the verification suites).  Central-difference steps are per-coordinate,
 ``h * (scale + |coordinate|)``, where the scale defaults to 1 and can be
 overridden per field: functions of the gauge norm d vary over ~d in z and
 over ~d^{2k}/4 in t, and using those anisotropic scales is what keeps the
-finite differences conditioned at small d.  First derivatives use h1
-(~eps_machine^{1/3}); outer derivatives of nested fluxes use h2
-(~eps_machine^{1/4}); a finite difference OF a finite difference needs an
-inner step near eps_machine^{1/4} as well, which callers select by
-passing a backend with a larger h1.
+finite differences conditioned at small d.  First derivatives use the
+backend's h1 (~eps_machine^{1/3}); outer derivatives of nested fluxes use
+the module constant H2 = 1e-4 (~eps_machine^{1/4}); a finite difference
+OF a finite difference needs an inner step near eps_machine^{1/4} as
+well, which callers select by passing a backend with a larger h1.
 
 Everything is a pure function of immutable inputs; evaluation callables
 take coordinate batches Z (n, m) and T (n, q) and return (n,) or (n, m)
@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import HTypeAlgebra, OperatorParams, norm_d
+from .algebra import HTypeAlgebra, OperatorParams, gauge4k, norm_d
 
 __all__ = [
     "NearSingularWarning",
@@ -71,6 +71,9 @@ DELTA_Z = 1e-6
 
 #: gradient magnitude below which the p < 2 flux is treated as degenerate
 DEGENERATE_FLUX_TOL = 1e-10
+
+#: relative step of the outer central differences of nested fluxes
+H2 = 1e-4
 
 
 class NearSingularWarning(UserWarning):
@@ -106,19 +109,17 @@ class DiffBackend:
 
     mode: "analytic" (use analytic gradients when a field has them) or
     "central-fd" (always differentiate numerically).  h1 is the relative
-    step for first derivatives, h2 for the outer derivative of nested
-    fluxes.
+    step for first derivatives.
     """
 
     mode: str = "analytic"
     h1: float = 6e-6
-    h2: float = 1e-4
 
     def __post_init__(self):
         if self.mode not in ("analytic", "central-fd"):
             raise ValueError(f"unknown backend mode {self.mode!r}")
-        if not (self.h1 > 0 and self.h2 > 0):
-            raise ValueError("finite-difference steps must be positive")
+        if not self.h1 > 0:
+            raise ValueError("finite-difference step h1 must be positive")
 
 
 @dataclass(frozen=True)
@@ -297,12 +298,12 @@ def _p_laplacian_impl(alg, params, backend, f, Z, T, weighted: bool) -> np.ndarr
             fac = fac * gradient_weight_batch(params, Zp, Tp)
         return fac[:, None] * Xg
 
-    return divergence_of_values(alg, params, flux, Z, T, backend.h2, f.fd_scales)
+    return divergence_of_values(alg, params, flux, Z, T, H2, f.fd_scales)
 
 
 def p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
     """L_{p,k} f = div_X(|grad_X f|^{p-2} grad_X f) at a batch of points,
-    by outer central differences of the flux with step h2."""
+    by outer central differences of the flux with step H2."""
     Z, T = _as_batch(Z, T, alg.m, alg.q)
     _near_singular_check(params, Z)
     return _p_laplacian_impl(alg, params, backend, f, Z, T, weighted=False)
@@ -340,9 +341,7 @@ def profile_field(params: OperatorParams, profile: RadialProfile, eps: float) ->
     e4k = float(eps) ** (4.0 * k) if eps > 0 else 0.0
 
     def _d_eps(Z, T):
-        z2 = np.einsum("ni,ni->n", Z, Z)
-        t2 = np.einsum("ni,ni->n", T, T)
-        return (z2 ** (2.0 * k) + 16.0 * t2 + e4k) ** (0.25 / k)
+        return (gauge4k(params, Z, T) + e4k) ** (0.25 / k)
 
     def ev(Z, T):
         return profile.f(_d_eps(Z, T))

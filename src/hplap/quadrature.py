@@ -33,6 +33,7 @@ carry most of the variance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -187,13 +188,8 @@ def neyman_counts(alg: HTypeAlgebra, params: OperatorParams, regions, f: Callabl
     return [max(pilot, math.ceil(scale * s)) for s in sd]
 
 
-_GL_NODES: dict = {}
-
-
-def _leggauss(deg: int):
-    if deg not in _GL_NODES:
-        _GL_NODES[deg] = np.polynomial.legendre.leggauss(deg)
-    return _GL_NODES[deg]
+# a lambda, so that np.polynomial loads on first use and not with every command's imports
+_leggauss = functools.lru_cache(lambda deg: np.polynomial.legendre.leggauss(deg))
 
 
 def grid_integral_1d(profile: Callable, a: float, b: float, n: int = 2048):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "VerificationReport", "to_kv", "to_csv", "from_kv"]
@@ -65,6 +66,10 @@ class VerificationReport:
     wall_time_s: float = 0.0  # console-only; not serialized
 
     def add(self, rec: CheckRecord) -> CheckRecord:
+        """Append a check; a nan in it is an evaluation failure, not a FAIL verdict."""
+        if any(math.isnan(v) for v in (rec.observed, rec.target, rec.stderr, rec.margin)):
+            raise ValueError(f"{self.suite}/{rec.check_id} evaluated to nan; "
+                             "the parameters are outside the range where it can be evaluated")
         self.checks.append(rec)
         self.overall_pass = bool(self.overall_pass and rec.passed)
         return rec

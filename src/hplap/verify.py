@@ -170,13 +170,21 @@ class SuiteConfig:
         }
 
 
-def _new_report(suite: str, config: SuiteConfig) -> tuple[VerificationReport, float]:
-    return VerificationReport(suite=suite, group=config.group, config=config.echo()), time.perf_counter()
+def _new_report(suite: str, config: SuiteConfig) -> VerificationReport:
+    return VerificationReport(suite=suite, group=config.group, config=config.echo())
 
 
-def _finish(report: VerificationReport, t0: float) -> VerificationReport:
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+def _tightest(rows, nsigma: float) -> tuple:
+    """The (observed, bound, stderr) row with the least margin
+    observed - (bound - nsigma * stderr): the first of equal minima wins,
+    rows with a nan margin are skipped, and (nan, 0.0, 0.0) stands for no
+    row."""
+    best, least = (math.nan, 0.0, 0.0), math.inf
+    for observed, bound, se in rows:
+        margin = observed - (bound - nsigma * se)
+        if margin < least:
+            best, least = (observed, bound, se), margin
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +255,7 @@ def verify_lemma1(config: SuiteConfig) -> VerificationReport:
     """Gradient/Laplacian identities of d_eps vs the finite-difference
     oracle: squared gradient to 1e-6, gauge Laplacian to 1e-5, norm
     Laplacian to 1e-4 (max relative error over points and eps)."""
-    report, t0 = _new_report("lemma1", config)
+    report = _new_report("lemma1", config)
     alg = config.algebra()
     params = config.params(alg)
     Z, T = sample_gauge_points(alg, params, config.n_points, config.rng(1))
@@ -275,7 +283,7 @@ def verify_lemma1(config: SuiteConfig) -> VerificationReport:
         fd_lap = divergence_of_values(alg, params, inner_eps, Z, T, 3e-4, scales)
         err_lap = max(err_lap, _max_rel_err(fd_lap, cf.lap_d_eps(params, (Z, T), eps)))
     report.add_deterministic("lap-norm", err_lap, 1e-4)
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +661,7 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
     (b) total integral of the scaling density vs its closed form;
     (c) mollifier sweep of the scaled pairing, with common random numbers
     across the sweep so the limit is isolated from sampling noise."""
-    report, t0 = _new_report("fundamental_solution", config)
+    report = _new_report("fundamental_solution", config)
     alg = config.algebra()
     params = config.params(alg)
     p, k, Q = params.p, params.k, params.Q
@@ -672,7 +680,7 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
 
     if abs(p - Q) < 1e-12:
         # the scaling density and its sweep are defined for p != Q only
-        return _finish(report, t0)
+        return report
 
     # (b) + (c): one pass over dyadic shells with shared samples
     eps_list = tuple(config.eps_sweep)
@@ -708,7 +716,7 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
     mono_slack = float(np.max(errs[1:] - errs[:-1])) if len(errs) > 1 else -1.0
     report.add_bound("sweep-monotone", mono_slack, 1e-9 * abs(est0), "below")
     report.add_deterministic("sweep-final", float(errs[-1] / abs(est0)), config.sweep_tol())
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +727,7 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
     """Monte Carlo gauge-ball moments vs Gamma closed forms (3 sigma) and
     the arithmetic consistency chain between the constants (1e-12).  All
     moments are columns of one sample of the unit ball."""
-    report, t0 = _new_report("moments", config)
+    report = _new_report("moments", config)
     alg = config.algebra()
     params = config.params(alg)
     k, p, beta, n = params.k, params.p, params.beta, config.n_samples
@@ -747,7 +755,7 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
         abs(spb - cf.sphere_moment(params, (2.0 * k - 1.0) * (p + beta))) / spb,
         1e-12,
     )
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -765,27 +773,25 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
     quotients must also agree with their 1-D polar reduction.  One
     hardy_ratio call per corpus function covers the whole (p, alpha) grid
     on one set of shells (spawn key (4, function index))."""
-    report, t0 = _new_report("hardy", config)
+    report = _new_report("hardy", config)
     alg = config.algebra()
     corpus = build_hardy_corpus()
     ns = config.mc_nsigma()
     grid = [config.params(alg, p=p, alpha=a) for p in _HARDY_P for a in _HARDY_ALPHA]
     grid = [params for params in grid if params.p < params.Q + params.alpha]
-    worst = [(math.inf, math.nan, 0.0)] * len(grid)  # (margin, ratio, stderr)
+    rows = [[] for _ in grid]  # per grid point: (ratio, sharp, stderr) of every corpus function
     radial_flags = []
     radial_devs = []
     for fi, phi in enumerate(corpus):
         results = hardy_ratio(alg, [(params, phi) for params in grid], config.corpus_n(), config.seed, (4, fi))
         for ci, (params, res) in enumerate(zip(grid, results)):
-            margin = res.ratio - (sharp_hardy_constant(params) - ns * res.stderr)
-            if margin < worst[ci][0]:
-                worst[ci] = (margin, res.ratio, res.stderr)
+            rows[ci].append((res.ratio, sharp_hardy_constant(params), res.stderr))
             if phi.radial:
                 radial_flags.append(res.radial_consistent)
                 radial_devs.append(max(abs(res.lhs - res.lhs_1d) / max(res.lhs_stderr, 1e-300),
                                        abs(res.rhs - res.rhs_1d) / max(res.rhs_stderr, 1e-300)))
-    for params, (_, ratio, se) in zip(grid, worst):
-        sharp = sharp_hardy_constant(params)
+    for params, fn_rows in zip(grid, rows):
+        ratio, sharp, se = _tightest(fn_rows, ns)
         report.add_bound(f"hardy-p{params.p:g}-a{params.alpha:g}", ratio, sharp, "above", stderr=se, nsigma=ns)
     # self-check of the 1-D polar reduction, aggregated robustly: a wrong
     # moment factor or weight power shifts every radial quotient by the
@@ -797,7 +803,7 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
     report.add_bound(
         "radial-reduction-consistent-fraction", float(np.mean(radial_flags)), 0.9, "above"
     )
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +860,7 @@ def verify_sharpness(config: SuiteConfig) -> VerificationReport:
       this coefficient and against the alternative exponent (2k+1)p, and
       must match the former.
     """
-    report, t0 = _new_report("sharpness", config)
+    report = _new_report("sharpness", config)
     alg = config.algebra()
     params = config.params(alg)
     p, k = params.p, params.k
@@ -862,17 +868,13 @@ def verify_sharpness(config: SuiteConfig) -> VerificationReport:
     ns = config.mc_nsigma()
     a0 = (params.Q + params.alpha - p) / p
     ratios, stderrs, lhs1d = [], [], []
-    worst_above = math.inf
-    worst_ratio, worst_se = math.nan, 0.0
     for j in range(1, config.j_max + 1):
         phi = sharpness_test_function(params, j)
         [res] = hardy_ratio(alg, [(params, phi)], config.corpus_n(), config.seed, spawn_key=(5, j))
         ratios.append(res.ratio)
         stderrs.append(res.stderr)
         lhs1d.append(res.lhs_1d)
-        margin = res.ratio - (sharp - ns * res.stderr)
-        if margin < worst_above:
-            worst_above, worst_ratio, worst_se = margin, res.ratio, res.stderr
+    worst_ratio, _, worst_se = _tightest(((r, sharp, se) for r, se in zip(ratios, stderrs)), ns)
     report.add_bound("ratios-above-sharp", worst_ratio, sharp, "above", stderr=worst_se, nsigma=ns)
 
     # monotone nonincreasing within combined sigma
@@ -899,7 +901,7 @@ def verify_sharpness(config: SuiteConfig) -> VerificationReport:
     rel_alt = abs(slope - c0_alt) / c0_alt
     report.add_deterministic("growth-slope-vs-moment", rel_main, 0.1)
     report.add_bound("growth-slope-discriminates", rel_alt - rel_main, 0.0, "above")
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +941,7 @@ def verify_lemma2(config: SuiteConfig) -> VerificationReport:
         (the dyadic sequence needs j in the hundreds to get that close,
         so the demonstration uses the near-optimal log-sinusoidal bump).
     """
-    report, t0 = _new_report("lemma2", config)
+    report = _new_report("lemma2", config)
     alg = config.algebra()
     params = config.params(alg, beta=0.0)
     p, k, Q, a = params.p, params.k, params.Q, params.alpha
@@ -958,19 +960,17 @@ def verify_lemma2(config: SuiteConfig) -> VerificationReport:
 
     # (ii) conclusion on a corpus slice
     ns = config.mc_nsigma()
-    worst = math.inf
-    worst_ratio, worst_se = math.nan, 0.0
+    rows = []
     for fi, phi in enumerate(build_hardy_corpus()[:10]):
         [res] = hardy_ratio(alg, [(params, phi)], config.corpus_n(), config.seed, spawn_key=(6, fi))
-        margin = res.ratio - (lam - ns * res.stderr)
-        if margin < worst:
-            worst, worst_ratio, worst_se = margin, res.ratio, res.stderr
+        rows.append((res.ratio, lam, res.stderr))
+    worst_ratio, _, worst_se = _tightest(rows, ns)
     report.add_bound("conclusion-on-corpus", worst_ratio, lam, "above", stderr=worst_se, nsigma=ns)
 
     # (iii) inflated constant fails
     witness_ratio = _log_space_ratio(params, -61.0 * math.log(2.0), math.log(2.0))
     report.add_bound("inflated-lambda-violated", witness_ratio, 1.05 * lam, "below")
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +987,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
     factorization (middle quantity B = int (|z|/d)^{(2k-1)s} d^{-s} |u|^s)
     for diagnosis: RHS <= I1^{1/t} B^{1/s} and B^{1/s} <= s/(Q-s) I2^{1/s}.
     """
-    report, t0 = _new_report("uncertainty", config)
+    report = _new_report("uncertainty", config)
     alg = config.algebra()
     params = config.params(alg, alpha=0.0, beta=0.0)
     s, k, Q = params.p, params.k, params.Q
@@ -995,8 +995,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         raise ValueError(f"uncertainty suite requires 1 < s < Q = {Q}, got s={s}")
     t_exp = s / (s - 1.0)
     corpus = build_hardy_corpus()[::3][:16]
-    worst_main = math.inf
-    obs_main = (math.nan, 0.0, 0.0)
+    rows = []
     worst_holder = math.inf
     worst_hardy_b = math.inf
     for fi, phi in enumerate(corpus):
@@ -1024,21 +1023,17 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         rhs = (Q - s) / s * i3
         se_lhs = lhs * math.sqrt((se[0] / (t_exp * i1)) ** 2 + (se[1] / (s * i2)) ** 2)
         se_rhs = (Q - s) / s * se[2]
-        se_tot = math.sqrt(se_lhs**2 + se_rhs**2)
-        margin = lhs - (rhs - config.mc_nsigma() * se_tot)
-        if margin < worst_main:
-            worst_main = margin
-            obs_main = (lhs, rhs, se_tot)
+        rows.append((lhs, rhs, math.sqrt(se_lhs**2 + se_rhs**2)))
         # Hoelder: i3 <= i1^{1/t} bmid^{1/s};  Hardy: bmid^{1/s} <= s/(Q-s) i2^{1/s}
         worst_holder = min(worst_holder, i1 ** (1.0 / t_exp) * bmid ** (1.0 / s) - i3 + 3.0 * se[2])
         worst_hardy_b = min(
             worst_hardy_b, (s / (Q - s)) * i2 ** (1.0 / s) - bmid ** (1.0 / s) + 3.0 * se[3] / (s * max(bmid, 1e-300) ** (1 - 1 / s))
         )
-    lhs_w, rhs_w, se_w = obs_main
+    lhs_w, rhs_w, se_w = _tightest(rows, config.mc_nsigma())
     report.add_bound("uncertainty-main", lhs_w, rhs_w, "above", stderr=se_w, nsigma=config.mc_nsigma())
     report.add_bound("holder-step", worst_holder, 0.0, "above")
     report.add_bound("hardy-step", worst_hardy_b, 0.0, "above")
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1058,4 +1053,7 @@ SUITES = {
 def run_suite(name: str, config: SuiteConfig) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return SUITES[name](config)
+    t0 = time.perf_counter()
+    report = SUITES[name](config)
+    report.wall_time_s = time.perf_counter() - t0
+    return report

@@ -3,7 +3,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from hplap.algebra import OperatorParams, make_heisenberg, make_quaternionic
+from hplap.algebra import OperatorParams, bracket, make_heisenberg, make_quaternionic
 from hplap.fields import ScalarField
 
 
@@ -29,6 +29,12 @@ def rng():
 
 def params_for(alg, k=1.0, p=2.0, alpha=0.0, beta=0.0):
     return OperatorParams.of(alg, k=k, p=p, alpha=alpha, beta=beta)
+
+
+def group_product(alg, g, h):
+    """The group law (z, t)(w, s) = (z + w, t + s + [z, w]/2) on (z, t) pairs."""
+    (z, t), (w, s) = g, h
+    return z + w, t + s + 0.5 * bracket(alg, z, w)
 
 
 _GL_CACHE = {}

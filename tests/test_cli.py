@@ -395,3 +395,26 @@ def test_negative_seed_names_the_option(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error: --seed must be a non-negative integer, got -1" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("constants", "--seed"), ("sweep", "--beta")])
+def test_refused_flag_reports_the_command_usage(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, flag, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hplap {command} ") and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, check", [
+    (["--suite", "fundamental_solution", "--p", "1.01", "--samples", "2000"], "fundamental_solution/harmonicity"),
+    (["--suite", "uncertainty", "--p", "1.0001", "--corpus-samples", "4000"], "uncertainty/uncertainty-main"),
+])
+def test_nan_check_is_a_configuration_error(args, check, tmp_path, capsys):
+    # a check that evaluates to nan is reported as an error, never as FAIL
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(["verify", "--out", str(tmp_path)] + args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and f"{check} evaluated to nan" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.kv"))

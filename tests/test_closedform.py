@@ -81,7 +81,7 @@ def test_lap_d_eps_limit(heis1, rng):
 
 def test_radial_identity_profile_reduces_to_lap(heis1, rng):
     params = params_for(heis1, k=1.0, p=2.0)
-    ident = (lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
+    ident = RadialProfile(f=lambda x: x, df=lambda x: np.ones_like(x), d2f=lambda x: np.zeros_like(x))
     Z, T = sample_gauge_points(heis1, params, 20, rng)
     got = cf.radial_L(params, ident, (Z, T), 0.7)
     want = cf.lap_d_eps(params, (Z, T), 0.7)
@@ -96,7 +96,7 @@ def test_radial_power_profile_gives_scaling_density(p, heis1, rng):
     prof = cf.power_profile(nu)
     for eps in (1.0, 0.5):
         Z, T = sample_gauge_points(heis1, params, 20, rng, d_range=(0.3, 4.0))
-        got = cf.radial_L(params, (prof.df, prof.d2f), (Z, T), eps)
+        got = cf.radial_L(params, prof, (Z, T), eps)
         want = eps ** (-Q) * cf.psi(params, (Z / eps, T / eps ** (2.0 * k)))
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-11
 
@@ -105,7 +105,8 @@ def test_radial_L_degenerate_profile_flagged(heis1):
     from hplap.fields import DegenerateFluxWarning
 
     params = params_for(heis1, k=1.0, p=1.5)
-    flat = (lambda x: np.zeros_like(x), lambda x: np.ones_like(x))  # f' = 0
+    flat = RadialProfile(f=lambda x: np.zeros_like(x), df=lambda x: np.zeros_like(x),
+                         d2f=lambda x: np.ones_like(x))  # f' = 0
     with pytest.warns(DegenerateFluxWarning):
         val = cf.radial_L(params, flat, point([1.0, 0.0], [0.1]), 1.0)
     assert val[0] == 0.0

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hplap import closedform as cf
-from hplap.algebra import GroupPoint, group_product, norm_d
+from hplap.algebra import norm_d
 from hplap.fields import (
     DegenerateFluxWarning,
     DiffBackend,
+    H2,
     NearSingularWarning,
     RadialProfile,
     ScalarField,
@@ -19,7 +20,7 @@ from hplap.fields import (
     weighted_p_laplacian_batch,
 )
 from hplap.verify import sample_gauge_points
-from conftest import gaussian_field, linear_combination_field, monomial_field, params_for, scale_field
+from conftest import gaussian_field, group_product, linear_combination_field, monomial_field, params_for, scale_field
 
 FD = DiffBackend(mode="central-fd")
 AN = DiffBackend(mode="analytic")
@@ -80,8 +81,8 @@ def test_k1_fields_are_left_invariant_derivatives(group, request, rng):
     h = 1e-5
     left = np.empty_like(Z)
     for j in range(alg.m):
-        ends = [group_product(alg, GroupPoint(Z, T), GroupPoint(s * np.eye(alg.m)[j], np.zeros(alg.q))) for s in (h, -h)]
-        left[:, j] = (ev(ends[0].z, ends[0].t) - ev(ends[1].z, ends[1].t)) / (2.0 * h)
+        ends = [group_product(alg, (Z, T), (s * np.eye(alg.m)[j], np.zeros(alg.q))) for s in (h, -h)]
+        left[:, j] = (ev(*ends[0]) - ev(*ends[1])) / (2.0 * h)
     rel = {k: np.linalg.norm(horizontal_gradient_batch(alg, params_for(alg, k=k), FD, f, Z, T) - left)
            / np.linalg.norm(left) for k in (1.0, 2.0)}
     assert rel[1.0] <= 1e-8 and rel[2.0] > 0.1
@@ -168,7 +169,7 @@ def test_divergence_constant_field_zero(heis1, rng):
 
     Z = rng.standard_normal((10, 2)) + 2.0
     T = rng.standard_normal((10, 1))
-    assert np.max(np.abs(divergence_of_values(heis1, params, F, Z, T, AN.h2))) < 1e-9
+    assert np.max(np.abs(divergence_of_values(heis1, params, F, Z, T, H2))) < 1e-9
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0])
@@ -185,7 +186,7 @@ def test_divergence_of_gauge_gradient(k, heis1, rng):
     def grad_vals(Zp, Tp):
         return horizontal_gradient_batch(heis1, params, AN, f, Zp, Tp)
 
-    got = divergence_of_values(heis1, params, grad_vals, Z, T, AN.h2, aniso_scales(params))
+    got = divergence_of_values(heis1, params, grad_vals, Z, T, H2, aniso_scales(params))
     want = cf.lap_d4k(params, (Z, T))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-5
 
@@ -199,7 +200,7 @@ def test_divergence_linear(heis1, rng):
         def vals(Z, T):
             return horizontal_gradient_batch(heis1, params, AN, f, Z, T)
 
-        return divergence_of_values(heis1, params, vals, Z, T, AN.h2)
+        return divergence_of_values(heis1, params, vals, Z, T, H2)
 
     Z = rng.standard_normal((10, 2))
     T = rng.standard_normal((10, 1))
@@ -267,10 +268,10 @@ def test_leibniz_rule(heis1, rng):
         return phi.eval(Z, T)[:, None] * F_vals(Z, T)
 
     Z, T = sample_gauge_points(heis1, params, 20, rng, d_range=(0.5, 2.0))
-    lhs = divergence_of_values(heis1, params, phiF_vals, Z, T, AN.h2)
+    lhs = divergence_of_values(heis1, params, phiF_vals, Z, T, H2)
     gphi = horizontal_gradient_batch(heis1, params, AN, phi, Z, T)
     rhs = np.einsum("nj,nj->n", gphi, F_vals(Z, T)) + phi.eval(Z, T) * divergence_of_values(
-        heis1, params, F_vals, Z, T, AN.h2
+        heis1, params, F_vals, Z, T, H2
     )
     scale = np.maximum(np.abs(lhs), np.abs(rhs)) + 1e-9
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-5
@@ -366,7 +367,7 @@ def test_vector_field_length_checked(heis1):
 
     for Z, T in ((np.ones((1, 3)), np.ones((1, 1))), (np.ones((1, 2)), np.ones((1, 2))), (np.ones(2), np.ones(1))):
         with pytest.raises(ValueError, match="widths"):
-            divergence_of_values(heis1, params, F, Z, T, AN.h2)
+            divergence_of_values(heis1, params, F, Z, T, H2)
         with pytest.raises(ValueError, match="widths"):
             p_laplacian_batch(heis1, params, AN, f, Z, T)
 
