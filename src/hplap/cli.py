@@ -42,6 +42,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 from . import closedform as cf
 from .algebra import resolve_group
@@ -311,17 +312,24 @@ def main(argv=None) -> int:
         [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         commands.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        values = _resolve(args)
-        suites = _suites(values["suite"]) if args.command == "verify" else []
-        configs = _validate(values, args.command)
-        if args.command == "verify":
-            return cmd_verify(configs[0][0], suites, values["out"], values["format"], values["stamp"])
-        if args.command == "constants":
-            return cmd_constants(configs[0][0])
-        return cmd_sweep(configs, values["mode"], int(values["j"]), values["out"])
+        # numpy's warnings are held back, so that a configuration error is
+        # the only thing printed, and shown as usual when the command ends
+        with warnings.catch_warnings(record=True) as caught:
+            values = _resolve(args)
+            suites = _suites(values["suite"]) if args.command == "verify" else []
+            configs = _validate(values, args.command)
+            if args.command == "verify":
+                status = cmd_verify(configs[0][0], suites, values["out"], values["format"], values["stamp"])
+            elif args.command == "constants":
+                status = cmd_constants(configs[0][0])
+            else:
+                status = cmd_sweep(configs, values["mode"], int(values["j"]), values["out"])
     except (ValueError, OSError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return status
 
 
 if __name__ == "__main__":

@@ -74,6 +74,7 @@ from .fields import (
 )
 from .quadrature import (
     MIN_REGION_CANDIDATES,
+    REPLICATES,
     Sampler,
     ShellRegion,
     grid_integral_1d,
@@ -177,11 +178,14 @@ def _new_report(suite: str, config: SuiteConfig) -> VerificationReport:
 def _tightest(rows, nsigma: float) -> tuple:
     """The (observed, bound, stderr) row with the least margin
     observed - (bound - nsigma * stderr): the first of equal minima wins,
-    rows with a nan margin are skipped, and (nan, 0.0, 0.0) stands for no
-    row."""
+    and (nan, 0.0, 0.0) stands for no row.  A row with a nan margin is
+    returned at once, so the check it feeds evaluates to nan and stops the
+    suite instead of being judged on the rows that could be evaluated."""
     best, least = (math.nan, 0.0, 0.0), math.inf
     for observed, bound, se in rows:
         margin = observed - (bound - nsigma * se)
+        if math.isnan(margin):
+            return observed, bound, se
         if margin < least:
             best, least = (observed, bound, se), margin
     return best
@@ -737,6 +741,9 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
         zn2 = np.einsum("ni,ni->n", Z, Z)
         return np.stack([zn2 ** (g / 2.0) for g in gammas])
 
+    if n < REPLICATES:
+        raise ValueError(f"moments: n_samples={n} cannot fill the {REPLICATES} replicates of one estimate; "
+                         "raise --samples")
     vals, cov, _, accepted = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
     if accepted < max(1.0, 1e-4 * n):
         raise ValueError(f"moments: acceptance rate {accepted / n:.2e} in the unit gauge ball is below 1e-4 "
@@ -995,9 +1002,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         raise ValueError(f"uncertainty suite requires 1 < s < Q = {Q}, got s={s}")
     t_exp = s / (s - 1.0)
     corpus = build_hardy_corpus()[::3][:16]
-    rows = []
-    worst_holder = math.inf
-    worst_hardy_b = math.inf
+    rows, holder, hardy_b = [], [], []
     for fi, phi in enumerate(corpus):
         fld = phi.as_scalar_field(alg, params)
 
@@ -1025,14 +1030,14 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         se_rhs = (Q - s) / s * se[2]
         rows.append((lhs, rhs, math.sqrt(se_lhs**2 + se_rhs**2)))
         # Hoelder: i3 <= i1^{1/t} bmid^{1/s};  Hardy: bmid^{1/s} <= s/(Q-s) i2^{1/s}
-        worst_holder = min(worst_holder, i1 ** (1.0 / t_exp) * bmid ** (1.0 / s) - i3 + 3.0 * se[2])
-        worst_hardy_b = min(
-            worst_hardy_b, (s / (Q - s)) * i2 ** (1.0 / s) - bmid ** (1.0 / s) + 3.0 * se[3] / (s * max(bmid, 1e-300) ** (1 - 1 / s))
-        )
+        holder.append(i1 ** (1.0 / t_exp) * bmid ** (1.0 / s) - i3 + 3.0 * se[2])
+        hardy_b.append((s / (Q - s)) * i2 ** (1.0 / s) - bmid ** (1.0 / s)
+                       + 3.0 * se[3] / (s * max(bmid, 1e-300) ** (1 - 1 / s)))
     lhs_w, rhs_w, se_w = _tightest(rows, config.mc_nsigma())
     report.add_bound("uncertainty-main", lhs_w, rhs_w, "above", stderr=se_w, nsigma=config.mc_nsigma())
-    report.add_bound("holder-step", worst_holder, 0.0, "above")
-    report.add_bound("hardy-step", worst_hardy_b, 0.0, "above")
+    # np.min, unlike min(), returns nan if any function gave nan
+    report.add_bound("holder-step", float(np.min(holder)), 0.0, "above")
+    report.add_bound("hardy-step", float(np.min(hardy_b)), 0.0, "above")
     return report
 
 

@@ -4,14 +4,18 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hplap import cli
 from hplap.cli import _DEFAULTS, _build_parser, main
-from hplap.report import _CHECK_FIELDS, from_kv
+from hplap.report import _CHECK_FIELDS, VerificationReport, from_kv
 from hplap.verify import SuiteConfig
 
 FAST_SAMPLES = ["--samples", "40000", "--corpus-samples", "8000"]
@@ -409,6 +413,9 @@ def test_refused_flag_reports_the_command_usage(command, flag, capsys):
 @pytest.mark.parametrize("args, check", [
     (["--suite", "fundamental_solution", "--p", "1.01", "--samples", "2000"], "fundamental_solution/harmonicity"),
     (["--suite", "uncertainty", "--p", "1.0001", "--corpus-samples", "4000"], "uncertainty/uncertainty-main"),
+    # 12 of the 16 corpus functions overflow to nan: a nan row stops the
+    # suite, rather than the other 4 being judged alone
+    (["--suite", "uncertainty", "--p", "1.001", "--corpus-samples", "4000"], "uncertainty/uncertainty-main"),
 ])
 def test_nan_check_is_a_configuration_error(args, check, tmp_path, capsys):
     # a check that evaluates to nan is reported as an error, never as FAIL
@@ -418,3 +425,28 @@ def test_nan_check_is_a_configuration_error(args, check, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error:" in err and f"{check} evaluated to nan" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.kv"))
+
+
+def test_configuration_error_is_printed_without_numpy_warnings(tmp_path):
+    # the overflow warnings behind a nan check are not printed ahead of
+    # the configuration error they lead to
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HPLAP_") and k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    cmd = [sys.executable, "-m", "hplap.cli", "verify", "--suite", "uncertainty", "--p", "1.0001",
+           "--corpus-samples", "4000", "--out", str(tmp_path)]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: uncertainty/uncertainty-main evaluated to nan")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+
+
+def test_warnings_of_a_successful_run_are_shown(tmp_path, monkeypatch):
+    def warning_suite(name, config):
+        warnings.warn("overflow encountered in power", RuntimeWarning)
+        return VerificationReport(suite=name, group=config.group, config=config.echo())
+
+    monkeypatch.setattr(cli, "run_suite", warning_suite)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["verify", "--suite", "lemma1", "--out", str(tmp_path), "--stamp", "W"]) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "overflow encountered in power")]

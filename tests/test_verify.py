@@ -456,3 +456,15 @@ def test_sample_gauge_points_ranges(heis1, rng):
     assert np.all((d >= 0.2 * (1 - 1e-9)) & (d <= 5.0 * (1 + 1e-9)))
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     assert np.all(zn >= 0.3 * d * (1 - 1e-9))
+
+
+def test_tightest_returns_a_nan_row():
+    # a row that could not be evaluated is not skipped: the check it feeds
+    # evaluates to nan, which stops the suite
+    rows = [(1.0, 0.5, 0.1), (math.nan, 0.5, 0.1), (0.4, 0.5, 0.1)]
+    observed, bound, se = verify_mod._tightest(rows, 3.0)
+    assert math.isnan(observed) and (bound, se) == (0.5, 0.1)
+    assert verify_mod._tightest(rows[::2], 3.0) == (0.4, 0.5, 0.1)
+    report = VerificationReport(suite="hardy", group="heisenberg:1", config={})
+    with pytest.raises(ValueError, match="hardy/worst evaluated to nan"):
+        report.add_bound("worst", observed, bound, "above", stderr=se, nsigma=3.0)
