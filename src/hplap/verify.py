@@ -48,7 +48,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
+from itertools import groupby
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -536,6 +537,40 @@ def _support_shells(r0: float, r1: float) -> list:
     return shells
 
 
+def _integrate_support(alg, params, support, multi_fn, nf: int, n: int, seed: int, spawn_key: tuple):
+    """(values, covariance, candidates) of n candidates split evenly over the dyadic shells of support."""
+    shells = _support_shells(*support)
+    n_per = max(MIN_REGION_CANDIDATES, int(np.ceil(n / len(shells))))
+    sums, cov, _ = integrate_shells(alg, params, shells, multi_fn, nf, [n_per] * len(shells), seed, spawn_key)
+    return sums, cov, n_per * len(shells)
+
+
+def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T):
+    """(d, |z|, field) on one batch, field(phi) = (|Phi|, |grad_X Phi|) by grad_X Phi = phi'(d) grad_X d * mod +
+    phi(d) grad_X mod: grad_X d once, F(d), F'(d) once per shape, each modulation's value and X-gradient once."""
+    d = norm_d(params, (Z, T))
+    zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
+    d_field = ScalarField(eval=lambda *ZT: norm_d(params, ZT), euclid_grad=lambda *ZT: _d_and_grad(params, *ZT)[1])
+    Xd = horizontal_gradient_batch(alg, params, _ANALYTIC, d_field, Z, T)
+    Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
+    shape_values = cache(lambda shape: (shape[0](d), shape[1](d)))
+
+    @cache
+    def modulation(mod):
+        mod_field = ScalarField(eval=partial(mod.value, params), euclid_grad=partial(mod.grad, params))
+        return mod.value(params, Z, T), horizontal_gradient_batch(alg, params, _ANALYTIC, mod_field, Z, T)
+
+    def field(phi):
+        f, df = phi.profile(d, *shape_values(phi.shape))
+        if phi.modulation is None:
+            return np.abs(f), np.abs(df) * Xd_norm
+        mv, Xm = modulation(phi.modulation)
+        G = (df * mv)[:, None] * Xd + f[:, None] * Xm
+        return np.abs(f * mv), np.sqrt(np.einsum("nj,nj->n", G, G))
+
+    return d, zn, field
+
+
 def _radial_1d_batch(cases) -> np.ndarray:
     """Polar reduction for radial Phi: both sides factor through the
     sphere moment of |z|^{(2k-1)p}:
@@ -578,9 +613,11 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     support, with a delta-method standard error using the shared-sample
     covariance.  All cases share one set of shells (common random
     numbers), so they must share k and the support of phi.  On each batch
-    d, |z|/d and grad_X d are computed once, F(d), F'(d) once per distinct
-    shape, and d^{-a} and the X-gradient of any modulation once per distinct
-    phi = d^{-a} F: grad_X Phi = phi'(d) grad_X d * mod + phi(d) grad_X mod.
+    :func:`_corpus_batch` gives |Phi| and |grad_X Phi| once per distinct
+    phi, and each power d^alpha, |grad_X d|^p, weight d^{alpha-p}
+    |grad_X d|^p and (|Phi|^p, |grad_X Phi|^p) is computed once, for every
+    case that uses it; a case's columns are the same products as in a call
+    of its own, so batching changes no bit of them.
 
     For radial Phi the 1-D polar reduction (one batch for all radial cases)
     must agree with the Monte Carlo values within 5 standard errors
@@ -589,45 +626,32 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     if not cases:
         raise ValueError("hardy_ratio needs at least one (params, phi) case")
     base, phi0 = cases[0]
-    for params, phi in cases:
+    by_phi = {}  # id(phi) -> (phi, [(case index, p, alpha) of its cases])
+    for i, (params, phi) in enumerate(cases):
         if params.k != base.k or phi.support != phi0.support:
             raise ValueError("hardy_ratio cases must share k and the support of phi")
         if not params.p < params.Q + params.alpha:
             raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + params.alpha}, got p={params.p}")
-    k = base.k
-    d_field = ScalarField(eval=lambda Z, T: norm_d(base, (Z, T)), euclid_grad=lambda Z, T: _d_and_grad(base, Z, T)[1])
-    shapes = {}  # id(shape) -> (shape, {id(phi): (phi, indices of the cases that use it)})
-    for i, (_, phi) in enumerate(cases):
-        shapes.setdefault(id(phi.shape), (phi.shape, {}))[1].setdefault(id(phi), (phi, []))[1].append(i)
+        by_phi.setdefault(id(phi), (phi, []))[1].append((i, params.p, params.alpha))
 
     def multi(Z, T):
-        d = norm_d(base, (Z, T))
-        gd = (np.sqrt(np.einsum("ni,ni->n", Z, Z)) / d) ** (2.0 * k - 1.0)
-        Xd = horizontal_gradient_batch(alg, base, _ANALYTIC, d_field, Z, T)
-        Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
+        d, zn, field = _corpus_batch(alg, base, Z, T)
+        gd = (zn / d) ** (2.0 * base.k - 1.0)
+        # each power once per batch, however many cases use it; one phi's powers at a time
+        d_pow = cache(lambda a: d**a)
+        gd_pow = cache(lambda p: gd**p)
+        weight = cache(lambda p, a: d ** (a - p) * gd_pow(p))
         out = np.empty((2 * len(cases), len(d)))
-        for (F, dF), phis in shapes.values():
-            Fd, dFd = F(d), dF(d)
-            for phi, idx in phis.values():
-                f, df = phi.profile(d, Fd, dFd)
-                mod = phi.modulation
-                if mod is None:
-                    u, gu = np.abs(f), np.abs(df) * Xd_norm
-                else:
-                    mod_field = ScalarField(eval=partial(mod.value, base), euclid_grad=partial(mod.grad, base))
-                    Xm = horizontal_gradient_batch(alg, base, _ANALYTIC, mod_field, Z, T)
-                    mv = mod.value(base, Z, T)
-                    G = (df * mv)[:, None] * Xd + f[:, None] * Xm
-                    u, gu = np.abs(f * mv), np.sqrt(np.einsum("nj,nj->n", G, G))
-                for i in idx:
-                    p, a = cases[i][0].p, cases[i][0].alpha
-                    out[2 * i] = d**a * gu**p
-                    out[2 * i + 1] = d ** (a - p) * gd**p * u**p
+        for phi, idx in by_phi.values():
+            u, gu = field(phi)
+            pows = cache(lambda p: (u**p, gu**p))
+            for i, p, a in idx:
+                up, gup = pows(p)
+                out[2 * i] = d_pow(a) * gup
+                out[2 * i + 1] = weight(p, a) * up
         return out
 
-    shells = _support_shells(*phi0.support)
-    n_per = max(MIN_REGION_CANDIDATES, int(np.ceil(n / len(shells))))
-    sums, cov, _ = integrate_shells(alg, base, shells, multi, 2 * len(cases), [n_per] * len(shells), seed, spawn_key)
+    sums, cov, n_total = _integrate_support(alg, base, phi0.support, multi, 2 * len(cases), n, seed, spawn_key)
     radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
     one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial]))) if radial else {}
     out = []
@@ -636,7 +660,7 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         varL, varR, covLR = cov[2 * i, 2 * i], cov[2 * i + 1, 2 * i + 1], cov[2 * i, 2 * i + 1]
         var_ratio = varL / R**2 + L**2 * varR / R**4 - 2.0 * L * covLR / R**3
         res = HardyRatioResult(float(L), float(R), float(L / R), math.sqrt(max(var_ratio, 0.0)),
-                               math.sqrt(max(varL, 0.0)), math.sqrt(max(varR, 0.0)), n_per * len(shells))
+                               math.sqrt(max(varL, 0.0)), math.sqrt(max(varR, 0.0)), n_total)
         if phi.radial:
             lhs1, rhs1 = one_d[i]
             # 5 sigma: this self-check runs hundreds of times per suite, so a
@@ -745,9 +769,9 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
         raise ValueError(f"moments: n_samples={n} cannot fill the {REPLICATES} replicates of one estimate; "
                          "raise --samples")
     vals, cov, _, accepted = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
-    if accepted < max(1.0, 1e-4 * n):
-        raise ValueError(f"moments: acceptance rate {accepted / n:.2e} in the unit gauge ball is below 1e-4 "
-                         f"at n_samples={n}; raise --samples")
+    if accepted < max(REPLICATES, 1e-4 * n):
+        raise ValueError(f"moments: acceptance rate {accepted / n:.2e} in the unit gauge ball ({accepted} of "
+                         f"n_samples={n}); an estimate needs {REPLICATES} accepted and a rate of 1e-4; raise --samples")
     for i, gamma in enumerate(gammas):
         report.add_stochastic(f"ball-moment-{gamma:g}", vals[i], cf.ball_moment(params, gamma),
                               math.sqrt(max(cov[i, i], 0.0)), nsigma=config.mc_nsigma())
@@ -778,8 +802,8 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
     """Every corpus Rayleigh quotient must sit above the sharp constant
     minus 3 standard errors, for each admissible (p, alpha); radial
     quotients must also agree with their 1-D polar reduction.  One
-    hardy_ratio call per corpus function covers the whole (p, alpha) grid
-    on one set of shells (spawn key (4, function index))."""
+    hardy_ratio call per corpus annulus covers its ten functions and the
+    whole (p, alpha) grid on one set of shells (spawn key (4, annulus index))."""
     report = _new_report("hardy", config)
     alg = config.algebra()
     corpus = build_hardy_corpus()
@@ -787,12 +811,13 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
     grid = [config.params(alg, p=p, alpha=a) for p in _HARDY_P for a in _HARDY_ALPHA]
     grid = [params for params in grid if params.p < params.Q + params.alpha]
     rows = [[] for _ in grid]  # per grid point: (ratio, sharp, stderr) of every corpus function
-    radial_flags = []
-    radial_devs = []
-    for fi, phi in enumerate(corpus):
-        results = hardy_ratio(alg, [(params, phi) for params in grid], config.corpus_n(), config.seed, (4, fi))
-        for ci, (params, res) in enumerate(zip(grid, results)):
-            rows[ci].append((res.ratio, sharp_hardy_constant(params), res.stderr))
+    radial_flags, radial_devs = [], []
+    # the corpus lists its five annuli one after the other
+    for ai, (_, phis) in enumerate(groupby(corpus, key=lambda phi: phi.support)):
+        cases = [(params, phi) for phi in phis for params in grid]
+        results = hardy_ratio(alg, cases, config.corpus_n(), config.seed, (4, ai))
+        for ci, ((params, phi), res) in enumerate(zip(cases, results)):
+            rows[ci % len(grid)].append((res.ratio, sharp_hardy_constant(params), res.stderr))
             if phi.radial:
                 radial_flags.append(res.radial_consistent)
                 radial_devs.append(max(abs(res.lhs - res.lhs_1d) / max(res.lhs_stderr, 1e-300),
@@ -965,13 +990,11 @@ def verify_lemma2(config: SuiteConfig) -> VerificationReport:
     rhs = lam * d**a * zn ** ((2.0 * k - 1.0) * p) / d ** (2.0 * k * p) * d ** (mu * (p - 1.0))
     report.add_deterministic("witness-pointwise", _max_rel_err(-Lv, rhs), 1e-4)
 
-    # (ii) conclusion on a corpus slice
+    # (ii) conclusion on the ten corpus functions of the first annulus, in one batch
     ns = config.mc_nsigma()
-    rows = []
-    for fi, phi in enumerate(build_hardy_corpus()[:10]):
-        [res] = hardy_ratio(alg, [(params, phi)], config.corpus_n(), config.seed, spawn_key=(6, fi))
-        rows.append((res.ratio, lam, res.stderr))
-    worst_ratio, _, worst_se = _tightest(rows, ns)
+    cases = [(params, phi) for phi in build_hardy_corpus()[:10]]
+    results = hardy_ratio(alg, cases, config.corpus_n(), config.seed, spawn_key=(6, 0))
+    worst_ratio, _, worst_se = _tightest(((res.ratio, lam, res.stderr) for res in results), ns)
     report.add_bound("conclusion-on-corpus", worst_ratio, lam, "above", stderr=worst_se, nsigma=ns)
 
     # (iii) inflated constant fails
@@ -990,7 +1013,8 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         (int |z|^t |u|^t)^{1/t} (int |grad_X u|^s)^{1/s}
             >= (Q - s)/s * int (|z|^{2k}/d^{2k}) |u|^2.
 
-    Checked on corpus functions with s = config.p, recording the Hoelder
+    Checked on 16 corpus functions with s = config.p, one shell integral
+    per support (spawn key (7, annulus index)), recording the Hoelder
     factorization (middle quantity B = int (|z|/d)^{(2k-1)s} d^{-s} |u|^s)
     for diagnosis: RHS <= I1^{1/t} B^{1/s} and B^{1/s} <= s/(Q-s) I2^{1/s}.
     """
@@ -1001,38 +1025,28 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
     if not 1.0 < s < Q:
         raise ValueError(f"uncertainty suite requires 1 < s < Q = {Q}, got s={s}")
     t_exp = s / (s - 1.0)
-    corpus = build_hardy_corpus()[::3][:16]
     rows, holder, hardy_b = [], [], []
-    for fi, phi in enumerate(corpus):
-        fld = phi.as_scalar_field(alg, params)
+    for ai, (support, group) in enumerate(groupby(build_hardy_corpus()[::3][:16], key=lambda phi: phi.support)):
+        phis = list(group)
 
         def multi(Z, T):
-            d = norm_d(params, (Z, T))
-            zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
-            u = fld.eval(Z, T)
-            G = horizontal_gradient_batch(alg, params, _ANALYTIC, fld, Z, T)
-            gn = np.sqrt(np.einsum("nj,nj->n", G, G))
-            gd = np.where(d > 0.0, (zn / np.maximum(d, 1e-300)) ** (2.0 * k - 1.0), 0.0)
-            i1 = zn**t_exp * np.abs(u) ** t_exp
-            i2 = gn**s
-            i3 = (zn / np.maximum(d, 1e-300)) ** (2.0 * k) * u**2
-            bmid = gd**s * d ** (-s) * np.abs(u) ** s
-            return np.stack([i1, i2, i3, bmid])
+            d, zn, field = _corpus_batch(alg, params, Z, T)
+            w1, w3, wb = zn**t_exp, (zn / d) ** (2.0 * k), (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s)
+            return np.concatenate([[w1 * u**t_exp, gn**s, w3 * u**2, wb * u**s] for u, gn in map(field, phis)])
 
-        shells = _support_shells(*phi.support)
-        n_per = max(MIN_REGION_CANDIDATES, int(np.ceil(config.corpus_n() / len(shells))))
-        sums, cov, _ = integrate_shells(alg, params, shells, multi, 4, [n_per] * len(shells), config.seed, (7, fi))
-        i1, i2, i3, bmid = sums
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        lhs = i1 ** (1.0 / t_exp) * i2 ** (1.0 / s)
-        rhs = (Q - s) / s * i3
-        se_lhs = lhs * math.sqrt((se[0] / (t_exp * i1)) ** 2 + (se[1] / (s * i2)) ** 2)
-        se_rhs = (Q - s) / s * se[2]
-        rows.append((lhs, rhs, math.sqrt(se_lhs**2 + se_rhs**2)))
-        # Hoelder: i3 <= i1^{1/t} bmid^{1/s};  Hardy: bmid^{1/s} <= s/(Q-s) i2^{1/s}
-        holder.append(i1 ** (1.0 / t_exp) * bmid ** (1.0 / s) - i3 + 3.0 * se[2])
-        hardy_b.append((s / (Q - s)) * i2 ** (1.0 / s) - bmid ** (1.0 / s)
-                       + 3.0 * se[3] / (s * max(bmid, 1e-300) ** (1 - 1 / s)))
+        sums, cov, _ = _integrate_support(alg, params, support, multi, 4 * len(phis), config.corpus_n(),
+                                          config.seed, (7, ai))
+        ses = np.sqrt(np.maximum(np.diag(cov), 0.0)).reshape(-1, 4)
+        for (i1, i2, i3, bmid), se in zip(sums.reshape(-1, 4), ses):
+            lhs = i1 ** (1.0 / t_exp) * i2 ** (1.0 / s)
+            rhs = (Q - s) / s * i3
+            se_lhs = lhs * math.sqrt((se[0] / (t_exp * i1)) ** 2 + (se[1] / (s * i2)) ** 2)
+            se_rhs = (Q - s) / s * se[2]
+            rows.append((lhs, rhs, math.sqrt(se_lhs**2 + se_rhs**2)))
+            # Hoelder: i3 <= i1^{1/t} bmid^{1/s};  Hardy: bmid^{1/s} <= s/(Q-s) i2^{1/s}
+            holder.append(i1 ** (1.0 / t_exp) * bmid ** (1.0 / s) - i3 + 3.0 * se[2])
+            hardy_b.append((s / (Q - s)) * i2 ** (1.0 / s) - bmid ** (1.0 / s)
+                           + 3.0 * se[3] / (s * max(bmid, 1e-300) ** (1 - 1 / s)))
     lhs_w, rhs_w, se_w = _tightest(rows, config.mc_nsigma())
     report.add_bound("uncertainty-main", lhs_w, rhs_w, "above", stderr=se_w, nsigma=config.mc_nsigma())
     # np.min, unlike min(), returns nan if any function gave nan

@@ -303,6 +303,16 @@ def test_moments_too_few_accepted_samples_exit_two(args, tmp_path, capsys):
     assert "configuration error:" in err and "--samples" in err and "Traceback" not in err
 
 
+def test_moments_single_accepted_candidate_exit_two(tmp_path, capsys):
+    # one of 100 candidates falls in the ball: an estimate from fewer
+    # accepted candidates than replicates is refused, not reported as PASS
+    args = ["verify", "--suite", "moments", "--group", "quaternionic:2", "--samples", "100", "--seed", "11"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "(1 of n_samples=100)" in err and "--samples" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("group", ["heisenberg:1000000000", "quaternionic:1000000000"])
 def test_oversized_group_id_exit_two(group, capsys):
     # refused before any J matrix is allocated

@@ -193,11 +193,15 @@ def _admissible_grid(alg):
 
 def test_hardy_ratio_shared_cases_match_single_calls(heis1):
     # one call over every admissible (p, alpha) equals one call per case on
-    # the same spawn key: the shells, d, grad_X d and each shape's values
-    # are shared, not changed
+    # the same spawn key: the shells, d, grad_X d, each shape's values and
+    # each modulation's gradient are shared, not changed
     grid = _admissible_grid(heis1)
-    case_lists = [[(params, phi) for params in grid] for phi in build_hardy_corpus()[:2]]  # radial, modulated
+    corpus = build_hardy_corpus()
+    case_lists = [[(params, phi) for params in grid] for phi in corpus[:2]]  # radial, modulated
     case_lists.append([(params, sharpness_test_function(params, 8)) for params in grid])  # one shape, 8 powers
+    # the ten functions of one support (radial, z1 and t1 modulated; 5 shapes)
+    assert {phi.support for phi in corpus[:10]} == {(0.5, 2.0)} and corpus[10].support != (0.5, 2.0)
+    case_lists.append([(params, phi) for phi in corpus[:10] for params in grid])
     for cases in case_lists:
         shared = hardy_ratio(heis1, cases, 8_000, seed=11, spawn_key=(4, 0))
         for case, res in zip(cases, shared):
@@ -233,6 +237,84 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
     n_shells = len(_support_shells(*u.support))
     assert calls["batches"] >= n_shells
     assert calls["F"] == calls["dF"] == calls["batches"] + n_shells
+
+
+def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch):
+    # the four columns of each function in a batched uncertainty integral
+    # equal that function's own integrate_shells call on the same shells
+    # and substreams, with u and grad_X u from its whole field
+    calls = []
+
+    def recorded(alg, params, regions, multi_fn, nf, counts, seed, spawn_key):
+        out = integrate_shells(alg, params, regions, multi_fn, nf, counts, seed, spawn_key)
+        calls.append((params, regions, counts, seed, spawn_key, out))
+        return out
+
+    monkeypatch.setattr(verify_mod, "integrate_shells", recorded)
+    verify_uncertainty(SuiteConfig(group="heisenberg:1", k=1.5, p=2.5, **FAST))
+    params, regions, counts, seed, spawn_key, (sums, cov, _) = calls[0]
+    phis = build_hardy_corpus()[:10:3]
+    assert len(sums) == 4 * len(phis) and {phi.modulation.kind for phi in phis if phi.modulation} == {"z1", "t1"}
+    s, k = params.p, params.k
+    for j, phi in enumerate(phis):
+        fld = phi.as_scalar_field(heis1, params)
+
+        def single(Z, T):
+            d = norm_d(params, (Z, T))
+            zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
+            u = fld.eval(Z, T)
+            G = horizontal_gradient_batch(heis1, params, DiffBackend(), fld, Z, T)
+            gn = np.sqrt(np.einsum("nj,nj->n", G, G))
+            return np.stack([zn ** (s / (s - 1.0)) * np.abs(u) ** (s / (s - 1.0)), gn**s,
+                             (zn / d) ** (2.0 * k) * u**2, (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s) * np.abs(u) ** s])
+
+        ref, ref_cov, _ = integrate_shells(heis1, params, regions, single, 4, counts, seed, spawn_key)
+        block = slice(4 * j, 4 * j + 4)
+        assert sums[block] == pytest.approx(ref, rel=1e-12)
+        assert np.diag(cov)[block] == pytest.approx(np.diag(ref_cov), rel=1e-10)
+
+
+def _counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def test_corpus_suites_make_one_call_per_support(monkeypatch):
+    # hardy and uncertainty make one shell integral per corpus annulus,
+    # lemma2 one for its ten functions of one annulus
+    calls = {"hardy_ratio": 0, "integrate_shells": 0}
+    monkeypatch.setattr(verify_mod, "hardy_ratio", _counting(calls, "hardy_ratio", verify_mod.hardy_ratio))
+    cfg = SuiteConfig(group="heisenberg:1", **FAST)
+    assert run_suite("hardy", cfg).overall_pass and calls["hardy_ratio"] == 5
+    assert run_suite("lemma2", cfg).overall_pass and calls["hardy_ratio"] == 6
+    monkeypatch.setattr(verify_mod, "integrate_shells", _counting(calls, "integrate_shells", verify_mod.integrate_shells))
+    assert run_suite("uncertainty", cfg).overall_pass and calls["integrate_shells"] == 5
+
+
+def test_hardy_ratio_evaluates_each_modulation_once_per_batch(heis1, monkeypatch):
+    # ten functions, both modulation kinds, the whole (p, alpha) grid: each
+    # modulation's X-gradient runs once per Monte Carlo slice, not once per
+    # function or case
+    calls = {"z1": 0, "t1": 0, "other": 0, "batches": 0}
+    gradient = verify_mod.horizontal_gradient_batch
+
+    def counted(alg, params, backend, field, Z, T):
+        mod = getattr(getattr(field.eval, "func", None), "__self__", None)
+        calls[mod.kind if isinstance(mod, AngularModulation) else "other"] += 1
+        return gradient(alg, params, backend, field, Z, T)
+
+    integrate = verify_mod.integrate_shells
+    monkeypatch.setattr(verify_mod, "horizontal_gradient_batch", counted)
+    monkeypatch.setattr(verify_mod, "integrate_shells",
+                        lambda alg, params, regions, multi_fn, *rest: integrate(alg, params, regions,
+                                                                                _counting(calls, "batches", multi_fn), *rest))
+    cases = [(params, phi) for phi in build_hardy_corpus()[:10] for params in _admissible_grid(heis1)]
+    hardy_ratio(heis1, cases, 8_000, seed=11)
+    assert calls["batches"] >= len(_support_shells(0.5, 2.0))
+    assert calls["z1"] == calls["t1"] == calls["other"] == calls["batches"]
 
 
 def test_sharpness_shape_shared_across_params(heis1):
