@@ -15,7 +15,6 @@ from .algebra import (
     resolve_group,
 )
 from .fields import (
-    DiffBackend,
     RadialProfile,
     ScalarField,
 )

@@ -287,7 +287,6 @@ def power_profile(exponent: float, scale: float = 1.0) -> RadialProfile:
         f=lambda x: scale * x**exponent,
         df=lambda x: scale * exponent * x ** (exponent - 1.0),
         d2f=lambda x: scale * exponent * (exponent - 1.0) * x ** (exponent - 2.0),
-        label=f"{scale}*x^{exponent}",
     )
 
 
@@ -297,7 +296,6 @@ def log_profile(scale: float = 1.0) -> RadialProfile:
         f=lambda x: -scale * np.log(x),
         df=lambda x: -scale / x,
         d2f=lambda x: scale / x**2,
-        label=f"{scale}*log(1/x)",
     )
 
 

@@ -19,20 +19,19 @@ computed here as the divergence of the flux field by nested numerical
 differentiation.  The weighted variant uses the flux
 w |grad_X u|^{p-2} grad_X u with w = d^alpha |grad_X d|^beta.
 
-Differentiation backends
-------------------------
-``DiffBackend(mode="analytic")`` uses a field's analytic Euclidean
-gradient when present and falls back to central differences;
-``mode="central-fd"`` forces central differences (the oracle mode used by
-the verification suites).  Central-difference steps are per-coordinate,
+Differentiation
+---------------
+A field is differentiated through its analytic Euclidean gradient
+``euclid_grad`` when it has one, and by central differences of ``eval``
+otherwise.  Central-difference steps are per-coordinate,
 ``h * (scale + |coordinate|)``, where the scale defaults to 1 and can be
 overridden per field: functions of the gauge norm d vary over ~d in z and
 over ~d^{2k}/4 in t, and using those anisotropic scales is what keeps the
 finite differences conditioned at small d.  First derivatives use the
-backend's h1 (~eps_machine^{1/3}); outer derivatives of nested fluxes use
-the module constant H2 = 1e-4 (~eps_machine^{1/4}); a finite difference
-OF a finite difference needs an inner step near eps_machine^{1/4} as
-well, which callers select by passing a backend with a larger h1.
+relative step h1, by default H1 = 6e-6 (~eps_machine^{1/3}); outer
+derivatives of nested fluxes use H2 = 1e-4 (~eps_machine^{1/4}); a finite
+difference OF a finite difference needs an inner step near
+eps_machine^{1/4} as well, which callers select by passing a larger h1.
 
 Everything is a pure function of immutable inputs; evaluation callables
 take coordinate batches Z (n, m) and T (n, q) and return (n,) or (n, m)
@@ -53,7 +52,6 @@ __all__ = [
     "NearSingularWarning",
     "DegenerateFluxWarning",
     "ScalarField",
-    "DiffBackend",
     "RadialProfile",
     "aniso_scales",
     "euclid_gradient",
@@ -71,6 +69,9 @@ DELTA_Z = 1e-6
 
 #: gradient magnitude below which the p < 2 flux is treated as degenerate
 DEGENERATE_FLUX_TOL = 1e-10
+
+#: relative step of first-derivative central differences
+H1 = 6e-6
 
 #: relative step of the outer central differences of nested fluxes
 H2 = 1e-4
@@ -99,27 +100,7 @@ class ScalarField:
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     euclid_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    label: str = ""
     fd_scales: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
-
-
-@dataclass(frozen=True)
-class DiffBackend:
-    """Differentiation mode and central-difference steps.
-
-    mode: "analytic" (use analytic gradients when a field has them) or
-    "central-fd" (always differentiate numerically).  h1 is the relative
-    step for first derivatives.
-    """
-
-    mode: str = "analytic"
-    h1: float = 6e-6
-
-    def __post_init__(self):
-        if self.mode not in ("analytic", "central-fd"):
-            raise ValueError(f"unknown backend mode {self.mode!r}")
-        if not self.h1 > 0:
-            raise ValueError("finite-difference step h1 must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,7 +111,6 @@ class RadialProfile:
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     d2f: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
 
 def aniso_scales(params: OperatorParams) -> Callable:
@@ -194,18 +174,12 @@ def _central_differences(fn: Callable, Z: np.ndarray, T: np.ndarray, h: float, s
         yield c, (fp - fm) / (h_eff if fp.ndim == 1 else h_eff[:, None])
 
 
-def _fd_euclid_grad(f: ScalarField, Z: np.ndarray, T: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of f.eval in all m + q coordinates."""
-    return np.stack([dq for _, dq in _central_differences(f.eval, Z, T, h, f.fd_scales)], axis=1)
-
-
-def euclid_gradient(
-    backend: DiffBackend, f: ScalarField, Z: np.ndarray, T: np.ndarray
-) -> np.ndarray:
-    """All Euclidean partials of f, shape (n, m + q)."""
-    if backend.mode == "analytic" and f.euclid_grad is not None:
+def euclid_gradient(f: ScalarField, Z: np.ndarray, T: np.ndarray, h1: float = H1) -> np.ndarray:
+    """All Euclidean partials of f, shape (n, m + q): f.euclid_grad when f
+    has one, else central differences of f.eval with relative step h1."""
+    if f.euclid_grad is not None:
         return np.asarray(f.euclid_grad(Z, T), dtype=float)
-    return _fd_euclid_grad(f, Z, T, backend.h1)
+    return np.stack([dq for _, dq in _central_differences(f.eval, Z, T, h1, f.fd_scales)], axis=1)
 
 
 def _drift(alg: HTypeAlgebra, params: OperatorParams, Z: np.ndarray) -> tuple:
@@ -227,15 +201,16 @@ def _x_from_euclid(
 def horizontal_gradient_batch(
     alg: HTypeAlgebra,
     params: OperatorParams,
-    backend: DiffBackend,
     f: ScalarField,
     Z: np.ndarray,
     T: np.ndarray,
+    h1: float = H1,
 ) -> np.ndarray:
-    """grad_X f at a batch of points, shape (n, m); column j - 1 is X_j f."""
+    """grad_X f at a batch of points, shape (n, m); column j - 1 is X_j f.
+    h1 is the relative step used when f has no analytic gradient."""
     Z, T = _as_batch(Z, T, alg.m, alg.q)
     _near_singular_check(params, Z)
-    G = euclid_gradient(backend, f, Z, T)
+    G = euclid_gradient(f, Z, T, h1)
     return _x_from_euclid(alg, params, Z, G)
 
 
@@ -287,11 +262,11 @@ def gradient_weight_batch(params: OperatorParams, Z: np.ndarray, T: np.ndarray) 
     return w
 
 
-def _p_laplacian_impl(alg, params, backend, f, Z, T, weighted: bool) -> np.ndarray:
+def _p_laplacian_impl(alg, params, f, Z, T, weighted: bool) -> np.ndarray:
     p = params.p
 
     def flux(Zp, Tp):
-        G = euclid_gradient(backend, f, Zp, Tp)
+        G = euclid_gradient(f, Zp, Tp)
         Xg = _x_from_euclid(alg, params, Zp, G)
         fac = _flux_factor(Xg, p)
         if weighted:
@@ -301,15 +276,15 @@ def _p_laplacian_impl(alg, params, backend, f, Z, T, weighted: bool) -> np.ndarr
     return divergence_of_values(alg, params, flux, Z, T, H2, f.fd_scales)
 
 
-def p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
+def p_laplacian_batch(alg, params, f, Z, T) -> np.ndarray:
     """L_{p,k} f = div_X(|grad_X f|^{p-2} grad_X f) at a batch of points,
     by outer central differences of the flux with step H2."""
     Z, T = _as_batch(Z, T, alg.m, alg.q)
     _near_singular_check(params, Z)
-    return _p_laplacian_impl(alg, params, backend, f, Z, T, weighted=False)
+    return _p_laplacian_impl(alg, params, f, Z, T, weighted=False)
 
 
-def weighted_p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
+def weighted_p_laplacian_batch(alg, params, f, Z, T) -> np.ndarray:
     """div_X(w |grad_X f|^{p-2} grad_X f) with w = d^alpha |grad_X d|^beta."""
     params.validate_weighted()
     Z, T = _as_batch(Z, T, alg.m, alg.q)
@@ -322,7 +297,7 @@ def weighted_p_laplacian_batch(alg, params, backend, f, Z, T) -> np.ndarray:
             NearSingularWarning,
             stacklevel=2,
         )
-    return _p_laplacian_impl(alg, params, backend, f, Z, T, weighted=True)
+    return _p_laplacian_impl(alg, params, f, Z, T, weighted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +329,4 @@ def profile_field(params: OperatorParams, profile: RadialProfile, eps: float) ->
         gt = (fac * 8.0 / k)[:, None] * T
         return np.concatenate([gz, gt], axis=1)
 
-    return ScalarField(
-        eval=ev,
-        euclid_grad=gr,
-        label=f"{profile.label or 'f'}(d_eps={eps})",
-        fd_scales=aniso_scales(params),
-    )
+    return ScalarField(eval=ev, euclid_grad=gr, fd_scales=aniso_scales(params))

@@ -184,10 +184,11 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     candidates unless one replicate is larger, so they do not depend on
     nf; only the accepted ones are evaluated, in slices of at most
     _SLICE // nf points that may span replicates, and rejected candidates
-    count as zeros.  Returns (values, covariance, n, accepted) where
+    count as zeros.  Returns (values, covariance, accepted) where
     values[i], the mean of the replicate estimates, estimates integral i
     and covariance is that of values: the two-pass sample covariance of
-    the replicate estimates divided by REPLICATES.
+    the replicate estimates divided by REPLICATES; accepted counts the
+    candidates that fell in the region.
     """
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
@@ -213,7 +214,7 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     est = sampler.box_volume() * sums / sizes[:, None]
     mean = est.mean(axis=0)
     dev = est - mean
-    return mean, dev.T @ dev / (REPLICATES * (REPLICATES - 1)), n, accepted
+    return mean, dev.T @ dev / (REPLICATES * (REPLICATES - 1)), accepted
 
 
 def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_fn: Callable,
@@ -229,7 +230,7 @@ def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_f
     last = vals
     for i, (region, n) in enumerate(zip(regions, counts, strict=True)):
         sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
-        last, c, _, _ = mc_region_multi(sampler, multi_fn, nf, n)
+        last, c, _ = mc_region_multi(sampler, multi_fn, nf, n)
         vals += last
         cov += c
     return vals, cov, last
@@ -260,7 +261,7 @@ def neyman_counts(alg: HTypeAlgebra, params: OperatorParams, regions, f: Callabl
     v = np.empty(len(regions))
     for i, region in enumerate(regions):
         sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
-        _, c, _, _ = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, pilot)
+        _, c, _ = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, pilot)
         v[i] = c[0, 0]
     total = float(np.sum(v))
     if total == 0.0:

@@ -64,7 +64,7 @@ from .algebra import (
 )
 from . import closedform as cf
 from .fields import (
-    DiffBackend,
+    H1,
     ScalarField,
     aniso_scales,
     divergence_of_values,
@@ -104,9 +104,6 @@ __all__ = [
     "run_suite",
 ]
 
-_ANALYTIC = DiffBackend(mode="analytic")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -120,10 +117,10 @@ class SuiteConfig:
     p: float = 2.0
     alpha: float = 0.0
     beta: float = 0.0
-    n_points: int = 500
     n_samples: int = 1_000_000
     corpus_samples: int = 60_000
     seed: int = 20240
+    n_points: ClassVar[int] = 500
     j_max: ClassVar[int] = 8
     eps_sweep: ClassVar[tuple] = tuple(0.5**a for a in range(9))
 
@@ -237,17 +234,17 @@ def _gauge_field(params: OperatorParams) -> ScalarField:
     def ev(Z, T):
         return gauge4k(params, Z, T)
 
-    return ScalarField(eval=ev, euclid_grad=None, label="d^4k", fd_scales=aniso_scales(params))
+    return ScalarField(eval=ev, fd_scales=aniso_scales(params))
 
 
-def fd_grad_d_eps(alg, params, Z, T, eps: float, h: float = 6e-6) -> np.ndarray:
+def fd_grad_d_eps(alg, params, Z, T, eps: float, h: float = H1) -> np.ndarray:
     """Finite-difference X-gradient of d_eps, differentiated through the
     polynomial gauge: X_j d_eps = d_eps^{1-4k}/(4k) * X_j(d^{4k}) exactly,
     since the eps term of d_eps^{4k} is constant.  Differencing d_eps
     itself is hopelessly ill-conditioned when eps >> d (the derivative of
     an O(1) function smaller by a factor (d/d_eps)^{4k})."""
     k = params.k
-    Xv = horizontal_gradient_batch(alg, params, DiffBackend("central-fd", h1=h), _gauge_field(params), Z, T)
+    Xv = horizontal_gradient_batch(alg, params, _gauge_field(params), Z, T, h)
     de = norm_d_eps(params, (Z, T), eps)
     return (de ** (1.0 - 4.0 * k) / (4.0 * k))[:, None] * Xv
 
@@ -277,8 +274,7 @@ def verify_lemma1(config: SuiteConfig) -> VerificationReport:
     # eps-independent Laplacian of the gauge: nested FD, inner step near
     # eps_machine^{1/4} because its output is differenced again
     gfield = _gauge_field(params)
-    inner_fd = DiffBackend("central-fd", h1=1e-4)
-    inner = lambda Zp, Tp: horizontal_gradient_batch(alg, params, inner_fd, gfield, Zp, Tp)
+    inner = lambda Zp, Tp: horizontal_gradient_batch(alg, params, gfield, Zp, Tp, 1e-4)
     fd_lap4k = divergence_of_values(alg, params, inner, Z, T, 3e-4, scales)
     report.add_deterministic("lap-gauge", _max_rel_err(fd_lap4k, cf.lap_d4k(params, (Z, T))), 1e-5)
 
@@ -304,21 +300,28 @@ def _quintic_d(x: np.ndarray) -> np.ndarray:
     return np.where((x <= 0.0) | (x >= 1.0), 0.0, 30.0 * x**2 * (1.0 - x) ** 2)
 
 
+def _transitions(a: float, wa: float, b: float, wb: float) -> tuple:
+    """(F, F') of F(x) = q((x - a)/wa) q((b - x)/wb): a quintic rise on
+    [a, a + wa], a quintic fall on [b - wb, b], 0 outside [a, b]."""
+
+    def F(x):
+        return _quintic((x - a) / wa) * _quintic((b - x) / wb)
+
+    def dF(x):
+        return (_quintic_d((x - a) / wa) / wa * _quintic((b - x) / wb)
+                - _quintic((x - a) / wa) * _quintic_d((b - x) / wb) / wb)
+
+    return F, dF
+
+
 def _shape(kind: str):
     """Bump shapes on [0, 1], vanishing with vanishing derivative at both
     endpoints; returns (F, dF)."""
     if kind == "window":
-
-        def F(x):
-            return _quintic(x / 0.35) * _quintic((1.0 - x) / 0.35)
-
-        def dF(x):
-            return (
-                _quintic_d(x / 0.35) / 0.35 * _quintic((1.0 - x) / 0.35)
-                - _quintic(x / 0.35) * _quintic_d((1.0 - x) / 0.35) / 0.35
-            )
-
-    elif kind == "sin2":
+        return _transitions(0.0, 0.35, 1.0, 0.35)
+    if kind == "plateau":
+        return _transitions(0.0, 0.2, 1.0, 0.4)
+    if kind == "sin2":
 
         def F(x):
             return np.sin(np.pi * x) ** 2
@@ -342,17 +345,6 @@ def _shape(kind: str):
 
         def dF(x):
             return c * (2.0 * x * (1.0 - x) ** 4 - 4.0 * x**2 * (1.0 - x) ** 3)
-
-    elif kind == "plateau":
-
-        def F(x):
-            return _quintic(x / 0.2) * _quintic((1.0 - x) / 0.4)
-
-        def dF(x):
-            return (
-                _quintic_d(x / 0.2) / 0.2 * _quintic((1.0 - x) / 0.4)
-                - _quintic(x / 0.2) * _quintic_d((1.0 - x) / 0.4) / 0.4
-            )
 
     else:
         raise ValueError(f"unknown shape {kind!r}")
@@ -461,7 +453,7 @@ class HardyTestFunction:
                 out = out + (self.f(d))[:, None] * mod.grad(params, Z, T)
             return out
 
-        return ScalarField(eval=ev, euclid_grad=gr, label=self.label, fd_scales=aniso_scales(params))
+        return ScalarField(eval=ev, euclid_grad=gr, fd_scales=aniso_scales(params))
 
 
 def annulus_bump(r0: float, r1: float, kind: str = "window", modulation=None, label: str = "") -> HardyTestFunction:
@@ -551,14 +543,14 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T):
     d = norm_d(params, (Z, T))
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     d_field = ScalarField(eval=lambda *ZT: norm_d(params, ZT), euclid_grad=lambda *ZT: _d_and_grad(params, *ZT)[1])
-    Xd = horizontal_gradient_batch(alg, params, _ANALYTIC, d_field, Z, T)
+    Xd = horizontal_gradient_batch(alg, params, d_field, Z, T)
     Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
     shape_values = cache(lambda shape: (shape[0](d), shape[1](d)))
 
     @cache
     def modulation(mod):
         mod_field = ScalarField(eval=partial(mod.value, params), euclid_grad=partial(mod.grad, params))
-        return mod.value(params, Z, T), horizontal_gradient_batch(alg, params, _ANALYTIC, mod_field, Z, T)
+        return mod.value(params, Z, T), horizontal_gradient_batch(alg, params, mod_field, Z, T)
 
     def field(phi):
         f, df = phi.profile(d, *shape_values(phi.shape))
@@ -697,10 +689,9 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
     # (a) harmonicity, 200 points with d in [0.5, 5]
     spec = cf.fundamental_solution(params)
     gamma_field = spec.as_field(params)
-    n_h = min(200, config.n_points)
-    Z, T = sample_gauge_points(alg, params, n_h, config.rng(2), d_range=(0.5, 5.0), zfrac_min=0.2)
-    resid = np.abs(p_laplacian_batch(alg, params, _ANALYTIC, gamma_field, Z, T))
-    G = horizontal_gradient_batch(alg, params, _ANALYTIC, gamma_field, Z, T)
+    Z, T = sample_gauge_points(alg, params, 200, config.rng(2), d_range=(0.5, 5.0), zfrac_min=0.2)
+    resid = np.abs(p_laplacian_batch(alg, params, gamma_field, Z, T))
+    G = horizontal_gradient_batch(alg, params, gamma_field, Z, T)
     gn = np.sqrt(np.einsum("nj,nj->n", G, G))
     d = norm_d(params, (Z, T))
     scale = gn ** (p - 1.0) / d
@@ -768,7 +759,7 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
     if n < REPLICATES:
         raise ValueError(f"moments: n_samples={n} cannot fill the {REPLICATES} replicates of one estimate; "
                          "raise --samples")
-    vals, cov, _, accepted = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
+    vals, cov, accepted = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
     if accepted < max(REPLICATES, 1e-4 * n):
         raise ValueError(f"moments: acceptance rate {accepted / n:.2e} in the unit gauge ball ({accepted} of "
                          f"n_samples={n}); an estimate needs {REPLICATES} accepted and a rate of 1e-4; raise --samples")
@@ -846,23 +837,7 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
 def _cutoff(j: int) -> tuple:
     """(psi_j, psi_j') of :func:`sharpness_test_function`, cached so that
     every u_j of one j holds the same shape."""
-    r_in0, r_in1 = 2.0 ** (-j - 1), 2.0**-j
-    r_out0, r_out1 = 1.0, 2.0
-    w_in = r_in1 - r_in0
-
-    def psi(r):
-        out = np.ones_like(r)
-        out = np.where(r < r_in1, _quintic((r - r_in0) / w_in), out)
-        out = np.where(r > r_out0, _quintic(r_out1 - r), out)
-        return np.where((r <= r_in0) | (r >= r_out1), 0.0, out)
-
-    def dpsi(r):
-        out = np.zeros_like(r)
-        out = np.where(r < r_in1, _quintic_d((r - r_in0) / w_in) / w_in, out)
-        out = np.where(r > r_out0, -_quintic_d(r_out1 - r), out)
-        return np.where((r <= r_in0) | (r >= r_out1), 0.0, out)
-
-    return psi, dpsi
+    return _transitions(2.0 ** (-j - 1), 2.0 ** (-j - 1), 2.0, 1.0)
 
 
 def sharpness_test_function(params: OperatorParams, j: int) -> HardyTestFunction:
@@ -981,10 +956,9 @@ def verify_lemma2(config: SuiteConfig) -> VerificationReport:
     mu = (p - Q - a) / p
 
     # (i) pointwise witness identity
-    n_pts = min(200, config.n_points)
-    Z, T = sample_gauge_points(alg, params, n_pts, config.rng(6), d_range=(0.1, 10.0), zfrac_min=0.2)
+    Z, T = sample_gauge_points(alg, params, 200, config.rng(6), d_range=(0.1, 10.0), zfrac_min=0.2)
     v_field = profile_field(params, cf.power_profile(mu), eps=0.0)
-    Lv = weighted_p_laplacian_batch(alg, params, _ANALYTIC, v_field, Z, T)
+    Lv = weighted_p_laplacian_batch(alg, params, v_field, Z, T)
     d = norm_d(params, (Z, T))
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     rhs = lam * d**a * zn ** ((2.0 * k - 1.0) * p) / d ** (2.0 * k * p) * d ** (mu * (p - 1.0))

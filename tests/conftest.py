@@ -84,7 +84,7 @@ def gaussian_field(a: float, b: float, m: int, q: int) -> ScalarField:
         v = ev(Z, T)
         return np.concatenate([-2.0 * a * Z * v[:, None], -2.0 * b * T * v[:, None]], axis=1)
 
-    return ScalarField(eval=ev, euclid_grad=gr, label=f"gauss(a={a},b={b})")
+    return ScalarField(eval=ev, euclid_grad=gr)
 
 
 def monomial_field(z_pows: Sequence[int], t_pows: Sequence[int]) -> ScalarField:
@@ -109,11 +109,7 @@ def monomial_field(z_pows: Sequence[int], t_pows: Sequence[int]) -> ScalarField:
                 out[:, len(za) + i] = col * np.prod(Z**za, axis=1)
         return out
 
-    lbl = "*".join(
-        [f"z{j + 1}^{a}" for j, a in enumerate(za) if a]
-        + [f"t{i + 1}^{b}" for i, b in enumerate(tb) if b]
-    )
-    return ScalarField(eval=ev, euclid_grad=gr, label=lbl or "1")
+    return ScalarField(eval=ev, euclid_grad=gr)
 
 
 def linear_combination_field(coeffs: Sequence[float], fields: Sequence[ScalarField]) -> ScalarField:
@@ -130,7 +126,7 @@ def linear_combination_field(coeffs: Sequence[float], fields: Sequence[ScalarFie
             return sum(c * g(Z, T) for c, g in zip(cs, grads))
 
     scales = next((f.fd_scales for f in fields if f.fd_scales is not None), None)
-    return ScalarField(eval=ev, euclid_grad=gr, label="+".join(f.label for f in fields), fd_scales=scales)
+    return ScalarField(eval=ev, euclid_grad=gr, fd_scales=scales)
 
 
 def scale_field(c: float, f: ScalarField) -> ScalarField:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -340,6 +341,12 @@ def test_config_keys_are_the_flag_names():
     [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     dests = {a.dest for sp in commands.choices.values() for a in sp._actions if a.dest != "help"}
     assert dests - {"config"} == set(_DEFAULTS)
+
+
+def test_every_suite_config_field_has_an_option():
+    # a SuiteConfig field that no option sets is a knob only tests can turn
+    fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+    assert fields == {field for field, _ in cli._SUITE_FIELDS.values()}
 
 
 def test_sweep_j_defaults_to_j_max(capsys):

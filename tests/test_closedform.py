@@ -5,11 +5,10 @@ import pytest
 
 from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
-from hplap.fields import DiffBackend, RadialProfile, p_laplacian_batch, profile_field
+from hplap.fields import RadialProfile, p_laplacian_batch, profile_field
 from hplap.verify import sample_gauge_points
 from conftest import moment_oracle_1d, params_for
 
-AN = DiffBackend(mode="analytic")
 
 
 def point(z, t):
@@ -121,7 +120,7 @@ def test_radial_L_matches_nested_differences(heis1, rng):
     )
     f = profile_field(params, prof, eps=1.0)
     Z, T = sample_gauge_points(heis1, params, 20, rng)
-    got = p_laplacian_batch(heis1, params, AN, f, Z, T)
+    got = p_laplacian_batch(heis1, params, f, Z, T)
     want = cf.radial_L(params, prof, (Z, T), 1.0)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-4
 
@@ -250,8 +249,8 @@ def test_fundamental_solution_harmonic_for_p_above_Q(heis1, rng):
     Z, T = sample_gauge_points(heis1, params, 15, rng, d_range=(0.5, 3.0), zfrac_min=0.3)
     from hplap.fields import horizontal_gradient_batch
 
-    resid = np.abs(p_laplacian_batch(heis1, params, AN, fld, Z, T))
-    G = horizontal_gradient_batch(heis1, params, AN, fld, Z, T)
+    resid = np.abs(p_laplacian_batch(heis1, params, fld, Z, T))
+    G = horizontal_gradient_batch(heis1, params, fld, Z, T)
     gn = np.sqrt(np.einsum("nj,nj->n", G, G))
     d = norm_d(params, (Z, T))
     assert np.max(resid / (gn ** (params.p - 1.0) / d)) < 1e-4

@@ -30,7 +30,7 @@ def one(Z, T):
 
 def ball_integral(alg, params, f, R, n, seed):
     """(value, stderr) of the integral of f over the gauge ball d < R."""
-    vals, cov, _, _ = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, R), seed), lambda Z, T: [f(Z, T)], 1, n)
+    vals, cov, _ = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, R), seed), lambda Z, T: [f(Z, T)], 1, n)
     return float(vals[0]), math.sqrt(cov[0, 0])
 
 
@@ -166,7 +166,7 @@ def test_integrate_shells_region_uses_own_substream(heis1):
     regions = _dyadic_regions(-12, 12)
     vals, cov, last = integrate_shells(heis1, params, regions, f, 1, [20_000] * len(regions), 5, (3,))
     idx = regions.index(ShellRegion(2.0, 4.0))
-    ref, ref_cov, _, _ = mc_region_multi(Sampler(heis1, params, regions[idx], 5, spawn_key=(3, idx)), f, 1, 20_000)
+    ref, ref_cov, _ = mc_region_multi(Sampler(heis1, params, regions[idx], 5, spawn_key=(3, idx)), f, 1, 20_000)
     assert vals[0] == pytest.approx(ref[0], rel=1e-12) and vals[0] > 0.0
     assert cov[0, 0] == pytest.approx(ref_cov[0, 0], rel=1e-12)
     assert last[0] == 0.0
@@ -202,8 +202,7 @@ def test_integrate_shells_unequal_counts_match_per_region_sums(heis1):
     vals, cov, last = integrate_shells(heis1, params, regions, multi, 2, counts, 4, (6,))
     ref_vals, ref_cov = np.zeros(2), np.zeros((2, 2))
     for i, (region, n) in enumerate(zip(regions, counts)):
-        v, c, n_used, _ = mc_region_multi(Sampler(heis1, params, region, 4, spawn_key=(6, i)), multi, 2, n)
-        assert n_used == n
+        v, c, _ = mc_region_multi(Sampler(heis1, params, region, 4, spawn_key=(6, i)), multi, 2, n)
         ref_vals += v
         ref_cov += c
     assert np.array_equal(vals, ref_vals) and np.array_equal(cov, ref_cov) and np.array_equal(last, v)
@@ -254,9 +253,9 @@ def test_mc_region_multi_matches_zero_padded_reference(heis1, monkeypatch):
     for chunk in (quadrature._CHUNK, 1000):  # one chunk, then three replicates per chunk
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
         slices.clear()
-        vals, cov, n_used, accepted = mc_region_multi(sampler, multi, nf, n)
+        vals, cov, accepted = mc_region_multi(sampler, multi, nf, n)
         assert len(slices) > 1 and max(slices) <= _SLICE // nf and sum(slices) == accepted
-        assert n_used == n and accepted == int(mask.sum())
+        assert accepted == int(mask.sum())
         np.testing.assert_allclose(vals, est.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(cov, ref_cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref_cov)))
 
@@ -275,7 +274,7 @@ def test_variance_survives_large_constant_offset(heis1, monkeypatch):
 
     monkeypatch.setattr(Sampler, "draw", every_candidate)
     sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), 8)
-    _, cov, _, _ = mc_region_multi(sampler, lambda Z, T: np.stack([1e8 + zsq(Z, T), zsq(Z, T)]), 2, 100_000)
+    _, cov, _ = mc_region_multi(sampler, lambda Z, T: np.stack([1e8 + zsq(Z, T), zsq(Z, T)]), 2, 100_000)
     assert cov[1, 1] > 0.0
     assert cov[0, 0] == pytest.approx(cov[1, 1], rel=1e-3)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hplap import closedform as cf
 from hplap.algebra import make_heisenberg, norm_d
-from hplap.fields import DiffBackend, horizontal_gradient_batch
+from hplap.fields import euclid_gradient, horizontal_gradient_batch
 from hplap import verify as verify_mod
 from hplap.quadrature import Sampler, ShellRegion, integrate_shells, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
@@ -31,7 +32,7 @@ from hplap.verify import (
 )
 from conftest import params_for
 
-FAST = dict(n_points=60, n_samples=40_000, corpus_samples=8_000)
+FAST = dict(n_samples=40_000, corpus_samples=8_000)
 
 
 # ------------------------------------------------------------------ reports
@@ -263,7 +264,7 @@ def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch)
             d = norm_d(params, (Z, T))
             zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
             u = fld.eval(Z, T)
-            G = horizontal_gradient_batch(heis1, params, DiffBackend(), fld, Z, T)
+            G = horizontal_gradient_batch(heis1, params, fld, Z, T)
             gn = np.sqrt(np.einsum("nj,nj->n", G, G))
             return np.stack([zn ** (s / (s - 1.0)) * np.abs(u) ** (s / (s - 1.0)), gn**s,
                              (zn / d) ** (2.0 * k) * u**2, (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s) * np.abs(u) ** s])
@@ -301,10 +302,10 @@ def test_hardy_ratio_evaluates_each_modulation_once_per_batch(heis1, monkeypatch
     calls = {"z1": 0, "t1": 0, "other": 0, "batches": 0}
     gradient = verify_mod.horizontal_gradient_batch
 
-    def counted(alg, params, backend, field, Z, T):
+    def counted(alg, params, field, Z, T):
         mod = getattr(getattr(field.eval, "func", None), "__self__", None)
         calls[mod.kind if isinstance(mod, AngularModulation) else "other"] += 1
-        return gradient(alg, params, backend, field, Z, T)
+        return gradient(alg, params, field, Z, T)
 
     integrate = verify_mod.integrate_shells
     monkeypatch.setattr(verify_mod, "horizontal_gradient_batch", counted)
@@ -333,7 +334,7 @@ def test_hardy_ratio_chain_rule_matches_full_gradient(kind, heis1):
     fld = phi.as_scalar_field(heis1, params)
 
     def lhs(Z, T):
-        G = horizontal_gradient_batch(heis1, params, DiffBackend(), fld, Z, T)
+        G = horizontal_gradient_batch(heis1, params, fld, Z, T)
         return [norm_d(params, (Z, T)) ** 0.5 * np.einsum("nj,nj->n", G, G) ** 1.25]
 
     [res] = hardy_ratio(heis1, [(params, phi)], 8_000, seed=2, spawn_key=(7,))
@@ -375,10 +376,8 @@ def test_modulated_field_gradient_matches_fd(heis1, rng):
     phi = annulus_bump(0.5, 2.0, "sin2", modulation=AngularModulation("t1", 0.4))
     fld = phi.as_scalar_field(heis1, params)
     Z, T = sample_gauge_points(heis1, params, 40, rng, d_range=(0.6, 1.8))
-    from hplap.fields import DiffBackend, euclid_gradient
-
     ga = fld.euclid_grad(Z, T)
-    gf = euclid_gradient(DiffBackend(mode="central-fd"), fld, Z, T)
+    gf = euclid_gradient(replace(fld, euclid_grad=None), Z, T)
     assert np.max(np.abs(ga - gf)) / np.max(np.abs(ga)) < 1e-6
 
 
@@ -519,7 +518,7 @@ def test_moments_columns_match_single_column_estimates(heis1):
     assert [c.check_id for c in checks] == ["ball-moment-0", "ball-moment-1", "ball-moment-6", "ball-moment-9"]
     sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), cfg.seed)
     for check, gamma in zip(checks, (0.0, 1.0, 6.0, 9.0)):
-        vals, cov, _, _ = mc_region_multi(sampler, lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (gamma / 2.0)], 1, cfg.n_samples)
+        vals, cov, _ = mc_region_multi(sampler, lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (gamma / 2.0)], 1, cfg.n_samples)
         assert check.observed == pytest.approx(vals[0], rel=1e-12)
         assert check.stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
