@@ -190,11 +190,10 @@ def _drift(alg: HTypeAlgebra, params: OperatorParams, Z: np.ndarray) -> tuple:
     return 0.5 * params.k * zn2 ** (params.k - 1.0), np.einsum("iab,nb->nia", alg.J, Z)
 
 
-def _x_from_euclid(
-    alg: HTypeAlgebra, params: OperatorParams, Z: np.ndarray, G: np.ndarray
-) -> np.ndarray:
-    """Contract Euclidean partials (n, m+q) into the X-gradient (n, m)."""
-    coef, Jz = _drift(alg, params, Z)
+def _x_from_euclid(alg: HTypeAlgebra, drift: tuple, G: np.ndarray) -> np.ndarray:
+    """Contract Euclidean partials (n, m+q) into the X-gradient (n, m);
+    drift is :func:`_drift` at the same points."""
+    coef, Jz = drift
     return G[:, :alg.m] + coef[:, None] * np.einsum("nia,ni->na", Jz, G[:, alg.m:])
 
 
@@ -211,7 +210,7 @@ def horizontal_gradient_batch(
     Z, T = _as_batch(Z, T, alg.m, alg.q)
     _near_singular_check(params, Z)
     G = euclid_gradient(f, Z, T, h1)
-    return _x_from_euclid(alg, params, Z, G)
+    return _x_from_euclid(alg, _drift(alg, params, Z), G)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def _p_laplacian_impl(alg, params, f, Z, T, weighted: bool) -> np.ndarray:
 
     def flux(Zp, Tp):
         G = euclid_gradient(f, Zp, Tp)
-        Xg = _x_from_euclid(alg, params, Zp, G)
+        Xg = _x_from_euclid(alg, _drift(alg, params, Zp), G)
         fac = _flux_factor(Xg, p)
         if weighted:
             fac = fac * gradient_weight_batch(params, Zp, Tp)

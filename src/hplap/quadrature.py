@@ -201,9 +201,11 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     for r0 in range(0, REPLICATES, per):
         reps = np.arange(r0, min(r0 + per, REPLICATES))
         Z, T, mask = sampler.draw(int(sizes[reps].sum()), shifts[reps])
-        # each accepted candidate's replicate; int8 holds REPLICATES <= 127
-        label = np.repeat(np.arange(len(reps), dtype=np.int8), sizes[reps])[mask]
-        Z, T = Z[mask], T[mask]
+        # each accepted candidate's replicate, from each replicate's accepted
+        # count; int8 holds REPLICATES <= 127
+        kept = np.add.reduceat(mask, np.cumsum(sizes[reps]) - sizes[reps])
+        label = np.repeat(np.arange(len(reps), dtype=np.int8), kept)
+        Z, T = np.compress(mask, Z, axis=0), np.compress(mask, T, axis=0)
         for i in range(0, len(Z), step):
             vals = np.asarray(multi_fn(Z[i : i + step], T[i : i + step]), dtype=float).reshape(nf, -1)
             lab = label[i : i + step]

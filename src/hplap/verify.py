@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import groupby
 from typing import ClassVar, Optional
 
@@ -66,6 +66,9 @@ from . import closedform as cf
 from .fields import (
     H1,
     ScalarField,
+    _drift,
+    _near_singular_check,
+    _x_from_euclid,
     aniso_scales,
     divergence_of_values,
     horizontal_gradient_batch,
@@ -374,16 +377,17 @@ class AngularModulation:
     kind: str  # "z1" or "t1"
     c: float
 
-    def value(self, params, Z, T):
-        d = norm_d(params, (Z, T))
+    def value(self, params, Z, T, d=None):
+        d = norm_d(params, (Z, T)) if d is None else d
         if self.kind == "z1":
             return 1.0 + self.c * Z[:, 0] / d
         return 1.0 + self.c * 8.0 * T[:, 0] / d ** (2.0 * params.k)
 
-    def grad(self, params, Z, T):
+    def grad(self, params, Z, T, d_grad=None):
+        """Euclidean gradient, shape (n, m + q); d_grad = (d, grad d) when the caller has them."""
         n, m = Z.shape
         q = T.shape[1]
-        d, grad_d = _d_and_grad(params, Z, T)
+        d, grad_d = _d_and_grad(params, Z, T) if d_grad is None else d_grad
         gz, gt = grad_d[:, :m], grad_d[:, m:]
         out = np.zeros((n, m + q))
         if self.kind == "z1":
@@ -410,7 +414,6 @@ class HardyTestFunction:
     support: tuple
     power: float = 0.0
     modulation: Optional[AngularModulation] = None
-    label: str = ""
 
     def __post_init__(self):
         r0, r1 = self.support
@@ -456,7 +459,10 @@ class HardyTestFunction:
         return ScalarField(eval=ev, euclid_grad=gr, fd_scales=aniso_scales(params))
 
 
-def annulus_bump(r0: float, r1: float, kind: str = "window", modulation=None, label: str = "") -> HardyTestFunction:
+@cache
+def _annulus_shape(r0: float, r1: float, kind: str) -> tuple:
+    """(f, f') of the shape kind stretched onto [r0, r1], one pair per
+    (r0, r1, kind), so that radial and modulated twins share it."""
     F, dF = _shape(kind)
     w = r1 - r0
 
@@ -468,9 +474,11 @@ def annulus_bump(r0: float, r1: float, kind: str = "window", modulation=None, la
         xi = (r - r0) / w
         return np.where((xi > 0.0) & (xi < 1.0), dF(np.clip(xi, 0.0, 1.0)) / w, 0.0)
 
-    return HardyTestFunction(
-        shape=(f, df), support=(r0, r1), modulation=modulation, label=label or f"{kind}[{r0},{r1}]"
-    )
+    return f, df
+
+
+def annulus_bump(r0: float, r1: float, kind: str = "window", modulation=None) -> HardyTestFunction:
+    return HardyTestFunction(shape=_annulus_shape(r0, r1, kind), support=(r0, r1), modulation=modulation)
 
 
 def build_hardy_corpus() -> list:
@@ -488,15 +496,7 @@ def build_hardy_corpus() -> list:
                 if modded:
                     mod = AngularModulation("z1", 0.5) if n_mod % 2 == 0 else AngularModulation("t1", 0.4)
                     n_mod += 1
-                corpus.append(
-                    annulus_bump(
-                        r0,
-                        r1,
-                        kind,
-                        modulation=mod,
-                        label=f"{kind}[{r0},{r1}]" + (f"*{mod.kind}" if mod else ""),
-                    )
-                )
+                corpus.append(annulus_bump(r0, r1, kind, modulation=mod))
     return corpus
 
 
@@ -537,26 +537,26 @@ def _integrate_support(alg, params, support, multi_fn, nf: int, n: int, seed: in
     return sums, cov, n_per * len(shells)
 
 
-def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T):
-    """(d, |z|, field) on one batch, field(phi) = (|Phi|, |grad_X Phi|) by grad_X Phi = phi'(d) grad_X d * mod +
-    phi(d) grad_X mod: grad_X d once, F(d), F'(d) once per shape, each modulation's value and X-gradient once."""
-    d = norm_d(params, (Z, T))
+def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, phis):
+    """(d, |z|, field) on one batch, field(phi) = (|Phi|, |grad_X Phi|) for phi in phis by grad_X Phi =
+    phi'(d) grad_X d * mod + phi(d) grad_X mod.  d, its Euclidean gradient and the drift of X once per batch, X d
+    and each modulation's value and X-gradient contracted from them once (the gradient and drift are not kept
+    past this call); F(d), F'(d) once per shape, which corpus twins share."""
+    _near_singular_check(params, Z)
+    d, grad_d = _d_and_grad(params, Z, T)
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
-    d_field = ScalarField(eval=lambda *ZT: norm_d(params, ZT), euclid_grad=lambda *ZT: _d_and_grad(params, *ZT)[1])
-    Xd = horizontal_gradient_batch(alg, params, d_field, Z, T)
+    drift = _drift(alg, params, Z)
+    Xd = _x_from_euclid(alg, drift, grad_d)
     Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
     shape_values = cache(lambda shape: (shape[0](d), shape[1](d)))
-
-    @cache
-    def modulation(mod):
-        mod_field = ScalarField(eval=partial(mod.value, params), euclid_grad=partial(mod.grad, params))
-        return mod.value(params, Z, T), horizontal_gradient_batch(alg, params, mod_field, Z, T)
+    modulation = {mod: (mod.value(params, Z, T, d), _x_from_euclid(alg, drift, mod.grad(params, Z, T, (d, grad_d))))
+                  for mod in {phi.modulation for phi in phis} - {None}}
 
     def field(phi):
         f, df = phi.profile(d, *shape_values(phi.shape))
         if phi.modulation is None:
             return np.abs(f), np.abs(df) * Xd_norm
-        mv, Xm = modulation(phi.modulation)
+        mv, Xm = modulation[phi.modulation]
         G = (df * mv)[:, None] * Xd + f[:, None] * Xm
         return np.abs(f * mv), np.sqrt(np.einsum("nj,nj->n", G, G))
 
@@ -627,7 +627,7 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         by_phi.setdefault(id(phi), (phi, []))[1].append((i, params.p, params.alpha))
 
     def multi(Z, T):
-        d, zn, field = _corpus_batch(alg, base, Z, T)
+        d, zn, field = _corpus_batch(alg, base, Z, T, [phi for phi, _ in by_phi.values()])
         gd = (zn / d) ** (2.0 * base.k - 1.0)
         # each power once per batch, however many cases use it; one phi's powers at a time
         d_pow = cache(lambda a: d**a)
@@ -848,7 +848,7 @@ def sharpness_test_function(params: OperatorParams, j: int) -> HardyTestFunction
     if j < 1:
         raise ValueError("sequence index j must be >= 1")
     a = (params.Q + params.alpha - params.p) / params.p + 1.0 / j
-    return HardyTestFunction(shape=_cutoff(j), support=(2.0 ** (-j - 1), 2.0), power=a, label=f"u_{j}")
+    return HardyTestFunction(shape=_cutoff(j), support=(2.0 ** (-j - 1), 2.0), power=a)
 
 
 def verify_sharpness(config: SuiteConfig) -> VerificationReport:
@@ -1004,7 +1004,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         phis = list(group)
 
         def multi(Z, T):
-            d, zn, field = _corpus_batch(alg, params, Z, T)
+            d, zn, field = _corpus_batch(alg, params, Z, T, phis)
             w1, w3, wb = zn**t_exp, (zn / d) ** (2.0 * k), (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s)
             return np.concatenate([[w1 * u**t_exp, gn**s, w3 * u**2, wb * u**s] for u, gn in map(field, phis)])
 

@@ -260,6 +260,34 @@ def test_mc_region_multi_matches_zero_padded_reference(heis1, monkeypatch):
         np.testing.assert_allclose(cov, ref_cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref_cov)))
 
 
+@pytest.mark.parametrize("region, n", [(ShellRegion(0.99, 1.0), 3 * REPLICATES + 5),
+                                       (ShellRegion(0.9, 1.0), 40 * REPLICATES + 13)])
+def test_mc_region_multi_gather_matches_bincount_reference(heis1, monkeypatch, region, n):
+    # the accepted candidates of a low-acceptance shell, gathered and
+    # labelled by replicate, against per-replicate sums by np.bincount
+    # over one draw; in the thin shell some replicates accept nothing
+    params = params_for(heis1, k=1.0)
+
+    def multi(Z, T):
+        return np.stack([1.0 + zsq(Z, T), norm_d(params, (Z, T))])
+
+    sampler = Sampler(heis1, params, region, 5, spawn_key=(2,))
+    Z, T, mask = sampler.draw(n)
+    sizes = n // REPLICATES + (np.arange(REPLICATES) < n % REPLICATES)
+    label = np.repeat(np.arange(REPLICATES), sizes)
+    kept = np.bincount(label, weights=mask, minlength=REPLICATES)
+    assert 0 < mask.mean() < 0.25 and (kept.min() == 0) == (region.r_min == 0.99)
+    sums = np.stack([np.bincount(label, weights=np.where(mask, v, 0.0), minlength=REPLICATES) for v in multi(Z, T)])
+    est = sampler.box_volume() * sums.T / sizes[:, None]
+    for chunk, slice_ in ((quadrature._CHUNK, quadrature._SLICE), (100, 8)):  # then many chunks and slices
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        monkeypatch.setattr(quadrature, "_SLICE", slice_)
+        vals, cov, accepted = mc_region_multi(sampler, multi, 2, n)
+        assert accepted == int(mask.sum())
+        np.testing.assert_allclose(vals, est.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(cov, np.cov(est.T) / REPLICATES, rtol=1e-12)
+
+
 def test_variance_survives_large_constant_offset(heis1, monkeypatch):
     # with every candidate of the unit ball's box counted (no zeros dilute
     # the mean, as with a rejection-free draw), adding 1e8 to the integrand

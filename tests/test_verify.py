@@ -158,7 +158,6 @@ def test_hardy_ratio_scale_invariance(heis1):
         shape=(lambda r: -2.5 * phi.f(r), lambda r: -2.5 * phi.df(r)),
         support=phi.support,
         modulation=phi.modulation,
-        label="scaled",
     )
     [res2] = hardy_ratio(heis1, [(params, scaled)], 20_000, seed=3)
     assert res2.ratio == pytest.approx(res1.ratio, rel=1e-12)
@@ -171,7 +170,6 @@ def test_hardy_ratio_dilation_invariance(heis1):
     dilated = HardyTestFunction(
         shape=(lambda r: phi.f(lam * r), lambda r: lam * phi.df(lam * r)),
         support=(phi.support[0] / lam, phi.support[1] / lam),
-        label="dilated",
     )
     [r1] = hardy_ratio(heis1, [(params, phi)], 60_000, seed=4)
     [r2] = hardy_ratio(heis1, [(params, dilated)], 60_000, seed=5)
@@ -295,27 +293,53 @@ def test_corpus_suites_make_one_call_per_support(monkeypatch):
     assert run_suite("uncertainty", cfg).overall_pass and calls["integrate_shells"] == 5
 
 
-def test_hardy_ratio_evaluates_each_modulation_once_per_batch(heis1, monkeypatch):
-    # ten functions, both modulation kinds, the whole (p, alpha) grid: each
-    # modulation's X-gradient runs once per Monte Carlo slice, not once per
-    # function or case
-    calls = {"z1": 0, "t1": 0, "other": 0, "batches": 0}
-    gradient = verify_mod.horizontal_gradient_batch
+def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
+    # ten functions, both modulation kinds, the whole (p, alpha) grid: in
+    # each Monte Carlo slice, d once, each modulation's gradient once and
+    # each distinct shape once, not once per function or case
+    calls = {"norm_d": 0, "z1": 0, "t1": 0}
+    grad = AngularModulation.grad
 
-    def counted(alg, params, field, Z, T):
-        mod = getattr(getattr(field.eval, "func", None), "__self__", None)
-        calls[mod.kind if isinstance(mod, AngularModulation) else "other"] += 1
-        return gradient(alg, params, field, Z, T)
+    def counted_grad(mod, *args):
+        calls[mod.kind] += 1
+        return grad(mod, *args)
+
+    monkeypatch.setattr(AngularModulation, "grad", counted_grad)
+    monkeypatch.setattr(verify_mod, "norm_d", _counting(calls, "norm_d", verify_mod.norm_d))
+    shapes = {}  # one counted (F, F') per distinct shape, shared by its twins as in the corpus
+    for phi in build_hardy_corpus()[:10]:
+        if id(phi.shape) not in shapes:
+            key = f"F{len(shapes)}"
+            calls[key] = 0
+            shapes[id(phi.shape)] = (_counting(calls, key, phi.shape[0]), phi.shape[1])
+    batches = []
+
+    def per_batch(multi_fn):
+        def wrapped(Z, T):
+            before = dict(calls)
+            out = multi_fn(Z, T)
+            batches.append({key: calls[key] - before[key] for key in calls})
+            return out
+
+        return wrapped
 
     integrate = verify_mod.integrate_shells
-    monkeypatch.setattr(verify_mod, "horizontal_gradient_batch", counted)
     monkeypatch.setattr(verify_mod, "integrate_shells",
                         lambda alg, params, regions, multi_fn, *rest: integrate(alg, params, regions,
-                                                                                _counting(calls, "batches", multi_fn), *rest))
-    cases = [(params, phi) for phi in build_hardy_corpus()[:10] for params in _admissible_grid(heis1)]
-    hardy_ratio(heis1, cases, 8_000, seed=11)
-    assert calls["batches"] >= len(_support_shells(0.5, 2.0))
-    assert calls["z1"] == calls["t1"] == calls["other"] == calls["batches"]
+                                                                                per_batch(multi_fn), *rest))
+    phis = [replace(phi, shape=shapes[id(phi.shape)]) for phi in build_hardy_corpus()[:10]]
+    hardy_ratio(heis1, [(params, phi) for phi in phis for params in _admissible_grid(heis1)], 8_000, seed=11)
+    assert len(shapes) == 5 and len(batches) >= len(_support_shells(0.5, 2.0))
+    assert all(set(counts.values()) == {1} and len(counts) == 8 for counts in batches)
+
+
+def test_corpus_twins_share_one_shape():
+    corpus = build_hardy_corpus()
+    for radial, modulated in zip(corpus[::2], corpus[1::2]):
+        assert radial.modulation is None and modulated.modulation is not None
+        assert radial.shape is modulated.shape
+    assert len({id(phi.shape) for phi in corpus}) == 25
+    assert annulus_bump(0.5, 2.0, "sin2").shape is corpus[2].shape
 
 
 def test_sharpness_shape_shared_across_params(heis1):
@@ -357,8 +381,7 @@ def test_hardy_ratio_rejects_mixed_cases(heis1):
 def test_hardy_corpus_structure():
     corpus = build_hardy_corpus()
     assert len(corpus) == 50
-    labels = [c.label for c in corpus]
-    assert len(set(labels)) == 50
+    assert len({(id(c.shape), c.support, c.modulation) for c in corpus}) == 50
     assert sum(c.radial for c in corpus) == 25
     kinds = [c.modulation.kind for c in corpus if c.modulation is not None]
     assert kinds.count("z1") == 13 and kinds.count("t1") == 12
