@@ -377,17 +377,17 @@ class AngularModulation:
     kind: str  # "z1" or "t1"
     c: float
 
-    def value(self, params, Z, T, d=None):
-        d = norm_d(params, (Z, T)) if d is None else d
+    def value(self, params, Z, T, d):
+        """Value at (Z, T) given d there."""
         if self.kind == "z1":
             return 1.0 + self.c * Z[:, 0] / d
         return 1.0 + self.c * 8.0 * T[:, 0] / d ** (2.0 * params.k)
 
-    def grad(self, params, Z, T, d_grad=None):
-        """Euclidean gradient, shape (n, m + q); d_grad = (d, grad d) when the caller has them."""
+    def grad(self, params, Z, T, d_grad):
+        """Euclidean gradient, shape (n, m + q), given d_grad = (d, grad d) at (Z, T)."""
         n, m = Z.shape
         q = T.shape[1]
-        d, grad_d = _d_and_grad(params, Z, T) if d_grad is None else d_grad
+        d, grad_d = d_grad
         gz, gt = grad_d[:, :m], grad_d[:, m:]
         out = np.zeros((n, m + q))
         if self.kind == "z1":
@@ -445,15 +445,15 @@ class HardyTestFunction:
             d = norm_d(params, (Z, T))
             out = self.f(d)
             if mod is not None:
-                out = out * mod.value(params, Z, T)
+                out = out * mod.value(params, Z, T, d)
             return out
 
         def gr(Z, T):
             d, grad_d = _d_and_grad(params, Z, T)
             out = self.df(d)[:, None] * grad_d
             if mod is not None:
-                out = out * mod.value(params, Z, T)[:, None]
-                out = out + (self.f(d))[:, None] * mod.grad(params, Z, T)
+                out = out * mod.value(params, Z, T, d)[:, None]
+                out = out + (self.f(d))[:, None] * mod.grad(params, Z, T, (d, grad_d))
             return out
 
         return ScalarField(eval=ev, euclid_grad=gr, fd_scales=aniso_scales(params))

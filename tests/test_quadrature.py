@@ -233,9 +233,10 @@ def test_neyman_counts_floor_and_zero_variance(heis1):
 def test_mc_region_multi_matches_zero_padded_reference(heis1, monkeypatch):
     # accepted-only reduction in slices and in chunks of whole replicates
     # equals the two-pass replicate estimate over the whole zero-padded
-    # candidate stream of one draw
+    # candidate stream of one draw; in the thin shell few candidates are
+    # accepted and some replicates accept nothing
     params = params_for(heis1, k=1.0)
-    nf, n = 40, 20_000
+    nf = 40
     slices = []
 
     def multi(Z, T):
@@ -243,49 +244,27 @@ def test_mc_region_multi_matches_zero_padded_reference(heis1, monkeypatch):
         d = norm_d(params, (Z, T))
         return np.stack([np.exp(-j * d / 4.0) * (1.0 + Z[:, 0] ** 2) ** (j % 3) for j in range(nf)])
 
-    sampler = Sampler(heis1, params, ShellRegion(0.5, 1.5), 21, spawn_key=(1,))
-    Z, T, mask = sampler.draw(n)
-    padded = np.zeros((nf, n))
-    padded[:, mask] = multi(Z[mask], T[mask])
-    sizes = n // REPLICATES + (np.arange(REPLICATES) < n % REPLICATES)
-    est = sampler.box_volume() * np.stack([b.mean(axis=1) for b in np.split(padded, np.cumsum(sizes)[:-1], axis=1)])
-    ref_cov = np.cov(est.T) / REPLICATES
-    for chunk in (quadrature._CHUNK, 1000):  # one chunk, then three replicates per chunk
-        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        slices.clear()
-        vals, cov, accepted = mc_region_multi(sampler, multi, nf, n)
-        assert len(slices) > 1 and max(slices) <= _SLICE // nf and sum(slices) == accepted
-        assert accepted == int(mask.sum())
-        np.testing.assert_allclose(vals, est.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(cov, ref_cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref_cov)))
-
-
-@pytest.mark.parametrize("region, n", [(ShellRegion(0.99, 1.0), 3 * REPLICATES + 5),
-                                       (ShellRegion(0.9, 1.0), 40 * REPLICATES + 13)])
-def test_mc_region_multi_gather_matches_bincount_reference(heis1, monkeypatch, region, n):
-    # the accepted candidates of a low-acceptance shell, gathered and
-    # labelled by replicate, against per-replicate sums by np.bincount
-    # over one draw; in the thin shell some replicates accept nothing
-    params = params_for(heis1, k=1.0)
-
-    def multi(Z, T):
-        return np.stack([1.0 + zsq(Z, T), norm_d(params, (Z, T))])
-
-    sampler = Sampler(heis1, params, region, 5, spawn_key=(2,))
-    Z, T, mask = sampler.draw(n)
-    sizes = n // REPLICATES + (np.arange(REPLICATES) < n % REPLICATES)
-    label = np.repeat(np.arange(REPLICATES), sizes)
-    kept = np.bincount(label, weights=mask, minlength=REPLICATES)
-    assert 0 < mask.mean() < 0.25 and (kept.min() == 0) == (region.r_min == 0.99)
-    sums = np.stack([np.bincount(label, weights=np.where(mask, v, 0.0), minlength=REPLICATES) for v in multi(Z, T)])
-    est = sampler.box_volume() * sums.T / sizes[:, None]
-    for chunk, slice_ in ((quadrature._CHUNK, quadrature._SLICE), (100, 8)):  # then many chunks and slices
-        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        monkeypatch.setattr(quadrature, "_SLICE", slice_)
-        vals, cov, accepted = mc_region_multi(sampler, multi, 2, n)
-        assert accepted == int(mask.sum())
-        np.testing.assert_allclose(vals, est.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(cov, np.cov(est.T) / REPLICATES, rtol=1e-12)
+    for region, n in ((ShellRegion(0.5, 1.5), 20_000), (ShellRegion(0.99, 1.0), 3 * REPLICATES + 5)):
+        sampler = Sampler(heis1, params, region, 21, spawn_key=(1,))
+        Z, T, mask = sampler.draw(n)
+        padded = np.zeros((nf, n))
+        padded[:, mask] = multi(Z[mask], T[mask])
+        sizes = n // REPLICATES + (np.arange(REPLICATES) < n % REPLICATES)
+        starts = np.cumsum(sizes)[:-1]
+        kept = np.array([m.sum() for m in np.split(mask, starts)])
+        assert 0 < mask.mean() and (kept.min() == 0) == (region.r_min == 0.99)
+        est = sampler.box_volume() * np.stack([b.mean(axis=1) for b in np.split(padded, starts, axis=1)])
+        ref_cov = np.cov(est.T) / REPLICATES
+        # one chunk, then three replicates per chunk, then many chunks and slices of 8 points
+        for chunk, slice_ in ((quadrature._CHUNK, _SLICE), (1000, _SLICE), (100, 8 * nf)):
+            monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+            monkeypatch.setattr(quadrature, "_SLICE", slice_)
+            slices.clear()
+            vals, cov, accepted = mc_region_multi(sampler, multi, nf, n)
+            assert max(slices) <= slice_ // nf and sum(slices) == accepted == int(mask.sum())
+            assert len(slices) > 1 or (region.r_min == 0.99 and slice_ == _SLICE)
+            np.testing.assert_allclose(vals, est.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_cov)))
 
 
 def test_variance_survives_large_constant_offset(heis1, monkeypatch):
