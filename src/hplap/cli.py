@@ -21,16 +21,16 @@ config keys of options a command does not read are ignored; a config key
 that names no option is an error.
 
 Defaults are SuiteConfig's (``--j``: ``j_max``); ``--out`` is
-``reports`` for verify and ``sweep.csv`` for sweep.  Every region of a
-shell integral draws at least ``quadrature.MIN_REGION_CANDIDATES`` (2048)
-candidates, whatever ``--samples`` or ``--corpus-samples`` asks.
+``reports`` for verify and ``sweep.csv`` for sweep.  Sample counts are
+budgets of bounding-box candidates, at least 2048 per shell region; a
+region evaluates only the share of them that lands in it.
 
 ``verify`` writes one report document per suite to
-``<out>/<suite>-<group>-<stamp>.kv`` (colons in the group id become
-underscores) and prints a one-line summary per suite.  Exit status: 0 if
-every check passed, 1 if any check failed, 2 on configuration errors.
-Report documents are bit-identical across reruns with the same seed;
-wall-clock time appears only on the console.
+``<out>/<suite>-<group>-<stamp>.kv`` (colons and path separators in the
+group id become underscores) and prints a one-line summary per suite.
+Exit status: 0 if every check passed, 1 if any check failed, 2 on
+configuration errors.  Report documents are bit-identical across reruns
+with the same seed; wall-clock time appears only on the console.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ _HELP = {
     "group": "group id: heisenberg:n, quaternionic:n, custom:<file>", "k": "field parameter k >= 1",
     "p": "p-Laplacian exponent p > 1", "alpha": "norm-power weight exponent", "beta": "gradient-weight exponent",
     "seed": "base seed for all random streams (a non-negative integer)",
-    "samples": "Monte Carlo precision: n candidates per region of an equal split, "
-               f"or fewer where the variance is low, but at least {MIN_REGION_CANDIDATES} per region",
-    "corpus_samples": f"samples per test function, split over its support shells with at least "
+    "samples": "Monte Carlo budget: n bounding-box candidates per region of an equal split (a region evaluates "
+               f"the share that lands in it), or less where the variance is low, but at least {MIN_REGION_CANDIDATES}",
+    "corpus_samples": f"sample budget per test function, split over its support shells with at least "
                       f"{MIN_REGION_CANDIDATES} per shell",
     "out": f"output directory (verify, default {_DEFAULTS['out']}) or file (sweep, default {_SWEEP_OUT}; - for stdout)",
     "format": "report format: kv or csv", "stamp": "fixed timestamp string for output filenames",
@@ -190,8 +190,9 @@ def cmd_verify(config: SuiteConfig, suites: list, out: str, fmt: str, stamp: str
     reports = [run_suite(name, config) for name in suites]
     os.makedirs(out, exist_ok=True)
     stamp = stamp or time.strftime("%Y%m%dT%H%M%S")
+    group = config.group.translate(str.maketrans(":/\\", "___"))
     for name, report in zip(suites, reports):
-        path = os.path.join(out, f"{name}-{config.group.replace(':', '_')}-{stamp}.{fmt}")
+        path = os.path.join(out, f"{name}-{group}-{stamp}.{fmt}")
         with open(path, "w") as fh:
             fh.write(to_kv(report) if fmt == "kv" else to_csv(report))
         print(report.summary_line() + f" -> {path}")

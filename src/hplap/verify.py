@@ -142,7 +142,7 @@ class SuiteConfig:
 
     def mc_nsigma(self) -> float:
         """Monte Carlo pass band: 3 sigma at desk dimensions, relaxed to
-        5 sigma for m + q >= 7 where rejection sampling is leaner."""
+        5 sigma for m + q >= 7 where a sample budget buys fewer points."""
         alg = self.algebra()
         return 5.0 if alg.m + alg.q >= 7 else 3.0
 
@@ -300,7 +300,8 @@ def _quintic(x: np.ndarray) -> np.ndarray:
 
 
 def _quintic_d(x: np.ndarray) -> np.ndarray:
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, 30.0 * x**2 * (1.0 - x) ** 2)
+    x = np.clip(x, 0.0, 1.0)
+    return 30.0 * x**2 * (1.0 - x) ** 2
 
 
 def _transitions(a: float, wa: float, b: float, wb: float) -> tuple:
@@ -759,10 +760,7 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
     if n < REPLICATES:
         raise ValueError(f"moments: n_samples={n} cannot fill the {REPLICATES} replicates of one estimate; "
                          "raise --samples")
-    vals, cov, accepted = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
-    if accepted < max(REPLICATES, 1e-4 * n):
-        raise ValueError(f"moments: acceptance rate {accepted / n:.2e} in the unit gauge ball ({accepted} of "
-                         f"n_samples={n}); an estimate needs {REPLICATES} accepted and a rate of 1e-4; raise --samples")
+    vals, cov, _ = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
     for i, gamma in enumerate(gammas):
         report.add_stochastic(f"ball-moment-{gamma:g}", vals[i], cf.ball_moment(params, gamma),
                               math.sqrt(max(cov[i, i], 0.0)), nsigma=config.mc_nsigma())

@@ -1,8 +1,9 @@
 """The benchmark's trace hooks still find the library layers they rebind.
 
 ``perfbench/child.py --mode trace`` rebinds named hplap functions and
-raises if no module refers to one of them any more; this runs it on a
-one-row sweep so that a refactor learns of a lost hook from the tests.
+raises if no module refers to one of them any more; these run it on a
+one-row sweep and on the moments suite, so that a refactor learns of a
+lost hook, or of a result the hooks misread, from the tests.
 """
 
 import json
@@ -14,14 +15,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_trace_hooks_record_hardy_ratio_and_1d_quadrature(tmp_path):
+def _trace_spans(tmp_path, hplap_args):
     marks = tmp_path / "marks.json"
     env = {k: v for k, v in os.environ.items() if not k.startswith("HPLAP_")}
     env["PYTHONPATH"] = str(ROOT / "src")
-    cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--mode", "trace", "--marks", str(marks), "--",
-           "sweep", "--group", "heisenberg:1", "--k", "1", "--p", "2", "--alpha", "0", "--mode", "sharpness",
-           "--corpus-samples", "4000", "--out", str(tmp_path / "sweep.csv")]
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--mode", "trace", "--marks", str(marks), "--"]
+    proc = subprocess.run(cmd + hplap_args, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(marks.read_text())["spans"]}
-    assert {"verify.hardy_ratio", "quadrature.grid_integral_1d"} <= names
+    return json.loads(marks.read_text())["spans"]
+
+
+def test_trace_hooks_record_hardy_ratio_and_1d_quadrature(tmp_path):
+    sweep = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "2", "--alpha", "0", "--mode", "sharpness",
+             "--corpus-samples", "4000", "--out", str(tmp_path / "sweep.csv")]
+    spans = _trace_spans(tmp_path, sweep)
+    assert {"verify.hardy_ratio", "quadrature.grid_integral_1d"} <= {span[0] for span in spans}
+
+
+def test_traced_draws_accept_at_most_their_candidates(tmp_path):
+    # the trace counts a draw's candidates from its n and its accepted
+    # points from the third result, the in-region mask
+    spans = _trace_spans(tmp_path, ["verify", "--suite", "moments", "--samples", "20000",
+                                    "--out", str(tmp_path / "reports"), "--stamp", "T"])
+    draws = [span[4] for span in spans if span[0] == "quadrature.draw"]
+    assert draws
+    for attrs in draws:
+        assert type(attrs["accepted"]) is int and type(attrs["candidates"]) is int
+        assert 0 < attrs["accepted"] <= attrs["candidates"]

@@ -5,10 +5,11 @@ import pytest
 
 from hplap import closedform as cf
 from hplap import quadrature
-from hplap.algebra import make_heisenberg, norm_d
+from hplap.algebra import make_quaternionic, norm_d, resolve_group
 from hplap.quadrature import (
     _SLICE,
     REPLICATES,
+    _sphere,
     Sampler,
     ShellRegion,
     grid_integral_1d,
@@ -112,16 +113,17 @@ def test_seed_determinism(heis1):
 
 
 def test_stderr_falls_faster_than_inverse_sqrt_n(heis1):
-    # randomized Halton: quadrupling n divides the stderr by more than the
-    # iid factor 2 (measured 2.46, about n^{-0.65}), but the jump across the
-    # ball's boundary keeps it below n^{-3/4} (factor 2.83)
+    # randomized Halton through the shell map: quadrupling n divides the
+    # stderr by about 3.5 (n^{-0.91}), more than the n^{-3/4} (2.83) that
+    # the jump at the ball's boundary allowed rejection from a box, and
+    # less than n^{-1} (4)
     params = params_for(heis1, k=1.0)
     ratios = []
     for rep in range(10):
         _, se_a = ball_integral(heis1, params, zsq, 1.0, 20_000, seed=100 + rep)
         _, se_b = ball_integral(heis1, params, zsq, 1.0, 80_000, seed=200 + rep)
         ratios.append(se_a / se_b)
-    assert 2.2 <= np.mean(ratios) <= 2.83
+    assert 3.0 <= np.mean(ratios) <= 4.0
 
 
 def test_statistical_coverage(heis1):
@@ -230,11 +232,12 @@ def test_neyman_counts_floor_and_zero_variance(heis1):
     assert neyman_counts(heis1, params, regions[:1], one, 1_000, 3)[0] >= 2048
 
 
-def test_mc_region_multi_matches_zero_padded_reference(heis1, monkeypatch):
-    # accepted-only reduction in slices and in chunks of whole replicates
-    # equals the two-pass replicate estimate over the whole zero-padded
-    # candidate stream of one draw; in the thin shell few candidates are
-    # accepted and some replicates accept nothing
+def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
+    # the reduction in slices that span replicates and in chunks of whole
+    # replicates equals the two-pass replicate estimate over one draw of
+    # all N = max(64, ceil(rho n)) points, replicate r one contiguous block
+    # of N // 64 + (r < N % 64) points; in the thin shell each replicate
+    # holds only a few points
     params = params_for(heis1, k=1.0)
     nf = 40
     slices = []
@@ -246,40 +249,33 @@ def test_mc_region_multi_matches_zero_padded_reference(heis1, monkeypatch):
 
     for region, n in ((ShellRegion(0.5, 1.5), 20_000), (ShellRegion(0.99, 1.0), 3 * REPLICATES + 5)):
         sampler = Sampler(heis1, params, region, 21, spawn_key=(1,))
-        Z, T, mask = sampler.draw(n)
-        padded = np.zeros((nf, n))
-        padded[:, mask] = multi(Z[mask], T[mask])
-        sizes = n // REPLICATES + (np.arange(REPLICATES) < n % REPLICATES)
-        starts = np.cumsum(sizes)[:-1]
-        kept = np.array([m.sum() for m in np.split(mask, starts)])
-        assert 0 < mask.mean() and (kept.min() == 0) == (region.r_min == 0.99)
-        est = sampler.box_volume() * np.stack([b.mean(axis=1) for b in np.split(padded, starts, axis=1)])
+        rho = cf.ball_moment(params, 0.0) * (1.0 - (region.r_min / region.r_max) ** params.Q) / 2.0 ** (heis1.m - heis1.q)
+        N = max(REPLICATES, math.ceil(rho * n))
+        Z, T, mask = sampler.draw(N)
+        assert mask.all() and len(Z) == N
+        vals = multi(Z, T) * sampler.weights(Z)
+        sizes = N // REPLICATES + (np.arange(REPLICATES) < N % REPLICATES)
+        est = np.stack([b.mean(axis=1) for b in np.split(vals, np.cumsum(sizes)[:-1], axis=1)])
         ref_cov = np.cov(est.T) / REPLICATES
         # one chunk, then three replicates per chunk, then many chunks and slices of 8 points
-        for chunk, slice_ in ((quadrature._CHUNK, _SLICE), (1000, _SLICE), (100, 8 * nf)):
+        for chunk, slice_ in ((quadrature._CHUNK, _SLICE), (3 * int(sizes[0]), _SLICE), (100, 8 * nf)):
             monkeypatch.setattr(quadrature, "_CHUNK", chunk)
             monkeypatch.setattr(quadrature, "_SLICE", slice_)
             slices.clear()
-            vals, cov, accepted = mc_region_multi(sampler, multi, nf, n)
-            assert max(slices) <= slice_ // nf and sum(slices) == accepted == int(mask.sum())
+            got, cov, points = mc_region_multi(sampler, multi, nf, n)
+            assert max(slices) <= slice_ // nf and sum(slices) == points == N
             assert len(slices) > 1 or (region.r_min == 0.99 and slice_ == _SLICE)
-            np.testing.assert_allclose(vals, est.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(got, est.mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_cov)))
 
 
 def test_variance_survives_large_constant_offset(heis1, monkeypatch):
-    # with every candidate of the unit ball's box counted (no zeros dilute
-    # the mean, as with a rejection-free draw), adding 1e8 to the integrand
+    # with every point of the unit ball weighted alike (so 1e8 shifts each
+    # replicate estimate by the same constant), adding 1e8 to the integrand
     # leaves its variance unchanged; a one-pass s2/n - mean^2 over the
-    # candidates loses every digit of it to cancellation
+    # points loses every digit of it to cancellation
     params = params_for(heis1, k=1.0)
-    draw = Sampler.draw
-
-    def every_candidate(self, n, *rest):
-        Z, T, mask = draw(self, n, *rest)
-        return Z, T, np.ones_like(mask)
-
-    monkeypatch.setattr(Sampler, "draw", every_candidate)
+    monkeypatch.setattr(Sampler, "weights", lambda self, Z: np.ones(len(Z)))
     sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), 8)
     _, cov, _ = mc_region_multi(sampler, lambda Z, T: np.stack([1e8 + zsq(Z, T), zsq(Z, T)]), 2, 100_000)
     assert cov[1, 1] > 0.0
@@ -288,24 +284,35 @@ def test_variance_survives_large_constant_offset(heis1, monkeypatch):
 
 def test_halton_points_and_replicate_layout(heis1):
     # radical inverses in bases 2, 3, 5; replicate r of a draw holds the
-    # first n // R + (r < n % R) points shifted by its shift mod 1
+    # first n // R + (r < n % R) points shifted by its shift mod 1, mapped
+    # into the shell: on heisenberg:1, z = r1 sqrt(u0) (cos, sin)(2 pi u1)
+    # and t = sign(2 u2 - 1) (a + |2 u2 - 1| (b - a))
     H = quadrature._halton(6, 3)
     np.testing.assert_allclose(H[:, 0], [0, 1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8], rtol=1e-15)
     np.testing.assert_allclose(H[:, 1], [0, 1 / 3, 2 / 3, 1 / 9, 4 / 9, 7 / 9], rtol=1e-15)
     np.testing.assert_allclose(H[:, 2], [0, 1 / 5, 2 / 5, 3 / 5, 4 / 5, 1 / 25], rtol=1e-15)
     assert quadrature._primes(7) == (2, 3, 5, 7, 11, 13, 17)
     params = params_for(heis1, k=1.0)
-    sampler = Sampler(heis1, params, ShellRegion(0.0, 2.0), 3)
+    r0, r1 = 1.0, 2.0
+    sampler = Sampler(heis1, params, ShellRegion(r0, r1), 3)
     shifts = sampler.shifts()
     assert shifts.shape == (REPLICATES, 3)
     n = 5 * REPLICATES + 7
-    Z, T, _ = sampler.draw(n)
-    box = np.array([2.0, 2.0, 1.0])  # half-widths of the d < 2 box
-    unit = (np.hstack([Z, T]) + box) / (2.0 * box)
+    Z, T, mask = sampler.draw(n)
+    assert Z.shape == (n, 2) and T.shape == (n, 1) and mask.all()
     start = 0
     for r in range(REPLICATES):
         size = 5 + (r < 7)
-        np.testing.assert_allclose(unit[start : start + size], (H[:size] + shifts[r]) % 1.0, atol=1e-12)
+        u = (H[:size] + shifts[r]) % 1.0
+        rz = r1 * np.sqrt(u[:, 0])
+        a = np.sqrt(np.maximum(r0**4 - rz**4, 0.0)) / 4.0
+        b = np.sqrt(r1**4 - rz**4) / 4.0
+        v = 2.0 * u[:, 2] - 1.0
+        angle = 2.0 * np.pi * u[:, 1]
+        block = slice(start, start + size)
+        circle = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        np.testing.assert_allclose(Z[block], rz[:, None] * circle, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(T[block, 0], np.sign(v) * (a + np.abs(v) * (b - a)), rtol=1e-12)
         start += size
 
 
@@ -323,19 +330,21 @@ def test_ball_moment_z_calibrated():
         assert np.sum(np.abs(zs) > 3.0) <= 1
 
 
-def test_acceptance_rate_guard(heis1, monkeypatch):
-    # a ball sample that accepts no candidate is refused as a configuration
-    # error naming the flag to raise, not reported as a moment of 0
-    def all_rejected(self, n, rng=None):
-        return (
-            np.zeros((n, heis1.m)),
-            np.zeros((n, heis1.q)),
-            np.zeros(n, dtype=bool),
-        )
-
-    monkeypatch.setattr(Sampler, "draw", all_rejected)
-    with pytest.raises(ValueError, match="acceptance rate 0.00e\\+00.*--samples"):
-        verify_moments(SuiteConfig(n_samples=10_000, seed=1))
+def test_small_budget_still_fills_every_replicate():
+    # quaternionic:2 fills 0.19% of the unit ball's bounding box, so a
+    # budget of 10,000 buys ceil(19.4) points; the region draws one per
+    # replicate instead, every one in the ball, and the moments keep
+    # honest error bars
+    cfg = SuiteConfig(group="quaternionic:2", n_samples=10_000, seed=1)
+    alg = cfg.algebra()
+    params = cfg.params(alg)
+    sampler = Sampler(alg, params, ShellRegion(0.0, 1.0), cfg.seed)
+    _, _, points = mc_region_multi(sampler, lambda Z, T: [np.ones(len(Z))], 1, cfg.n_samples)
+    assert points == REPLICATES
+    Z, T, mask = sampler.draw(points)
+    assert mask.all() and np.all(norm_d(params, (Z, T)) < 1.0)
+    for c in verify_moments(cfg).checks:
+        assert c.passed and (c.stderr > 0.0 or c.kind != "stochastic")
 
 
 def test_sampler_stream_reproducible(heis1):
@@ -350,10 +359,75 @@ def test_sampler_stream_reproducible(heis1):
 
 
 def test_ball_sampler_excludes_center_tube(heis1):
+    # a zero shift of the z coordinates puts the first point of every
+    # replicate at radius coordinate u = 0, where |z| is floored at the tube
+    # radius 1e-12 instead of reaching 0
     params = params_for(heis1, k=1.0)
     s = Sampler(heis1, params, ShellRegion(0.0, 1.0), seed=0)
-    Z, T, mask = s.draw(10_000)
-    zn = np.sqrt(np.einsum("ni,ni->n", Z[mask], Z[mask]))
-    assert np.all(zn >= 1e-12)
-    d = norm_d(params, (Z[mask], T[mask]))
+    Z, T, mask = s.draw(10_000, np.tile([0.0, 0.0, 0.25], (REPLICATES, 1)))
+    zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
+    assert mask.all() and np.all(zn >= 1e-12 * (1.0 - 1e-12)) and zn.min() <= 1e-12 * (1.0 + 1e-12)
+    d = norm_d(params, (Z, T))
     assert np.all(d < 1.0)
+
+
+@pytest.fixture(scope="module")
+def map_groups(tmp_path_factory):
+    # (algebra, k): the map's coordinate cases S^1 x S^0, S^5 x S^0,
+    # S^3 x S^2 (Newton at n = 1) and S^3 x S^1; the custom m = 4, q = 2
+    # group takes the quaternion units i and j as its J maps
+    path = tmp_path_factory.mktemp("groups") / "J.txt"
+    blocks = ("\n".join(" ".join(f"{x:g}" for x in row) for row in J) for J in make_quaternionic(1).J[:2])
+    path.write_text("\n\n".join(blocks))
+    return [(resolve_group("heisenberg:1"), 1.0), (resolve_group("heisenberg:3"), 1.5),
+            (resolve_group("quaternionic:1"), 2.0), (resolve_group(f"custom:{path}"), 1.0)]
+
+
+_MAP_REGIONS = (ShellRegion(0.0, 1.0), ShellRegion(0.5, 1.0), ShellRegion(1.0, 2.0), ShellRegion(0.125, 0.25))
+
+
+def test_map_points_lie_in_their_shell(map_groups):
+    assert [(alg.m, alg.q) for alg, _ in map_groups] == [(2, 1), (6, 1), (4, 3), (4, 2)]
+    for alg, k in map_groups:
+        params = params_for(alg, k=k)
+        for i, region in enumerate(_MAP_REGIONS):
+            Z, T, mask = Sampler(alg, params, region, 5, spawn_key=(i,)).draw(20_000)
+            d = norm_d(params, (Z, T))
+            assert mask.all() and np.all(np.einsum("ni,ni->n", Z, Z) > 0.0)
+            assert np.all(d >= region.r_min * (1.0 - 1e-12)) and np.all(d < region.r_max * (1.0 + 1e-12))
+
+
+def test_map_mean_weight_is_shell_volume(map_groups):
+    # the weights integrate 1: their replicate mean is |B_1| (r1^Q - r0^Q) within 3 stderr
+    for alg, k in map_groups:
+        params = params_for(alg, k=k)
+        for i, region in enumerate(_MAP_REGIONS):
+            sampler = Sampler(alg, params, region, 6, spawn_key=(i,))
+            vals, cov, _ = mc_region_multi(sampler, lambda Z, T: [one(Z, T)], 1, 50_000)
+            vol = cf.ball_moment(params, 0.0) * (region.r_max**params.Q - region.r_min**params.Q)
+            assert abs(vals[0] - vol) <= 3.0 * math.sqrt(cov[0, 0]) and cov[0, 0] > 0.0
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sphere_directions_are_uniform(dim):
+    # unit vectors with mean 0 and second moments I/dim, the moments of the
+    # uniform law on S^{dim-1}
+    X = _sphere(np.random.default_rng(dim).random((200_000, max(dim - 1, 1))), dim)
+    assert X.shape == (200_000, dim)
+    np.testing.assert_allclose(np.einsum("ni,ni->n", X, X), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=0.01)
+    np.testing.assert_allclose(X.T @ X / len(X), np.eye(dim) / dim, atol=0.005)
+
+
+def test_quaternionic_ball_moment_z_calibrated():
+    # quaternionic:1 (k = 2, p = 3) at a small budget: over 60 fixed seeds
+    # the z of every ball moment has sd near 1 and at most one |z| > 3
+    z = {}
+    for seed in range(60):
+        for c in verify_moments(SuiteConfig(group="quaternionic:1", k=2.0, p=3.0, n_samples=20_000, seed=seed)).checks:
+            if c.check_id.startswith("ball-moment-"):
+                z.setdefault(c.check_id, []).append((c.observed - c.target) / c.stderr)
+    assert sorted(z) == ["ball-moment-0", "ball-moment-1", "ball-moment-9"]
+    for zs in z.values():
+        assert 0.8 <= np.std(zs, ddof=1) <= 1.25
+        assert np.sum(np.abs(zs) > 3.0) <= 1

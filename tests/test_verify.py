@@ -449,6 +449,21 @@ def test_sharpness_cutoff_shape(j, heis1):
     assert np.max(np.abs(psi_prime)) <= 1.875 * 2.0 ** (j + 1) * 1.0001
 
 
+def test_quintic_derivative_clips_instead_of_masking():
+    # inside (0, 1) it equals the masked polynomial bit for bit; psi_j' at
+    # j = 256 evaluates it at arguments up to 2^258, whose discarded square
+    # overflowed under the mask, and now raises nothing
+    x = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1], np.random.default_rng(0).random(1000)])
+    masked = np.where((x <= 0.0) | (x >= 1.0), 0.0, 30.0 * x**2 * (1.0 - x) ** 2)
+    assert np.array_equal(verify_mod._quintic_d(x), masked)
+    F, dF = verify_mod._cutoff(256)
+    r = np.geomspace(2.0**-258, 2.0, 4000)
+    with np.errstate(all="raise"):
+        vals, slopes = F(r), dF(r)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(slopes))
+    assert verify_mod._quintic_d(np.array([-1e300, 0.0, 1.0, 1e300])).tolist() == [0.0] * 4
+
+
 def test_sharpness_ratios_decrease(heis1):
     params = params_for(heis1, k=1.0, p=2.0)
     vals = []
