@@ -228,10 +228,10 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     Points are drawn in chunks of whole replicates, at most _CHUNK points
     unless one replicate is larger, so they do not depend on nf; they are
     evaluated in slices of at most _SLICE // nf points that may span
-    replicates.  Returns (values, covariance, points) where values[i], the
-    mean of the replicate estimates, estimates integral i, covariance is
-    that of values: the two-pass sample covariance of the replicate
-    estimates divided by REPLICATES, and points counts the points drawn.
+    replicates.  Returns (values, covariance) where values[i], the mean of
+    the replicate estimates, estimates integral i, and covariance is that
+    of values: the two-pass sample covariance of the replicate estimates
+    divided by REPLICATES.
     """
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
@@ -256,7 +256,7 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     est = sums / sizes[:, None]
     mean = est.mean(axis=0)
     dev = est - mean
-    return mean, dev.T @ dev / (REPLICATES * (REPLICATES - 1)), N
+    return mean, dev.T @ dev / (REPLICATES * (REPLICATES - 1))
 
 
 def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_fn: Callable,
@@ -272,7 +272,7 @@ def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_f
     last = vals
     for i, (region, n) in enumerate(zip(regions, counts, strict=True)):
         sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
-        last, c, _ = mc_region_multi(sampler, multi_fn, nf, n)
+        last, c = mc_region_multi(sampler, multi_fn, nf, n)
         vals += last
         cov += c
     return vals, cov, last
@@ -304,7 +304,7 @@ def neyman_counts(alg: HTypeAlgebra, params: OperatorParams, regions, f: Callabl
     v = np.empty(len(regions))
     for i, region in enumerate(regions):
         sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
-        _, c, _ = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, pilot)
+        _, c = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, pilot)
         v[i] = c[0, 0]
     total = float(np.sum(v))
     if total == 0.0:

@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import groupby
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -294,65 +294,43 @@ def verify_lemma1(config: SuiteConfig) -> VerificationReport:
 # Hardy test functions
 
 
-def _quintic(x: np.ndarray) -> np.ndarray:
+def _quintic(x: np.ndarray) -> tuple:
+    """(q, q') of the quintic step q(x) = x^3 (10 - 15 x + 6 x^2) on [0, 1],
+    continued by 0 below and 1 above."""
     x = np.clip(x, 0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2), 30.0 * x**2 * (1.0 - x) ** 2
 
 
-def _quintic_d(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    return 30.0 * x**2 * (1.0 - x) ** 2
+def _transitions(a: float, wa: float, b: float, wb: float):
+    """x -> (F(x), F'(x)) of F(x) = q((x - a)/wa) q((b - x)/wb): a quintic
+    rise on [a, a + wa], a quintic fall on [b - wb, b], 0 outside [a, b]."""
+
+    def shape(x):
+        rise, drise = _quintic((x - a) / wa)
+        fall, dfall = _quintic((b - x) / wb)
+        return rise * fall, drise / wa * fall - rise * dfall / wb
+
+    return shape
 
 
-def _transitions(a: float, wa: float, b: float, wb: float) -> tuple:
-    """(F, F') of F(x) = q((x - a)/wa) q((b - x)/wb): a quintic rise on
-    [a, a + wa], a quintic fall on [b - wb, b], 0 outside [a, b]."""
-
-    def F(x):
-        return _quintic((x - a) / wa) * _quintic((b - x) / wb)
-
-    def dF(x):
-        return (_quintic_d((x - a) / wa) / wa * _quintic((b - x) / wb)
-                - _quintic((x - a) / wa) * _quintic_d((b - x) / wb) / wb)
-
-    return F, dF
+def _poly3(x):
+    b = 4.0 * x * (1.0 - x)
+    return b**3, 3.0 * b**2 * 4.0 * (1.0 - 2.0 * x)
 
 
-def _shape(kind: str):
-    """Bump shapes on [0, 1], vanishing with vanishing derivative at both
-    endpoints; returns (F, dF)."""
-    if kind == "window":
-        return _transitions(0.0, 0.35, 1.0, 0.35)
-    if kind == "plateau":
-        return _transitions(0.0, 0.2, 1.0, 0.4)
-    if kind == "sin2":
+def _asym(x):
+    c, y = 729.0 / 16.0, 1.0 - x
+    return c * x**2 * y**4, c * (2.0 * x * y**4 - 4.0 * x**2 * y**3)
 
-        def F(x):
-            return np.sin(np.pi * x) ** 2
 
-        def dF(x):
-            return np.pi * np.sin(2.0 * np.pi * x)
-
-    elif kind == "poly3":
-
-        def F(x):
-            return (4.0 * x * (1.0 - x)) ** 3
-
-        def dF(x):
-            return 3.0 * (4.0 * x * (1.0 - x)) ** 2 * 4.0 * (1.0 - 2.0 * x)
-
-    elif kind == "asym":
-        c = 729.0 / 16.0
-
-        def F(x):
-            return c * x**2 * (1.0 - x) ** 4
-
-        def dF(x):
-            return c * (2.0 * x * (1.0 - x) ** 4 - 4.0 * x**2 * (1.0 - x) ** 3)
-
-    else:
-        raise ValueError(f"unknown shape {kind!r}")
-    return F, dF
+#: bump shapes x -> (F(x), F'(x)) on [0, 1], vanishing with vanishing derivative at both endpoints
+_SHAPES = {
+    "window": _transitions(0.0, 0.35, 1.0, 0.35),
+    "plateau": _transitions(0.0, 0.2, 1.0, 0.4),
+    "sin2": lambda x: (np.sin(np.pi * x) ** 2, np.pi * np.sin(2.0 * np.pi * x)),
+    "poly3": _poly3,
+    "asym": _asym,
+}
 
 
 def _d_and_grad(params: OperatorParams, Z: np.ndarray, T: np.ndarray):
@@ -409,9 +387,9 @@ class HardyTestFunction:
     """A smooth test function Phi = profile(d) * modulation supported on an
     annulus r0 <= d <= r1 with r0 > 0 (compactly supported away from the
     identity, as the inequality requires).  The profile is d^{-power} F(d)
-    for a shape (F, dF) that several test functions may share."""
+    for a shape r -> (F(r), F'(r)) that several test functions may share."""
 
-    shape: tuple  # (F, dF)
+    shape: Callable
     support: tuple
     power: float = 0.0
     modulation: Optional[AngularModulation] = None
@@ -433,49 +411,41 @@ class HardyTestFunction:
         rp = r**-self.power
         return rp * F, rp * (dF - self.power * F / r)
 
-    def f(self, r):
-        return np.maximum(r, self.support[0]) ** -self.power * self.shape[0](r)
-
-    def df(self, r):
-        return self.profile(r, self.shape[0](r), self.shape[1](r))[1]
-
     def as_scalar_field(self, alg: HTypeAlgebra, params: OperatorParams) -> ScalarField:
         mod = self.modulation
 
         def ev(Z, T):
             d = norm_d(params, (Z, T))
-            out = self.f(d)
+            out = self.profile(d, *self.shape(d))[0]
             if mod is not None:
                 out = out * mod.value(params, Z, T, d)
             return out
 
         def gr(Z, T):
             d, grad_d = _d_and_grad(params, Z, T)
-            out = self.df(d)[:, None] * grad_d
+            f, df = self.profile(d, *self.shape(d))
+            out = df[:, None] * grad_d
             if mod is not None:
                 out = out * mod.value(params, Z, T, d)[:, None]
-                out = out + (self.f(d))[:, None] * mod.grad(params, Z, T, (d, grad_d))
+                out = out + f[:, None] * mod.grad(params, Z, T, (d, grad_d))
             return out
 
         return ScalarField(eval=ev, euclid_grad=gr, fd_scales=aniso_scales(params))
 
 
 @cache
-def _annulus_shape(r0: float, r1: float, kind: str) -> tuple:
-    """(f, f') of the shape kind stretched onto [r0, r1], one pair per
-    (r0, r1, kind), so that radial and modulated twins share it."""
-    F, dF = _shape(kind)
-    w = r1 - r0
+def _annulus_shape(r0: float, r1: float, kind: str):
+    """r -> (f(r), f'(r)) of the shape kind stretched onto [r0, r1], one
+    function per (r0, r1, kind), so that radial and modulated twins share it."""
+    shape, w = _SHAPES[kind], r1 - r0
 
-    def f(r):
+    def stretched(r):
         xi = (r - r0) / w
-        return np.where((xi > 0.0) & (xi < 1.0), F(np.clip(xi, 0.0, 1.0)), 0.0)
+        inside = (xi > 0.0) & (xi < 1.0)
+        F, dF = shape(np.clip(xi, 0.0, 1.0))
+        return np.where(inside, F, 0.0), np.where(inside, dF / w, 0.0)
 
-    def df(r):
-        xi = (r - r0) / w
-        return np.where((xi > 0.0) & (xi < 1.0), dF(np.clip(xi, 0.0, 1.0)) / w, 0.0)
-
-    return f, df
+    return stretched
 
 
 def annulus_bump(r0: float, r1: float, kind: str = "window", modulation=None) -> HardyTestFunction:
@@ -549,7 +519,7 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, phis):
     drift = _drift(alg, params, Z)
     Xd = _x_from_euclid(alg, drift, grad_d)
     Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
-    shape_values = cache(lambda shape: (shape[0](d), shape[1](d)))
+    shape_values = cache(lambda shape: shape(d))
     modulation = {mod: (mod.value(params, Z, T, d), _x_from_euclid(alg, drift, mod.grad(params, Z, T, (d, grad_d))))
                   for mod in {phi.modulation for phi in phis} - {None}}
 
@@ -576,25 +546,21 @@ def _radial_1d_batch(cases) -> np.ndarray:
     phi = r^{-a} F each integrand is one p-th power, so a steep power
     profile near r = 0 does not overflow a factor on its own.
     """
-    shapes = {id(phi.shape): phi.shape for _, phi in cases}
+    shapes = {phi.shape for _, phi in cases}
     S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
 
     def profile(r):
-        vals = {sid: (F(r), dF(r)) for sid, (F, dF) in shapes.items()}
+        vals = {shape: shape(r) for shape in shapes}
         out = np.empty((2 * len(cases), len(r)))
         for i, (params, phi) in enumerate(cases):
             p, e, a = params.p, params.Q - 1.0 + params.alpha, phi.power
-            F, dF = vals[id(phi.shape)]
+            F, dF = vals[phi.shape]
             out[2 * i] = (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p
             out[2 * i + 1] = (r ** ((e - p) / p - a) * np.abs(F)) ** p
         return out
 
     sums = sum(grid_integral_1d(profile, sh.r_min, sh.r_max, 4096) for sh in _support_shells(*cases[0][1].support))
     return S[:, None] * sums.reshape(-1, 2)
-
-
-def _radial_1d_integrals(params: OperatorParams, phi: HardyTestFunction):
-    return tuple(_radial_1d_batch([(params, phi)])[0])
 
 
 def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = ()) -> list[HardyRatioResult]:
@@ -760,7 +726,7 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
     if n < REPLICATES:
         raise ValueError(f"moments: n_samples={n} cannot fill the {REPLICATES} replicates of one estimate; "
                          "raise --samples")
-    vals, cov, _ = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
+    vals, cov = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, 1.0), config.seed), multi, len(gammas), n)
     for i, gamma in enumerate(gammas):
         report.add_stochastic(f"ball-moment-{gamma:g}", vals[i], cf.ball_moment(params, gamma),
                               math.sqrt(max(cov[i, i], 0.0)), nsigma=config.mc_nsigma())
@@ -832,9 +798,9 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _cutoff(j: int) -> tuple:
-    """(psi_j, psi_j') of :func:`sharpness_test_function`, cached so that
-    every u_j of one j holds the same shape."""
+def _cutoff(j: int):
+    """r -> (psi_j(r), psi_j'(r)) of :func:`sharpness_test_function`,
+    cached so that every u_j of one j holds the same shape."""
     return _transitions(2.0 ** (-j - 1), 2.0 ** (-j - 1), 2.0, 1.0)
 
 

@@ -39,7 +39,7 @@ from hplap.fields import (
 from hplap.report import to_kv
 from hplap.verify import (
     SuiteConfig,
-    _radial_1d_integrals,
+    _radial_1d_batch,
     hardy_ratio,
     sample_gauge_points,
     sharp_hardy_constant,
@@ -238,7 +238,7 @@ def test_criterion_08_sharpness_sequence():
     # 10/7, int s q'^2 = 5/7) gives int v'^2 -> 4 (10/7 + 5/7) on the inner
     # band, where v -> 2, plus 2 (10/7) - 5/7 on the outer one: C = 50/7
     js = np.arange(1, 129)
-    curve = np.array([np.divide(*_radial_1d_integrals(params, sharpness_test_function(params, int(j)))) for j in js])
+    curve = np.array([np.divide(*_radial_1d_batch([(params, sharpness_test_function(params, int(j)))])[0]) for j in js])
     rate = js * (curve / sharp - 1.0)
     rate_limit = 50.0 / 7.0
     crossing = int(js[np.argmax(curve <= 1.10 * sharp)]) if np.any(curve <= 1.10 * sharp) else None

@@ -31,7 +31,7 @@ def one(Z, T):
 
 def ball_integral(alg, params, f, R, n, seed):
     """(value, stderr) of the integral of f over the gauge ball d < R."""
-    vals, cov, _ = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, R), seed), lambda Z, T: [f(Z, T)], 1, n)
+    vals, cov = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, R), seed), lambda Z, T: [f(Z, T)], 1, n)
     return float(vals[0]), math.sqrt(cov[0, 0])
 
 
@@ -168,7 +168,7 @@ def test_integrate_shells_region_uses_own_substream(heis1):
     regions = _dyadic_regions(-12, 12)
     vals, cov, last = integrate_shells(heis1, params, regions, f, 1, [20_000] * len(regions), 5, (3,))
     idx = regions.index(ShellRegion(2.0, 4.0))
-    ref, ref_cov, _ = mc_region_multi(Sampler(heis1, params, regions[idx], 5, spawn_key=(3, idx)), f, 1, 20_000)
+    ref, ref_cov = mc_region_multi(Sampler(heis1, params, regions[idx], 5, spawn_key=(3, idx)), f, 1, 20_000)
     assert vals[0] == pytest.approx(ref[0], rel=1e-12) and vals[0] > 0.0
     assert cov[0, 0] == pytest.approx(ref_cov[0, 0], rel=1e-12)
     assert last[0] == 0.0
@@ -204,7 +204,7 @@ def test_integrate_shells_unequal_counts_match_per_region_sums(heis1):
     vals, cov, last = integrate_shells(heis1, params, regions, multi, 2, counts, 4, (6,))
     ref_vals, ref_cov = np.zeros(2), np.zeros((2, 2))
     for i, (region, n) in enumerate(zip(regions, counts)):
-        v, c, _ = mc_region_multi(Sampler(heis1, params, region, 4, spawn_key=(6, i)), multi, 2, n)
+        v, c = mc_region_multi(Sampler(heis1, params, region, 4, spawn_key=(6, i)), multi, 2, n)
         ref_vals += v
         ref_cov += c
     assert np.array_equal(vals, ref_vals) and np.array_equal(cov, ref_cov) and np.array_equal(last, v)
@@ -262,8 +262,8 @@ def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
             monkeypatch.setattr(quadrature, "_CHUNK", chunk)
             monkeypatch.setattr(quadrature, "_SLICE", slice_)
             slices.clear()
-            got, cov, points = mc_region_multi(sampler, multi, nf, n)
-            assert max(slices) <= slice_ // nf and sum(slices) == points == N
+            got, cov = mc_region_multi(sampler, multi, nf, n)
+            assert max(slices) <= slice_ // nf and sum(slices) == N
             assert len(slices) > 1 or (region.r_min == 0.99 and slice_ == _SLICE)
             np.testing.assert_allclose(got, est.mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_cov)))
@@ -277,7 +277,7 @@ def test_variance_survives_large_constant_offset(heis1, monkeypatch):
     params = params_for(heis1, k=1.0)
     monkeypatch.setattr(Sampler, "weights", lambda self, Z: np.ones(len(Z)))
     sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), 8)
-    _, cov, _ = mc_region_multi(sampler, lambda Z, T: np.stack([1e8 + zsq(Z, T), zsq(Z, T)]), 2, 100_000)
+    _, cov = mc_region_multi(sampler, lambda Z, T: np.stack([1e8 + zsq(Z, T), zsq(Z, T)]), 2, 100_000)
     assert cov[1, 1] > 0.0
     assert cov[0, 0] == pytest.approx(cov[1, 1], rel=1e-3)
 
@@ -339,9 +339,15 @@ def test_small_budget_still_fills_every_replicate():
     alg = cfg.algebra()
     params = cfg.params(alg)
     sampler = Sampler(alg, params, ShellRegion(0.0, 1.0), cfg.seed)
-    _, _, points = mc_region_multi(sampler, lambda Z, T: [np.ones(len(Z))], 1, cfg.n_samples)
-    assert points == REPLICATES
-    Z, T, mask = sampler.draw(points)
+    points = []
+
+    def ones(Z, T):
+        points.append(len(Z))
+        return [np.ones(len(Z))]
+
+    mc_region_multi(sampler, ones, 1, cfg.n_samples)
+    assert sum(points) == REPLICATES
+    Z, T, mask = sampler.draw(REPLICATES)
     assert mask.all() and np.all(norm_d(params, (Z, T)) < 1.0)
     for c in verify_moments(cfg).checks:
         assert c.passed and (c.stderr > 0.0 or c.kind != "stochastic")
@@ -403,7 +409,7 @@ def test_map_mean_weight_is_shell_volume(map_groups):
         params = params_for(alg, k=k)
         for i, region in enumerate(_MAP_REGIONS):
             sampler = Sampler(alg, params, region, 6, spawn_key=(i,))
-            vals, cov, _ = mc_region_multi(sampler, lambda Z, T: [one(Z, T)], 1, 50_000)
+            vals, cov = mc_region_multi(sampler, lambda Z, T: [one(Z, T)], 1, 50_000)
             vol = cf.ball_moment(params, 0.0) * (region.r_max**params.Q - region.r_min**params.Q)
             assert abs(vals[0] - vol) <= 3.0 * math.sqrt(cov[0, 0]) and cov[0, 0] > 0.0
 

@@ -13,7 +13,7 @@ from hplap import verify as verify_mod
 from hplap.quadrature import Sampler, ShellRegion, integrate_shells, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
-    _radial_1d_integrals,
+    _radial_1d_batch,
     _support_shells,
     AngularModulation,
     HardyTestFunction,
@@ -155,7 +155,7 @@ def test_hardy_ratio_scale_invariance(heis1):
     phi = build_hardy_corpus()[2]
     [res1] = hardy_ratio(heis1, [(params, phi)], 20_000, seed=3)
     scaled = HardyTestFunction(
-        shape=(lambda r: -2.5 * phi.f(r), lambda r: -2.5 * phi.df(r)),
+        shape=lambda r: tuple(-2.5 * v for v in phi.shape(r)),
         support=phi.support,
         modulation=phi.modulation,
     )
@@ -167,8 +167,13 @@ def test_hardy_ratio_dilation_invariance(heis1):
     params = params_for(heis1, k=1.0, p=2.0, alpha=1.0)
     phi = annulus_bump(0.5, 2.0, "window")
     lam = 2.0
+
+    def dilated_shape(r):
+        F, dF = phi.shape(lam * r)
+        return F, lam * dF
+
     dilated = HardyTestFunction(
-        shape=(lambda r: phi.f(lam * r), lambda r: lam * phi.df(lam * r)),
+        shape=dilated_shape,
         support=(phi.support[0] / lam, phi.support[1] / lam),
     )
     [r1] = hardy_ratio(heis1, [(params, phi)], 60_000, seed=4)
@@ -213,9 +218,9 @@ def test_hardy_ratio_shared_cases_match_single_calls(heis1):
 
 
 def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
-    # 8 cases on one shape: F and dF run once per Monte Carlo batch and once
-    # per 1-D shell, not once per case
-    calls = {"F": 0, "dF": 0, "batches": 0}
+    # 8 cases on one shape: the shape runs once per Monte Carlo batch and
+    # once per 1-D shell, not once per case
+    calls = {"shape": 0, "batches": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -225,7 +230,7 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
         return wrapped
 
     u = sharpness_test_function(params_for(heis1), 3)
-    shape = (counted("F", u.shape[0]), counted("dF", u.shape[1]))
+    shape = counted("shape", u.shape)
     cases = [(params, HardyTestFunction(shape, u.support, power=sharpness_test_function(params, 3).power))
              for params in _admissible_grid(heis1)]
     integrate = verify_mod.integrate_shells
@@ -235,7 +240,7 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
     hardy_ratio(heis1, cases, 8_000, seed=11)
     n_shells = len(_support_shells(*u.support))
     assert calls["batches"] >= n_shells
-    assert calls["F"] == calls["dF"] == calls["batches"] + n_shells
+    assert calls["shape"] == calls["batches"] + n_shells
 
 
 def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch):
@@ -306,12 +311,12 @@ def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
 
     monkeypatch.setattr(AngularModulation, "grad", counted_grad)
     monkeypatch.setattr(verify_mod, "norm_d", _counting(calls, "norm_d", verify_mod.norm_d))
-    shapes = {}  # one counted (F, F') per distinct shape, shared by its twins as in the corpus
+    shapes = {}  # one counted shape per distinct shape, shared by its twins as in the corpus
     for phi in build_hardy_corpus()[:10]:
         if id(phi.shape) not in shapes:
-            key = f"F{len(shapes)}"
+            key = f"shape{len(shapes)}"
             calls[key] = 0
-            shapes[id(phi.shape)] = (_counting(calls, key, phi.shape[0]), phi.shape[1])
+            shapes[id(phi.shape)] = _counting(calls, key, phi.shape)
     batches = []
 
     def per_batch(multi_fn):
@@ -391,7 +396,7 @@ def test_hardy_corpus_structure():
 
 def test_test_function_support_validated():
     with pytest.raises(ValueError):
-        HardyTestFunction(shape=(lambda r: r, lambda r: 1.0), support=(0.0, 1.0))
+        HardyTestFunction(shape=lambda r: (r, 1.0), support=(0.0, 1.0))
 
 
 def test_modulated_field_gradient_matches_fd(heis1, rng):
@@ -420,11 +425,12 @@ def test_sharpness_spec_invariants(heis1):
     params = params_for(heis1, k=1.0, p=2.0)
     phi = sharpness_test_function(params, 5)
     r = np.geomspace(2.0**-5, 1.0, 50)
-    assert np.allclose(phi.f(r), r ** ((2.0 - 4.0) / 2.0 - 1.0 / 5.0), rtol=1e-12)
+    assert np.allclose(phi.profile(r, *phi.shape(r))[0], r ** ((2.0 - 4.0) / 2.0 - 1.0 / 5.0), rtol=1e-12)
     a = 1.0 + 1.0 / 5.0
     for edge in (2.0**-6, 2.0**-5):
         x = edge * np.array([1.0 - 1e-7, 1.0 + 1e-7])
-        psi, dpsi = phi.f(x) * x**a, phi.df(x) * x**a + a * x ** (a - 1.0) * phi.f(x)
+        f, df = phi.profile(x, *phi.shape(x))
+        psi, dpsi = f * x**a, df * x**a + a * x ** (a - 1.0) * f
         assert abs(psi[1] - psi[0]) < 1e-5 and abs(dpsi[1] - dpsi[0]) < 1e-3 * 2.0**5
     with pytest.raises(ValueError):
         sharpness_test_function(params, 0)
@@ -437,15 +443,17 @@ def test_sharpness_cutoff_shape(j, heis1):
     a = (params.Q + params.alpha - params.p) / params.p + 1.0 / j
     # equals the pure power on [2^-j, 1]
     r = np.linspace(2.0**-j, 1.0, 101)
-    assert np.allclose(phi.f(r), r**-a, rtol=1e-12)
+    assert np.allclose(phi.profile(r, *phi.shape(r))[0], r**-a, rtol=1e-12)
     # vanishes outside the support, the origin included
     outside = np.array([0.0, 2.0 ** (-j - 1) * 0.99, 2.01, 3.0])
-    assert np.all(phi.f(outside) == 0.0) and np.all(phi.df(outside) == 0.0)
+    f, df = phi.profile(outside, *phi.shape(outside))
+    assert np.all(f == 0.0) and np.all(df == 0.0)
     # |psi_j'| <= C 2^j on the inner transition band with C independent
     # of j: the quintic transition satisfies |psi'| <= 1.875 * 2^{j+1}
     band = np.linspace(2.0 ** (-j - 1), 2.0**-j, 512)
     # reconstruct psi' = (f * r^a)' = f' r^a + a r^{a-1} f
-    psi_prime = phi.df(band) * band**a + a * band ** (a - 1.0) * phi.f(band)
+    f, df = phi.profile(band, *phi.shape(band))
+    psi_prime = df * band**a + a * band ** (a - 1.0) * f
     assert np.max(np.abs(psi_prime)) <= 1.875 * 2.0 ** (j + 1) * 1.0001
 
 
@@ -455,13 +463,37 @@ def test_quintic_derivative_clips_instead_of_masking():
     # overflowed under the mask, and now raises nothing
     x = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1], np.random.default_rng(0).random(1000)])
     masked = np.where((x <= 0.0) | (x >= 1.0), 0.0, 30.0 * x**2 * (1.0 - x) ** 2)
-    assert np.array_equal(verify_mod._quintic_d(x), masked)
-    F, dF = verify_mod._cutoff(256)
+    assert np.array_equal(verify_mod._quintic(x)[1], masked)
     r = np.geomspace(2.0**-258, 2.0, 4000)
     with np.errstate(all="raise"):
-        vals, slopes = F(r), dF(r)
+        vals, slopes = verify_mod._cutoff(256)(r)
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(slopes))
-    assert verify_mod._quintic_d(np.array([-1e300, 0.0, 1.0, 1e300])).tolist() == [0.0] * 4
+    assert verify_mod._quintic(np.array([-1e300, 0.0, 1.0, 1e300]))[1].tolist() == [0.0] * 4
+
+
+# each _SHAPES kind on [0, 1] with annulus_bump's support mask (the only form
+# in which a kind is evaluated), one stretched annulus bump, and psi_j
+_SHAPE_CASES = {
+    **{kind: (verify_mod._annulus_shape(0.0, 1.0, kind), (0.0, 1.0)) for kind in verify_mod._SHAPES},
+    "annulus_bump": (annulus_bump(0.5, 2.0, "asym").shape, (0.5, 2.0)),
+    **{f"cutoff-{j}": (verify_mod._cutoff(j), (2.0 ** (-j - 1), 2.0)) for j in (1, 8)},
+}
+
+
+@pytest.mark.parametrize("case", _SHAPE_CASES)
+def test_shape_derivative_matches_central_difference(case):
+    # F' is the derivative of F: a wrong F' would pass hardy_ratio's radial
+    # self-check, whose Monte Carlo and 1-D sides both use it
+    shape, (r0, r1) = _SHAPE_CASES[case]
+    r = np.geomspace(max(r0, 1e-3 * r1) * 1.001, r1 * 0.999, 4001)
+    h = 1e-6 * r
+    F, dF = shape(r)
+    central = (shape(r + h)[0] - shape(r - h)[0]) / (2.0 * h)
+    assert np.max(np.abs(dF - central)) <= 1e-6 * np.max(np.abs(dF))
+    # F and F' vanish exactly at and beyond both ends of the support
+    w = r1 - r0
+    F, dF = shape(np.array([r0, r1, r0 - 0.5 * w, r0 - 1e300, r1 + 1e-9 * w, 1.5 * r1, 1e300]))
+    assert np.all(F == 0.0) and np.all(dF == 0.0)
 
 
 def test_sharpness_ratios_decrease(heis1):
@@ -479,7 +511,7 @@ def test_sharpness_exact_quotient_large_j_finite(quat1):
     # the 1-D quotient of u_j stays finite where |phi'|^p alone would
     # overflow on the innermost shell (quaternionic:1, k = 2, p = 3)
     params = params_for(quat1, k=2.0, p=3.0)
-    curve = [np.divide(*_radial_1d_integrals(params, sharpness_test_function(params, j))) for j in (8, 16, 32, 64, 128)]
+    curve = [np.divide(*_radial_1d_batch([(params, sharpness_test_function(params, j))])[0]) for j in (8, 16, 32, 64, 128)]
     assert np.all(np.isfinite(curve))
     assert np.all(np.diff(curve) <= 0.0)
     assert min(curve) > sharp_hardy_constant(params)
@@ -556,7 +588,7 @@ def test_moments_columns_match_single_column_estimates(heis1):
     assert [c.check_id for c in checks] == ["ball-moment-0", "ball-moment-1", "ball-moment-6", "ball-moment-9"]
     sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), cfg.seed)
     for check, gamma in zip(checks, (0.0, 1.0, 6.0, 9.0)):
-        vals, cov, _ = mc_region_multi(sampler, lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (gamma / 2.0)], 1, cfg.n_samples)
+        vals, cov = mc_region_multi(sampler, lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (gamma / 2.0)], 1, cfg.n_samples)
         assert check.observed == pytest.approx(vals[0], rel=1e-12)
         assert check.stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
