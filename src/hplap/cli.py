@@ -23,7 +23,11 @@ that names no option is an error.
 Defaults are SuiteConfig's (``--j``: ``j_max``); ``--out`` is
 ``reports`` for verify and ``sweep.csv`` for sweep.  Sample counts are
 budgets of bounding-box candidates, at least 2048 per shell region; a
-region evaluates only the share of them that lands in it.
+region evaluates only the share of them that lands in it.  A Rayleigh
+quotient spends the points of its support's shells on sampled directions
+with a radial quadrature along each.  ``sweep --mode sharpness`` refuses
+a ``--j`` at which d^{4k} underflows on the support of u_j, i.e.
+4k(j + 1) >= 1022 for some k of the grid.
 
 ``verify`` writes one report document per suite to
 ``<out>/<suite>-<group>-<stamp>.kv`` (colons and path separators in the
@@ -94,8 +98,9 @@ _HELP = {
     "seed": "base seed for all random streams (a non-negative integer)",
     "samples": "Monte Carlo budget: n bounding-box candidates per region of an equal split (a region evaluates "
                f"the share that lands in it), or less where the variance is low, but at least {MIN_REGION_CANDIDATES}",
-    "corpus_samples": f"sample budget per test function, split over its support shells with at least "
-                      f"{MIN_REGION_CANDIDATES} per shell",
+    "corpus_samples": f"sample budget per test function: split over the dyadic pieces of its support, at least "
+                      f"{MIN_REGION_CANDIDATES} each, it buys the points those shells would evaluate, spent as "
+                      "sampled directions times radial Gauss-Legendre nodes",
     "out": f"output directory (verify, default {_DEFAULTS['out']}) or file (sweep, default {_SWEEP_OUT}; - for stdout)",
     "format": "report format: kv or csv", "stamp": "fixed timestamp string for output filenames",
     "suite": "suite name (repeatable) or 'all'", "mode": "hardy (corpus function) or sharpness (u_j)",
@@ -176,6 +181,12 @@ def _validate(values: dict, command: str) -> list:
             raise ValueError(f"--{key.replace('_', '-')} must be {rule}, got {parsed[key]}")
     if command == "sweep" and not (values["j"].strip().isdecimal() and int(values["j"]) >= 1):
         raise ValueError(f"--j must be an integer of at least 1, got {values['j']!r}")
+    if command == "sweep" and values["mode"] == "sharpness":
+        # u_j reaches down to d = 2^-(j+1), where d^{4k} must stay a normal float
+        j, k = int(values["j"]), max(k_grid)
+        if 4.0 * k * (j + 1) >= 1022:
+            raise ValueError(f"--j {j}: the support of u_j reaches d = 2^-{j + 1}, where d^(4k) underflows at "
+                             f"k = {k:g}; 4k(j + 1) must be below 1022")
     fields = {_SUITE_FIELDS[key][0]: value for key, value in parsed.items()}
     configs = [[SuiteConfig(**fields, **combo) for combo in row] for row in combos]
     for config in itertools.chain.from_iterable(configs):

@@ -4,8 +4,9 @@ over gauge shells.
 The one region type is the gauge shell r_min <= d < r_max (a ball has
 r_min = 0).  A point u of [0, 1)^{m+q} maps into the shell without
 rejection: z uniform in the m-ball |z| < r_max, with |z| = r_max
-u_1^{1/m} floored at 1e-12 so that integrable singularities on {z = 0}
-can be sampled; then |t|^q uniform on [a^q, b^q), the slice
+max(u_1^{1/m}, 1e-12), a floor relative to the region so that
+integrable singularities on {z = 0} can be sampled at any scale; then
+|t|^q uniform on [a^q, b^q), the slice
 a = sqrt(max(r_min^{4k} - |z|^{4k}, 0))/4 <= |t| < b =
 sqrt(r_max^{4k} - |z|^{4k})/4 of the shell above z; directions use the
 remaining coordinates (:func:`_sphere`).  The point's weight is the
@@ -29,10 +30,15 @@ the base seed, so identical (seed, region, n) reproduce bit-identical
 results.
 
 :func:`integrate_shells` sums regions (an innermost ball plus dyadic
-shells, or the dyadic split of a test function's support), region i on
-substream spawn_key + (i,), and returns the outermost region's values as
-a tail diagnostic; :func:`neyman_counts` sizes their budgets by Neyman
-allocation from a pilot on disjoint substreams.
+shells), region i on substream spawn_key + (i,), and returns the
+outermost region's values as a tail diagnostic; :func:`neyman_counts`
+sizes their budgets by Neyman allocation from a pilot on disjoint
+substreams.
+
+:func:`integrate_polar` integrates over a shell by the polar formula
+instead: directions from the unit ball's map, the radius by
+Gauss-Legendre panels, with a quadrature error term beside the
+replicates' covariance (:func:`total_stderr`).
 """
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import HTypeAlgebra, OperatorParams
+from .algebra import HTypeAlgebra, OperatorParams, norm_d
 from .closedform import ball_moment
 
 __all__ = [
@@ -52,10 +58,13 @@ __all__ = [
     "Sampler",
     "integrate_shells",
     "neyman_counts",
+    "integrate_polar",
+    "total_stderr",
     "grid_integral_1d",
 ]
 
-#: floor of the radius |z| (the center tube {z = 0})
+#: floor of the radius |z| (the center tube {z = 0}), relative to the
+#: region's r_max
 SINGULAR_Z_FLOOR = 1e-12
 
 #: smallest budget any region of a shell integral draws on, whatever the
@@ -66,6 +75,15 @@ MIN_REGION_CANDIDATES = 2048
 #: their estimates gives the standard error, with 63 degrees of freedom,
 #: so a 3-sigma band covers 99.6% (99.73% for a known variance)
 REPLICATES = 64
+
+#: Gauss-Legendre nodes per radial panel of :func:`integrate_polar`
+POLAR_NODES = 16
+
+#: relative round-off level of a polar integral: its quadrature term is
+#: never below QUAD_FLOOR times its size, so it is never 0; radial
+#: quotients whose rule is exact agree with their 1-D reduction to about
+#: 1e-15 .. 1e-14 (heisenberg:1, quaternionic:1)
+QUAD_FLOOR = 1e-12
 
 _CHUNK = 1 << 17
 _SLICE = 1 << 17
@@ -198,7 +216,7 @@ class Sampler:
         shifts = self.shifts() if shifts is None else shifts
         m, q, R = self.alg.m, self.alg.q, len(shifts)
         U = _shifted(_halton(n // R + (n % R > 0), m + q), shifts, n)
-        rz = np.maximum(self.region.r_max * U[:, 0] ** (1.0 / m), SINGULAR_Z_FLOOR)
+        rz = self.region.r_max * np.maximum(U[:, 0] ** (1.0 / m), SINGULAR_Z_FLOOR)
         Z = _sphere(U[:, 1:m], m)
         Z *= rz[:, None]
         lo, width = self._slice(rz ** (4.0 * self.params.k))
@@ -216,6 +234,12 @@ class Sampler:
         _, width = self._slice(np.einsum("ni,ni->n", Z, Z) ** (2.0 * self.params.k))
         return width * (math.pi ** (0.5 * (m + q)) * self.region.r_max**m
                         / (math.gamma(0.5 * m + 1.0) * math.gamma(0.5 * q + 1.0)))
+
+
+def _box_share(params: OperatorParams, r_min: float, r_max: float) -> float:
+    """rho = |B_1| (1 - (r_min / r_max)^Q) / 2^{m-q}, the share of its
+    bounding box that the shell r_min <= d < r_max fills."""
+    return ball_moment(params, 0.0) * (1.0 - (r_min / r_max) ** params.Q) / 2.0 ** (params.m - params.q)
 
 
 def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
@@ -236,9 +260,7 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
     shifts = sampler.shifts()
-    region, params = sampler.region, sampler.params
-    rho = ball_moment(params, 0.0) * (1.0 - (region.r_min / region.r_max) ** params.Q) / 2.0 ** (params.m - params.q)
-    N = max(REPLICATES, math.ceil(rho * n))
+    N = max(REPLICATES, math.ceil(_box_share(sampler.params, sampler.region.r_min, sampler.region.r_max) * n))
     sizes = N // REPLICATES + (np.arange(REPLICATES) < N % REPLICATES)
     per = max(1, _CHUNK // int(sizes[0]))
     step = max(1, _SLICE // nf)
@@ -317,6 +339,88 @@ def neyman_counts(alg: HTypeAlgebra, params: OperatorParams, regions, f: Callabl
 
 # a lambda, so that np.polynomial loads on first use and not with every command's imports
 _leggauss = functools.lru_cache(lambda deg: np.polynomial.legendre.leggauss(deg))
+
+
+def dyadic_edges(r0: float, r1: float) -> np.ndarray:
+    """Edges r0, 2 r0, 4 r0, ..., r1 of the dyadic split of [r0, r1]
+    (the last piece partial)."""
+    return np.append(r0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(r1 / r0)))), r1)
+
+
+def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: Callable, nf: int, n: int,
+                    seed: int, spawn_key: tuple = ()):
+    """Integrals over the shell edges[0] <= d < edges[-1] by the polar
+    formula int f = int_S int_0^inf f(delta_r w) r^{Q-1} dr dsigma(w)
+    (Folland & Stein, *Hardy Spaces on Homogeneous Groups*, Prop. 1.15).
+
+    Directions w = delta_{1/d(x)} x, x from the unit ball's map on
+    substream spawn_key: the inner integral h(w(x)) has degree 0 in x, so
+    int_S h dsigma = Q int_{B_1} h(w(x)) dx, estimated by
+    :func:`mc_region_multi` with no radial variance.  Radius: POLAR_NODES
+    Gauss-Legendre nodes per panel [edges[i], edges[i + 1]], which should
+    end where an integrand is not smooth; multi_fn(Z, T) -> (nf, len(Z))
+    is evaluated at the real points delta_r w, at most _SLICE // nf per
+    call.
+
+    Budget: n candidates split evenly over the dyadic pieces of the
+    support, at least MIN_REGION_CANDIDATES each, buy the points that
+    shell sampling would evaluate, spent as max(REPLICATES,
+    points // nodes) directions.
+
+    Returns (values, covariance, finer): as from mc_region_multi, and the
+    values rescaled column by column by the ratio of a 2 POLAR_NODES-node
+    to the POLAR_NODES-node estimate along the first directions of
+    replicate 0 (about 3/64 more evaluations), so that a function g of the
+    values has the quadrature term 2 |g(finer) - g(values)|
+    (:func:`total_stderr`).
+    """
+    edges = np.asarray(edges, dtype=float)
+    Q, k, m, q = params.Q, params.k, alg.m, alg.q
+    dyadic = dyadic_edges(edges[0], edges[-1])
+    n_per = max(MIN_REGION_CANDIDATES, math.ceil(n / (len(dyadic) - 1)))
+    points = sum(max(REPLICATES, math.ceil(_box_share(params, a, b) * n_per)) for a, b in zip(dyadic, dyadic[1:]))
+    directions = max(REPLICATES, points // (POLAR_NODES * (len(edges) - 1)))
+
+    def along_rays(deg):
+        """h(Z, T) -> (nf, len(Z)): the radial rule of deg nodes per panel along the directions of Z, T."""
+        x, w = _leggauss(deg)
+        lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+        r = (lo + half * (x + 1.0)).ravel()
+        c, rt = Q * (half * w).ravel() * r ** (Q - 1.0), r ** (2.0 * k)
+        per = max(1, _SLICE // (nf * len(r)))
+
+        def h(Z, T):
+            d = norm_d(params, (Z, T))
+            Z, T = Z / d[:, None], T / (d ** (2.0 * k))[:, None]
+            out = np.empty((nf, len(Z)))
+            for i in range(0, len(Z), per):
+                z, t = Z[i : i + per, None, :] * r[:, None], T[i : i + per, None, :] * rt[:, None]
+                vals = np.asarray(multi_fn(z.reshape(-1, m), t.reshape(-1, q)), dtype=float)
+                out[:, i : i + per] = vals.reshape(nf, len(z), len(r)) @ c
+            return out
+
+        return h
+
+    sampler = Sampler(alg, params, ShellRegion(0.0, 1.0), seed, spawn_key)
+    values, cov = mc_region_multi(sampler, along_rays(POLAR_NODES), nf,
+                                  math.ceil(directions / _box_share(params, 0.0, 1.0)))
+    Z, T, _ = sampler.draw(-(-directions // REPLICATES), sampler.shifts()[:1])
+    w = sampler.weights(Z)
+    coarse, fine = (along_rays(deg)(Z, T) @ w for deg in (POLAR_NODES, 2 * POLAR_NODES))
+    return values, cov, values * np.divide(fine, coarse, out=np.ones(nf), where=coarse != 0.0)
+
+
+def total_stderr(var, value, finer):
+    """sqrt(var + quad^2): the replicates' variance var of an estimate
+    value of :func:`integrate_polar` and its quadrature term
+    quad = 2 |finer - value|, floored at QUAD_FLOOR |value|.  Doubling the
+    difference bounds the error of the coarser rule wherever doubling its
+    nodes at least halves that error.  The difference alone falls short:
+    next to a kink of |.|^{3/2} at a panel edge the error of the rule
+    shrinks only about 32-fold per doubling, and on the radial corpus the
+    difference read up to 11% below the error."""
+    quad = np.maximum(2.0 * np.abs(finer - value), QUAD_FLOOR * np.abs(value))
+    return np.sqrt(np.maximum(var, 0.0) + quad * quad)
 
 
 def grid_integral_1d(profile: Callable, a: float, b: float, n: int = 2048):

@@ -77,14 +77,16 @@ from .fields import (
     weighted_p_laplacian_batch,
 )
 from .quadrature import (
-    MIN_REGION_CANDIDATES,
     REPLICATES,
     Sampler,
     ShellRegion,
+    dyadic_edges,
     grid_integral_1d,
+    integrate_polar,
     integrate_shells,
     mc_region_multi,
     neyman_counts,
+    total_stderr,
 )
 from .report import VerificationReport
 
@@ -483,29 +485,54 @@ class HardyRatioResult:
     stderr: float
     lhs_stderr: float
     rhs_stderr: float
-    n_samples: int
     lhs_1d: float = math.nan
     rhs_1d: float = math.nan
     radial_consistent: bool = True
 
 
-def _support_shells(r0: float, r1: float) -> list:
-    """Dyadic split of [r0, r1] (last shell partial)."""
-    shells = []
-    a = r0
-    while a < r1:
-        b = min(2.0 * a, r1)
-        shells.append(ShellRegion(a, b))
-        a = b
-    return shells
+#: coarse-grid intervals per dyadic piece on which :func:`_panel_edges`
+#: brackets sign changes, and the sections each step splits a bracket into
+_KINK_GRID = 64
+_SECTIONS = 16
+
+#: Gauss-Legendre nodes per panel of the 1-D reduction (32 panels of 32)
+_PANEL_NODES_1D = 1024
 
 
-def _integrate_support(alg, params, support, multi_fn, nf: int, n: int, seed: int, spawn_key: tuple):
-    """(values, covariance, candidates) of n candidates split evenly over the dyadic shells of support."""
-    shells = _support_shells(*support)
-    n_per = max(MIN_REGION_CANDIDATES, int(np.ceil(n / len(shells))))
-    sums, cov, _ = integrate_shells(alg, params, shells, multi_fn, nf, [n_per] * len(shells), seed, spawn_key)
-    return sums, cov, n_per * len(shells)
+def _panel_edges(phis) -> np.ndarray:
+    """Radial panel edges for test functions that share a support: the
+    dyadic pieces of the support, split wherever the sign of a phi's
+    profile derivative r^{-a} (F' - a F / r) changes (to or from 0, too,
+    as at the ends of a plateau), because |.|^p has a kink there.  The
+    changes are bracketed on _KINK_GRID intervals per dyadic piece, then
+    narrowed to 1e-10 relative by multisection (bisection into _SECTIONS
+    parts per step), one shape evaluation per step for every power and
+    bracket that shares the shape; a kink within 1e-9 (relative) of an edge
+    or of a smaller kink is dropped.  A kink that far inside a panel of
+    width h adds an error of order (1e-9 r / h)^{p+1}."""
+    dyadic = dyadic_edges(*phis[0].support)
+    grid = np.unique(np.concatenate([np.linspace(a, b, _KINK_GRID + 1) for a, b in zip(dyadic, dyadic[1:])]))
+    kinks = []
+    for shape in dict.fromkeys(phi.shape for phi in phis):
+        powers = np.array(sorted({phi.power for phi in phis if phi.shape is shape}))[:, None]
+        F, dF = shape(grid)
+        sign = np.sign(dF - powers * F / grid)
+        ia, ig = np.nonzero(sign[:, 1:] != sign[:, :-1])
+        lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia], sign[ia, ig, None]
+        rows = np.arange(len(lo))
+        while np.any(hi - lo > 1e-10 * hi):
+            x = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
+            x[:, 0], x[:, -1] = lo, hi
+            F, dF = shape(x[:, 1:-1])
+            stay = np.sign(dF - a * F / x[:, 1:-1]) == side
+            # the sign changes after the leading inner points that keep lo's
+            j = np.argmin(np.hstack([stay, np.zeros((len(lo), 1), dtype=bool)]), axis=1)
+            lo, hi = x[rows, j], x[rows, j + 1]
+        kinks.append(hi)
+    k = np.unique(np.concatenate(kinks)) if kinks else np.empty(0)
+    k = k[(np.min(np.abs(k[:, None] - dyadic), axis=1, initial=np.inf) > 1e-9 * k)
+          & (np.diff(k, prepend=-np.inf) > 1e-9 * k)]
+    return np.union1d(dyadic, k)
 
 
 def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, phis):
@@ -534,17 +561,18 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, phis):
     return d, zn, field
 
 
-def _radial_1d_batch(cases) -> np.ndarray:
+def _radial_1d_batch(cases, edges=None) -> np.ndarray:
     """Polar reduction for radial Phi: both sides factor through the
     sphere moment of |z|^{(2k-1)p}:
 
         lhs = S * int r^{Q-1+alpha} |phi'(r)|^p dr
         rhs = S * int r^{Q-1+alpha-p} |phi(r)|^p dr.
 
-    One grid_integral_1d call per dyadic shell of the shared support
-    evaluates each distinct shape once; returns the (lhs, rhs) rows.  With
-    phi = r^{-a} F each integrand is one p-th power, so a steep power
-    profile near r = 0 does not overflow a factor on its own.
+    One grid_integral_1d call of _PANEL_NODES_1D nodes per panel (edges,
+    default :func:`_panel_edges` of the cases) evaluates each distinct
+    shape once; returns the (lhs, rhs) rows.  With phi = r^{-a} F each
+    integrand is one p-th power, so a steep power profile near r = 0 does
+    not overflow a factor on its own.
     """
     shapes = {phi.shape for _, phi in cases}
     S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
@@ -559,27 +587,35 @@ def _radial_1d_batch(cases) -> np.ndarray:
             out[2 * i + 1] = (r ** ((e - p) / p - a) * np.abs(F)) ** p
         return out
 
-    sums = sum(grid_integral_1d(profile, sh.r_min, sh.r_max, 4096) for sh in _support_shells(*cases[0][1].support))
+    edges = _panel_edges([phi for _, phi in cases]) if edges is None else edges
+    sums = sum(grid_integral_1d(profile, a, b, _PANEL_NODES_1D) for a, b in zip(edges, edges[1:]))
     return S[:, None] * sums.reshape(-1, 2)
 
 
 def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = ()) -> list[HardyRatioResult]:
-    """Monte Carlo Rayleigh quotients
+    """Rayleigh quotients
 
         ratio = int d^alpha |grad_X Phi|^p  /  int d^{alpha-p} |grad_X d|^p |Phi|^p
 
-    for each (params, phi) in cases, by shell sampling restricted to the
-    support, with a delta-method standard error using the shared-sample
-    covariance.  All cases share one set of shells (common random
+    for each (params, phi) in cases, by :func:`integrate_polar` over the
+    support: sampled directions, and Gauss-Legendre in the radius on the
+    panels of :func:`_panel_edges`, which end at every kink of a case's
+    |phi'|^p.  Every standard error is :func:`total_stderr` of the
+    replicates' (delta-method, for the ratio) variance and the quadrature
+    term.  For radial Phi both integrals carry the same angular factor
+    int_S |grad_X d|^p, so the ratio is the quotient of the two radial
+    integrals and the quadrature term is its whole error.
+
+    All cases share one set of directions and panels (common random
     numbers), so they must share k and the support of phi.  On each batch
     :func:`_corpus_batch` gives |Phi| and |grad_X Phi| once per distinct
     phi, and each power d^alpha, |grad_X d|^p, weight d^{alpha-p}
     |grad_X d|^p and (|Phi|^p, |grad_X Phi|^p) is computed once, for every
     case that uses it; a case's columns are the same products as in a call
-    of its own, so batching changes no bit of them.
+    of its own on the same panels, so batching changes no bit of them.
 
     For radial Phi the 1-D polar reduction (one batch for all radial cases)
-    must agree with the Monte Carlo values within 5 standard errors
+    must agree with the sampled values within 5 standard errors
     (built-in self-check).  Returns one :class:`HardyRatioResult` per case.
     """
     if not cases:
@@ -610,16 +646,17 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
                 out[2 * i + 1] = weight(p, a) * up
         return out
 
-    sums, cov, n_total = _integrate_support(alg, base, phi0.support, multi, 2 * len(cases), n, seed, spawn_key)
+    edges = _panel_edges([phi for phi, _ in by_phi.values()])
+    sums, cov, finer = integrate_polar(alg, base, edges, multi, 2 * len(cases), n, seed, spawn_key)
     radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
-    one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial]))) if radial else {}
+    one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial], edges))) if radial else {}
     out = []
     for i, (params, phi) in enumerate(cases):
-        L, R = sums[2 * i], sums[2 * i + 1]
+        (L, R), (fL, fR) = sums[2 * i : 2 * i + 2], finer[2 * i : 2 * i + 2]
         varL, varR, covLR = cov[2 * i, 2 * i], cov[2 * i + 1, 2 * i + 1], cov[2 * i, 2 * i + 1]
         var_ratio = varL / R**2 + L**2 * varR / R**4 - 2.0 * L * covLR / R**3
-        res = HardyRatioResult(float(L), float(R), float(L / R), math.sqrt(max(var_ratio, 0.0)),
-                               math.sqrt(max(varL, 0.0)), math.sqrt(max(varR, 0.0)), n_total)
+        res = HardyRatioResult(float(L), float(R), float(L / R), float(total_stderr(var_ratio, L / R, fL / fR)),
+                               float(total_stderr(varL, L, fL)), float(total_stderr(varR, R, fR)))
         if phi.radial:
             lhs1, rhs1 = one_d[i]
             # 5 sigma: this self-check runs hundreds of times per suite, so a
@@ -951,7 +988,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         (int |z|^t |u|^t)^{1/t} (int |grad_X u|^s)^{1/s}
             >= (Q - s)/s * int (|z|^{2k}/d^{2k}) |u|^2.
 
-    Checked on 16 corpus functions with s = config.p, one shell integral
+    Checked on 16 corpus functions with s = config.p, one polar integral
     per support (spawn key (7, annulus index)), recording the Hoelder
     factorization (middle quantity B = int (|z|/d)^{(2k-1)s} d^{-s} |u|^s)
     for diagnosis: RHS <= I1^{1/t} B^{1/s} and B^{1/s} <= s/(Q-s) I2^{1/s}.
@@ -964,7 +1001,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         raise ValueError(f"uncertainty suite requires 1 < s < Q = {Q}, got s={s}")
     t_exp = s / (s - 1.0)
     rows, holder, hardy_b = [], [], []
-    for ai, (support, group) in enumerate(groupby(build_hardy_corpus()[::3][:16], key=lambda phi: phi.support)):
+    for ai, (_, group) in enumerate(groupby(build_hardy_corpus()[::3][:16], key=lambda phi: phi.support)):
         phis = list(group)
 
         def multi(Z, T):
@@ -972,9 +1009,9 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
             w1, w3, wb = zn**t_exp, (zn / d) ** (2.0 * k), (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s)
             return np.concatenate([[w1 * u**t_exp, gn**s, w3 * u**2, wb * u**s] for u, gn in map(field, phis)])
 
-        sums, cov, _ = _integrate_support(alg, params, support, multi, 4 * len(phis), config.corpus_n(),
-                                          config.seed, (7, ai))
-        ses = np.sqrt(np.maximum(np.diag(cov), 0.0)).reshape(-1, 4)
+        sums, cov, finer = integrate_polar(alg, params, _panel_edges(phis), multi, 4 * len(phis), config.corpus_n(),
+                                           config.seed, (7, ai))
+        ses = total_stderr(np.diag(cov), sums, finer).reshape(-1, 4)
         for (i1, i2, i3, bmid), se in zip(sums.reshape(-1, 4), ses):
             lhs = i1 ** (1.0 / t_exp) * i2 ** (1.0 / s)
             rhs = (Q - s) / s * i3

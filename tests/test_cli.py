@@ -240,6 +240,18 @@ def test_sweep_rejects_bad_j(j, monkeypatch, capsys):
     assert "configuration error: --j" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, j, largest", [("1", "300", None), ("1", "255", "254"), ("1,2", "127", "126")])
+def test_sweep_rejects_j_whose_support_underflows_the_gauge(k, j, largest, tmp_path, capsys):
+    # u_j reaches d = 2^-(j+1), and d^{4k} underflows once 4k(j + 1) >= 1022, for any k of the grid
+    args = ["sweep", "--k", k, "--p", "2", "--alpha", "0", "--mode", "sharpness", "--corpus-samples", "2000",
+            "--out", str(tmp_path / "s.csv")]
+    assert run_cli(args + ["--j", j]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: --j") and not (tmp_path / "s.csv").exists()
+    if largest is not None:
+        assert run_cli(args + ["--j", largest]) == 0
+
+
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "conf.txt"
     cfgfile.write_text("group = heisenberg:1\nsampels = 10\n")

@@ -29,7 +29,12 @@ def test_trace_hooks_record_hardy_ratio_and_1d_quadrature(tmp_path):
     sweep = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "2", "--alpha", "0", "--mode", "sharpness",
              "--corpus-samples", "4000", "--out", str(tmp_path / "sweep.csv")]
     spans = _trace_spans(tmp_path, sweep)
-    assert {"verify.hardy_ratio", "quadrature.grid_integral_1d"} <= {span[0] for span in spans}
+    assert {"verify.hardy_ratio", "quadrature.grid_integral_1d", "quadrature.mc_region_multi", "quadrature.draw",
+            "verify.evaluate"} <= {span[0] for span in spans}
+    # the directions of the polar integral are drawn and evaluated inside mc_region_multi
+    names = [span[0] for span in spans]
+    inside = {names[span[3]] for span in spans if span[0] in ("quadrature.draw", "verify.evaluate") and span[3] >= 0}
+    assert "quadrature.mc_region_multi" in inside
 
 
 def test_traced_draws_accept_at_most_their_candidates(tmp_path):

@@ -393,10 +393,11 @@ _MAP_REGIONS = (ShellRegion(0.0, 1.0), ShellRegion(0.5, 1.0), ShellRegion(1.0, 2
 
 
 def test_map_points_lie_in_their_shell(map_groups):
+    # also a shell far below the |z| floor's scale: the floor is relative to r_max
     assert [(alg.m, alg.q) for alg, _ in map_groups] == [(2, 1), (6, 1), (4, 3), (4, 2)]
     for alg, k in map_groups:
         params = params_for(alg, k=k)
-        for i, region in enumerate(_MAP_REGIONS):
+        for i, region in enumerate(_MAP_REGIONS + (ShellRegion(2.0**-50, 2.0**-49),)):
             Z, T, mask = Sampler(alg, params, region, 5, spawn_key=(i,)).draw(20_000)
             d = norm_d(params, (Z, T))
             assert mask.all() and np.all(np.einsum("ni,ni->n", Z, Z) > 0.0)

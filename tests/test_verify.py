@@ -1,4 +1,5 @@
 import math
+from itertools import groupby
 from dataclasses import replace
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hplap import closedform as cf
-from hplap.algebra import make_heisenberg, norm_d
+from hplap.algebra import OperatorParams, make_heisenberg, norm_d, resolve_group
 from hplap.fields import euclid_gradient, horizontal_gradient_batch
 from hplap import verify as verify_mod
-from hplap.quadrature import Sampler, ShellRegion, integrate_shells, mc_region_multi
+from hplap.quadrature import Sampler, ShellRegion, dyadic_edges, integrate_polar, integrate_shells, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
+    _panel_edges,
     _radial_1d_batch,
-    _support_shells,
     AngularModulation,
     HardyTestFunction,
     SuiteConfig,
@@ -195,10 +196,10 @@ def _admissible_grid(alg):
     return grid
 
 
-def test_hardy_ratio_shared_cases_match_single_calls(heis1):
+def test_hardy_ratio_shared_cases_match_single_calls(heis1, monkeypatch):
     # one call over every admissible (p, alpha) equals one call per case on
-    # the same spawn key: the shells, d, grad_X d, each shape's values and
-    # each modulation's gradient are shared, not changed
+    # the same spawn key and panels: the directions, d, grad_X d, each
+    # shape's values and each modulation's gradient are shared, not changed
     grid = _admissible_grid(heis1)
     corpus = build_hardy_corpus()
     case_lists = [[(params, phi) for params in grid] for phi in corpus[:2]]  # radial, modulated
@@ -208,18 +209,26 @@ def test_hardy_ratio_shared_cases_match_single_calls(heis1):
     case_lists.append([(params, phi) for phi in corpus[:10] for params in grid])
     for cases in case_lists:
         shared = hardy_ratio(heis1, cases, 8_000, seed=11, spawn_key=(4, 0))
+        edges = _panel_edges([phi for _, phi in cases])
+        monkeypatch.setattr(verify_mod, "_panel_edges", lambda phis: edges)
         for case, res in zip(cases, shared):
             [single] = hardy_ratio(heis1, [case], 8_000, seed=11, spawn_key=(4, 0))
             assert res.ratio == pytest.approx(single.ratio, rel=1e-12)
-            assert res.stderr == pytest.approx(single.stderr, rel=1e-12)
+            assert res.lhs_stderr == pytest.approx(single.lhs_stderr, rel=1e-12)
+            assert res.rhs_stderr == pytest.approx(single.rhs_stderr, rel=1e-12)
+            # a radial ratio's replicate variance is the round-off of the delta method (L and R share their
+            # angular factor exactly), about 1e-9 of the ratio, which last-bit differences move
+            assert res.stderr == pytest.approx(single.stderr, rel=1e-12, abs=1e-8 * res.ratio)
             if case[1].radial:
                 assert res.lhs_1d == pytest.approx(single.lhs_1d, rel=1e-12)
                 assert res.rhs_1d == pytest.approx(single.rhs_1d, rel=1e-12)
+        monkeypatch.undo()
 
 
 def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
-    # 8 cases on one shape: the shape runs once per Monte Carlo batch and
-    # once per 1-D shell, not once per case
+    # 8 cases on one shape: the shape runs once per field batch, once per
+    # 1-D panel and once per step of the kink search, which handles every
+    # power at once, not once per case
     calls = {"shape": 0, "batches": 0}
 
     def counted(name, fn):
@@ -233,30 +242,36 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
     shape = counted("shape", u.shape)
     cases = [(params, HardyTestFunction(shape, u.support, power=sharpness_test_function(params, 3).power))
              for params in _admissible_grid(heis1)]
-    integrate = verify_mod.integrate_shells
-    monkeypatch.setattr(verify_mod, "integrate_shells",
-                        lambda alg, params, regions, multi_fn, *rest: integrate(alg, params, regions,
-                                                                                counted("batches", multi_fn), *rest))
+    searches = []
+    for some in (cases[:1], cases):
+        calls["shape"] = 0
+        edges = _panel_edges([phi for _, phi in some])
+        searches.append(calls["shape"])
+    assert searches[0] == searches[1] and len(edges) > len(_panel_edges([cases[0][1]]))
+    integrate = verify_mod.integrate_polar
+    monkeypatch.setattr(verify_mod, "integrate_polar",
+                        lambda alg, params, edges, multi_fn, *rest: integrate(alg, params, edges,
+                                                                              counted("batches", multi_fn), *rest))
+    calls["shape"] = 0
     hardy_ratio(heis1, cases, 8_000, seed=11)
-    n_shells = len(_support_shells(*u.support))
-    assert calls["batches"] >= n_shells
-    assert calls["shape"] == calls["batches"] + n_shells
+    assert calls["batches"] >= 1
+    assert calls["shape"] == calls["batches"] + (len(edges) - 1) + searches[1]
 
 
 def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch):
     # the four columns of each function in a batched uncertainty integral
-    # equal that function's own integrate_shells call on the same shells
-    # and substreams, with u and grad_X u from its whole field
+    # equal that function's own integrate_polar call on the same panels
+    # and substream, with u and grad_X u from its whole field
     calls = []
 
-    def recorded(alg, params, regions, multi_fn, nf, counts, seed, spawn_key):
-        out = integrate_shells(alg, params, regions, multi_fn, nf, counts, seed, spawn_key)
-        calls.append((params, regions, counts, seed, spawn_key, out))
+    def recorded(alg, params, edges, multi_fn, nf, n, seed, spawn_key):
+        out = integrate_polar(alg, params, edges, multi_fn, nf, n, seed, spawn_key)
+        calls.append((params, edges, n, seed, spawn_key, out))
         return out
 
-    monkeypatch.setattr(verify_mod, "integrate_shells", recorded)
+    monkeypatch.setattr(verify_mod, "integrate_polar", recorded)
     verify_uncertainty(SuiteConfig(group="heisenberg:1", k=1.5, p=2.5, **FAST))
-    params, regions, counts, seed, spawn_key, (sums, cov, _) = calls[0]
+    params, edges, n, seed, spawn_key, (sums, cov, finer) = calls[0]
     phis = build_hardy_corpus()[:10:3]
     assert len(sums) == 4 * len(phis) and {phi.modulation.kind for phi in phis if phi.modulation} == {"z1", "t1"}
     s, k = params.p, params.k
@@ -272,10 +287,11 @@ def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch)
             return np.stack([zn ** (s / (s - 1.0)) * np.abs(u) ** (s / (s - 1.0)), gn**s,
                              (zn / d) ** (2.0 * k) * u**2, (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s) * np.abs(u) ** s])
 
-        ref, ref_cov, _ = integrate_shells(heis1, params, regions, single, 4, counts, seed, spawn_key)
+        ref, ref_cov, ref_finer = integrate_polar(heis1, params, edges, single, 4, n, seed, spawn_key)
         block = slice(4 * j, 4 * j + 4)
         assert sums[block] == pytest.approx(ref, rel=1e-12)
         assert np.diag(cov)[block] == pytest.approx(np.diag(ref_cov), rel=1e-10)
+        assert finer[block] == pytest.approx(ref_finer, rel=1e-12)
 
 
 def _counting(calls, name, fn):
@@ -287,21 +303,21 @@ def _counting(calls, name, fn):
 
 
 def test_corpus_suites_make_one_call_per_support(monkeypatch):
-    # hardy and uncertainty make one shell integral per corpus annulus,
+    # hardy and uncertainty make one polar integral per corpus annulus,
     # lemma2 one for its ten functions of one annulus
-    calls = {"hardy_ratio": 0, "integrate_shells": 0}
+    calls = {"hardy_ratio": 0, "integrate_polar": 0}
     monkeypatch.setattr(verify_mod, "hardy_ratio", _counting(calls, "hardy_ratio", verify_mod.hardy_ratio))
     cfg = SuiteConfig(group="heisenberg:1", **FAST)
     assert run_suite("hardy", cfg).overall_pass and calls["hardy_ratio"] == 5
     assert run_suite("lemma2", cfg).overall_pass and calls["hardy_ratio"] == 6
-    monkeypatch.setattr(verify_mod, "integrate_shells", _counting(calls, "integrate_shells", verify_mod.integrate_shells))
-    assert run_suite("uncertainty", cfg).overall_pass and calls["integrate_shells"] == 5
+    monkeypatch.setattr(verify_mod, "integrate_polar", _counting(calls, "integrate_polar", verify_mod.integrate_polar))
+    assert run_suite("uncertainty", cfg).overall_pass and calls["integrate_polar"] == 5
 
 
 def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
     # ten functions, both modulation kinds, the whole (p, alpha) grid: in
-    # each Monte Carlo slice, d once, each modulation's gradient once and
-    # each distinct shape once, not once per function or case
+    # each field batch, d once, each modulation's gradient once and each
+    # distinct shape once, not once per function or case
     calls = {"norm_d": 0, "z1": 0, "t1": 0}
     grad = AngularModulation.grad
 
@@ -328,13 +344,13 @@ def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
 
         return wrapped
 
-    integrate = verify_mod.integrate_shells
-    monkeypatch.setattr(verify_mod, "integrate_shells",
-                        lambda alg, params, regions, multi_fn, *rest: integrate(alg, params, regions,
-                                                                                per_batch(multi_fn), *rest))
+    integrate = verify_mod.integrate_polar
+    monkeypatch.setattr(verify_mod, "integrate_polar",
+                        lambda alg, params, edges, multi_fn, *rest: integrate(alg, params, edges,
+                                                                              per_batch(multi_fn), *rest))
     phis = [replace(phi, shape=shapes[id(phi.shape)]) for phi in build_hardy_corpus()[:10]]
     hardy_ratio(heis1, [(params, phi) for phi in phis for params in _admissible_grid(heis1)], 8_000, seed=11)
-    assert len(shapes) == 5 and len(batches) >= len(_support_shells(0.5, 2.0))
+    assert len(shapes) == 5 and len(batches) >= 2
     assert all(set(counts.values()) == {1} and len(counts) == 8 for counts in batches)
 
 
@@ -357,7 +373,7 @@ def test_sharpness_shape_shared_across_params(heis1):
 @pytest.mark.parametrize("kind", ["z1", "t1"])
 def test_hardy_ratio_chain_rule_matches_full_gradient(kind, heis1):
     # phi'(d) grad_X d * mod + phi(d) grad_X mod against the X-gradient of
-    # the whole field, integrated on the same shells and substreams
+    # the whole field, integrated on the same panels and substream
     params = params_for(heis1, k=1.5, p=2.5, alpha=0.5)
     phi = annulus_bump(0.5, 2.0, "sin2", modulation=AngularModulation(kind, 0.4))
     fld = phi.as_scalar_field(heis1, params)
@@ -367,8 +383,7 @@ def test_hardy_ratio_chain_rule_matches_full_gradient(kind, heis1):
         return [norm_d(params, (Z, T)) ** 0.5 * np.einsum("nj,nj->n", G, G) ** 1.25]
 
     [res] = hardy_ratio(heis1, [(params, phi)], 8_000, seed=2, spawn_key=(7,))
-    shells = _support_shells(*phi.support)
-    ref, _, _ = integrate_shells(heis1, params, shells, lhs, 1, [res.n_samples // len(shells)] * len(shells), 2, (7,))
+    ref, _, _ = integrate_polar(heis1, params, _panel_edges([phi]), lhs, 1, 8_000, 2, (7,))
     assert res.lhs == pytest.approx(ref[0], rel=1e-10)
 
 
@@ -407,6 +422,63 @@ def test_modulated_field_gradient_matches_fd(heis1, rng):
     ga = fld.euclid_grad(Z, T)
     gf = euclid_gradient(replace(fld, euclid_grad=None), Z, T)
     assert np.max(np.abs(ga - gf)) / np.max(np.abs(ga)) < 1e-6
+
+
+def _sweep_cases(alg, k):
+    """The (params, u_8) cases of one k of the sweep-heis benchmark grid."""
+    grid = [OperatorParams.of(alg, k=k, p=p, alpha=a) for p in (1.5, 2.0, 2.5, 3.0) for a in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    return [(params, sharpness_test_function(params, 8)) for params in grid if params.p < params.Q + params.alpha]
+
+
+def _radial_errors(alg, cases, n, seed, spawn_key):
+    """(|ratio - exact 1-D ratio| / exact, stderr / ratio) of each case."""
+    out = []
+    for res in hardy_ratio(alg, cases, n, seed, spawn_key):
+        exact = res.lhs_1d / res.rhs_1d
+        out.append((abs(res.ratio - exact) / exact, res.stderr / res.ratio))
+    return np.array(out)
+
+
+def test_radial_quotients_carry_an_honest_quadrature_term(heis1, quat1):
+    # a radial quotient is exact up to its radial quadrature: its stderr,
+    # the quadrature term, covers the distance to the 1-D reduction on
+    # every row of the sweep-heis grid and on the radial corpus
+    rows = [_radial_errors(heis1, _sweep_cases(heis1, k), 240_000, 20240, (9, ki)) for ki, k in enumerate((1.0, 1.5, 2.0))]
+    assert sum(map(len, rows)) == 59
+    for alg, k in ((heis1, 1.0), (quat1, 2.0)):
+        grid = [OperatorParams.of(alg, k=k, p=p, alpha=a) for p in verify_mod._HARDY_P for a in verify_mod._HARDY_ALPHA]
+        grid = [params for params in grid if params.p < params.Q + params.alpha]
+        for ai, (_, phis) in enumerate(groupby(build_hardy_corpus()[::2], key=lambda phi: phi.support)):
+            rows.append(_radial_errors(alg, [(params, phi) for phi in phis for params in grid], 8_000, 20240, (4, ai)))
+    err, se = np.concatenate(rows).T
+    assert np.all(se > 0.0) and np.all(err <= se)
+    assert np.median(se) < 1e-6
+
+
+def test_quadrature_term_needs_the_kink_edges(heis1, monkeypatch):
+    # planted fault: panels on the dyadic pieces alone put the kink of
+    # |phi'|^{3/2} inside a panel, and the p = 1.5 quotients of the sweep
+    # grid lose at least 100x in accuracy
+    cases = [case for case in _sweep_cases(heis1, 1.0) if case[0].p == 1.5]
+    kinked = _radial_errors(heis1, cases, 240_000, 20240, (9, 0))
+    monkeypatch.setattr(verify_mod, "_panel_edges", lambda phis: dyadic_edges(*phis[0].support))
+    dyadic = _radial_errors(heis1, cases, 240_000, 20240, (9, 0))
+    assert np.max(dyadic[:, 0]) >= 100.0 * np.max(kinked[:, 0])
+
+
+@pytest.mark.parametrize("group, k, p, n", [("heisenberg:1", 1.0, 2.0, 8_000), ("quaternionic:1", 2.0, 3.0, 32_000)])
+def test_modulated_quotients_calibrated(group, k, p, n):
+    # over 60 fixed seeds the stderr of every modulated corpus quotient on
+    # [0.5, 2] is honest against a 64x-budget reference: z has sd near 1
+    # and at most one |z| > 3 per function
+    alg = resolve_group(group)
+    params = OperatorParams.of(alg, k=k, p=p)
+    cases = [(params, phi) for phi in build_hardy_corpus()[:10] if not phi.radial]
+    ref = hardy_ratio(alg, cases, 64 * n, 999, (4, 0))
+    z = np.array([[(res.ratio - r.ratio) / math.hypot(res.stderr, r.stderr)
+                   for res, r in zip(hardy_ratio(alg, cases, n, seed, (4, 0)), ref)] for seed in range(60)])
+    sd = np.std(z, axis=0, ddof=1)
+    assert np.all((0.8 <= sd) & (sd <= 1.25)) and np.all(np.sum(np.abs(z) > 3.0, axis=0) <= 1)
 
 
 def test_radial_reduction_self_check(heis1):
