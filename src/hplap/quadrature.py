@@ -242,7 +242,7 @@ def _box_share(params: OperatorParams, r_min: float, r_max: float) -> float:
     return ball_moment(params, 0.0) * (1.0 - (r_min / r_max) ** params.Q) / 2.0 ** (params.m - params.q)
 
 
-def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
+def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, replicates: bool = False):
     """Unbiased estimates of several integrands over one region from a
     budget of n candidates (N points, see the module docstring), REPLICATES
     randomly shifted Halton sets (see :meth:`Sampler.draw`), shared by
@@ -255,7 +255,9 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
     replicates.  Returns (values, covariance) where values[i], the mean of
     the replicate estimates, estimates integral i, and covariance is that
     of values: the two-pass sample covariance of the replicate estimates
-    divided by REPLICATES.
+    divided by REPLICATES.  With replicates=True, returns the
+    (REPLICATES, nf) replicate estimates themselves instead, whose column
+    means are the values.
     """
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
@@ -276,6 +278,8 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int):
             b = np.searchsorted(starts, i + vals.shape[1])
             sums[r0 + a : r0 + b] += np.add.reduceat(vals * w[i : i + step], np.maximum(starts[a:b] - i, 0), axis=1).T
     est = sums / sizes[:, None]
+    if replicates:
+        return est
     mean = est.mean(axis=0)
     dev = est - mean
     return mean, dev.T @ dev / (REPLICATES * (REPLICATES - 1))
@@ -367,12 +371,12 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     shell sampling would evaluate, spent as max(REPLICATES,
     points // nodes) directions.
 
-    Returns (values, covariance, finer): as from mc_region_multi, and the
-    values rescaled column by column by the ratio of a 2 POLAR_NODES-node
-    to the POLAR_NODES-node estimate along the first directions of
-    replicate 0 (about 3/64 more evaluations), so that a function g of the
-    values has the quadrature term 2 |g(finer) - g(values)|
-    (:func:`total_stderr`).
+    Returns (estimates, gain): the (REPLICATES, nf) replicate estimates
+    of mc_region_multi, whose column means are the integrals, and column
+    by column the ratio of a 2 POLAR_NODES-node to the POLAR_NODES-node
+    estimate along the first directions of replicate 0 (about 3/64 more
+    evaluations).  An integral, or a ratio of two (gain_L / gain_R), then
+    has the quadrature term of :func:`total_stderr`.
     """
     edges = np.asarray(edges, dtype=float)
     Q, k, m, q = params.Q, params.k, alg.m, alg.q
@@ -402,24 +406,25 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
         return h
 
     sampler = Sampler(alg, params, ShellRegion(0.0, 1.0), seed, spawn_key)
-    values, cov = mc_region_multi(sampler, along_rays(POLAR_NODES), nf,
-                                  math.ceil(directions / _box_share(params, 0.0, 1.0)))
+    est = mc_region_multi(sampler, along_rays(POLAR_NODES), nf, math.ceil(directions / _box_share(params, 0.0, 1.0)),
+                          replicates=True)
     Z, T, _ = sampler.draw(-(-directions // REPLICATES), sampler.shifts()[:1])
     w = sampler.weights(Z)
     coarse, fine = (along_rays(deg)(Z, T) @ w for deg in (POLAR_NODES, 2 * POLAR_NODES))
-    return values, cov, values * np.divide(fine, coarse, out=np.ones(nf), where=coarse != 0.0)
+    return est, np.divide(fine, coarse, out=np.ones(nf), where=coarse != 0.0)
 
 
-def total_stderr(var, value, finer):
+def total_stderr(var, value, gain):
     """sqrt(var + quad^2): the replicates' variance var of an estimate
     value of :func:`integrate_polar` and its quadrature term
-    quad = 2 |finer - value|, floored at QUAD_FLOOR |value|.  Doubling the
-    difference bounds the error of the coarser rule wherever doubling its
-    nodes at least halves that error.  The difference alone falls short:
-    next to a kink of |.|^{3/2} at a panel edge the error of the rule
-    shrinks only about 32-fold per doubling, and on the radial corpus the
-    difference read up to 11% below the error."""
-    quad = np.maximum(2.0 * np.abs(finer - value), QUAD_FLOOR * np.abs(value))
+    quad = 2 |value| |gain - 1|, twice the change of value under the
+    finer rule, floored at QUAD_FLOOR |value|.  Doubling the change bounds
+    the error of the coarser rule wherever doubling its nodes at least
+    halves that error.  The change alone falls short: next to a kink of
+    |.|^{3/2} at a panel edge the error of the rule shrinks only about
+    32-fold per doubling, and on the radial corpus the change read up to
+    11% below the error."""
+    quad = np.abs(value) * np.maximum(2.0 * np.abs(gain - 1.0), QUAD_FLOOR)
     return np.sqrt(np.maximum(var, 0.0) + quad * quad)
 
 

@@ -77,6 +77,7 @@ from .fields import (
     weighted_p_laplacian_batch,
 )
 from .quadrature import (
+    MIN_REGION_CANDIDATES,
     REPLICATES,
     Sampler,
     ShellRegion,
@@ -491,9 +492,8 @@ class HardyRatioResult:
 
 
 #: coarse-grid intervals per dyadic piece on which :func:`_panel_edges`
-#: brackets sign changes, and the sections each step splits a bracket into
+#: brackets sign changes
 _KINK_GRID = 64
-_SECTIONS = 16
 
 #: Gauss-Legendre nodes per panel of the 1-D reduction (32 panels of 32)
 _PANEL_NODES_1D = 1024
@@ -505,11 +505,11 @@ def _panel_edges(phis) -> np.ndarray:
     profile derivative r^{-a} (F' - a F / r) changes (to or from 0, too,
     as at the ends of a plateau), because |.|^p has a kink there.  The
     changes are bracketed on _KINK_GRID intervals per dyadic piece, then
-    narrowed to 1e-10 relative by multisection (bisection into _SECTIONS
-    parts per step), one shape evaluation per step for every power and
-    bracket that shares the shape; a kink within 1e-9 (relative) of an edge
-    or of a smaller kink is dropped.  A kink that far inside a panel of
-    width h adds an error of order (1e-9 r / h)^{p+1}."""
+    narrowed to 1e-10 relative by bisection, one shape evaluation per step
+    for every power and bracket that shares the shape (about 27 steps); a
+    kink within 1e-9 (relative) of an edge or of a smaller kink is
+    dropped.  A kink that far inside a panel of width h adds an error of
+    order (1e-9 r / h)^{p+1}."""
     dyadic = dyadic_edges(*phis[0].support)
     grid = np.unique(np.concatenate([np.linspace(a, b, _KINK_GRID + 1) for a, b in zip(dyadic, dyadic[1:])]))
     kinks = []
@@ -518,16 +518,12 @@ def _panel_edges(phis) -> np.ndarray:
         F, dF = shape(grid)
         sign = np.sign(dF - powers * F / grid)
         ia, ig = np.nonzero(sign[:, 1:] != sign[:, :-1])
-        lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia], sign[ia, ig, None]
-        rows = np.arange(len(lo))
+        lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia, 0], sign[ia, ig]
         while np.any(hi - lo > 1e-10 * hi):
-            x = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
-            x[:, 0], x[:, -1] = lo, hi
-            F, dF = shape(x[:, 1:-1])
-            stay = np.sign(dF - a * F / x[:, 1:-1]) == side
-            # the sign changes after the leading inner points that keep lo's
-            j = np.argmin(np.hstack([stay, np.zeros((len(lo), 1), dtype=bool)]), axis=1)
-            lo, hi = x[rows, j], x[rows, j + 1]
+            mid = 0.5 * (lo + hi)
+            F, dF = shape(mid)
+            keep = np.sign(dF - a * F / mid) == side
+            lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
         kinks.append(hi)
     k = np.unique(np.concatenate(kinks)) if kinks else np.empty(0)
     k = k[(np.min(np.abs(k[:, None] - dyadic), axis=1, initial=np.inf) > 1e-9 * k)
@@ -601,10 +597,13 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     support: sampled directions, and Gauss-Legendre in the radius on the
     panels of :func:`_panel_edges`, which end at every kink of a case's
     |phi'|^p.  Every standard error is :func:`total_stderr` of the
-    replicates' (delta-method, for the ratio) variance and the quadrature
-    term.  For radial Phi both integrals carry the same angular factor
-    int_S |grad_X d|^p, so the ratio is the quotient of the two radial
-    integrals and the quadrature term is its whole error.
+    replicates' variance and the quadrature term; the ratio's replicate
+    variance is that of the replicate estimates (L_r - ratio R_r) / R (the
+    delta method, without the cancellation of var L, var R and cov(L, R)).
+    For radial Phi both integrals carry the same angular factor
+    int_S |grad_X d|^p, so L_r / R_r is the quotient of the two radial
+    integrals in every replicate, that variance is round-off, and the
+    quadrature term is the ratio's whole error.
 
     All cases share one set of directions and panels (common random
     numbers), so they must share k and the support of phi.  On each batch
@@ -647,16 +646,19 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         return out
 
     edges = _panel_edges([phi for phi, _ in by_phi.values()])
-    sums, cov, finer = integrate_polar(alg, base, edges, multi, 2 * len(cases), n, seed, spawn_key)
+    est, gain = integrate_polar(alg, base, edges, multi, 2 * len(cases), n, seed, spawn_key)
+    sums = est.mean(axis=0)
+    dev = est - sums
     radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
     one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial], edges))) if radial else {}
     out = []
     for i, (params, phi) in enumerate(cases):
-        (L, R), (fL, fR) = sums[2 * i : 2 * i + 2], finer[2 * i : 2 * i + 2]
-        varL, varR, covLR = cov[2 * i, 2 * i], cov[2 * i + 1, 2 * i + 1], cov[2 * i, 2 * i + 1]
-        var_ratio = varL / R**2 + L**2 * varR / R**4 - 2.0 * L * covLR / R**3
-        res = HardyRatioResult(float(L), float(R), float(L / R), float(total_stderr(var_ratio, L / R, fL / fR)),
-                               float(total_stderr(varL, L, fL)), float(total_stderr(varR, R, fR)))
+        (L, R), (gL, gR) = sums[2 * i : 2 * i + 2], gain[2 * i : 2 * i + 2]
+        dL, dR = dev[:, 2 * i], dev[:, 2 * i + 1]
+        x = dL - (L / R) * dR
+        varL, varR, var_ratio = (v @ v / (REPLICATES * (REPLICATES - 1.0)) for v in (dL, dR, x / R))
+        res = HardyRatioResult(float(L), float(R), float(L / R), float(total_stderr(var_ratio, L / R, gL / gR)),
+                               float(total_stderr(varL, L, gL)), float(total_stderr(varR, R, gR)))
         if phi.radial:
             lhs1, rhs1 = one_d[i]
             # 5 sigma: this self-check runs hundreds of times per suite, so a
@@ -988,7 +990,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         (int |z|^t |u|^t)^{1/t} (int |grad_X u|^s)^{1/s}
             >= (Q - s)/s * int (|z|^{2k}/d^{2k}) |u|^2.
 
-    Checked on 16 corpus functions with s = config.p, one polar integral
+    Checked on 16 corpus functions with s = config.p, one shell integral
     per support (spawn key (7, annulus index)), recording the Hoelder
     factorization (middle quantity B = int (|z|/d)^{(2k-1)s} d^{-s} |u|^s)
     for diagnosis: RHS <= I1^{1/t} B^{1/s} and B^{1/s} <= s/(Q-s) I2^{1/s}.
@@ -1001,7 +1003,7 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
         raise ValueError(f"uncertainty suite requires 1 < s < Q = {Q}, got s={s}")
     t_exp = s / (s - 1.0)
     rows, holder, hardy_b = [], [], []
-    for ai, (_, group) in enumerate(groupby(build_hardy_corpus()[::3][:16], key=lambda phi: phi.support)):
+    for ai, (support, group) in enumerate(groupby(build_hardy_corpus()[::3][:16], key=lambda phi: phi.support)):
         phis = list(group)
 
         def multi(Z, T):
@@ -1009,9 +1011,12 @@ def verify_uncertainty(config: SuiteConfig) -> VerificationReport:
             w1, w3, wb = zn**t_exp, (zn / d) ** (2.0 * k), (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s)
             return np.concatenate([[w1 * u**t_exp, gn**s, w3 * u**2, wb * u**s] for u, gn in map(field, phis)])
 
-        sums, cov, finer = integrate_polar(alg, params, _panel_edges(phis), multi, 4 * len(phis), config.corpus_n(),
-                                           config.seed, (7, ai))
-        ses = total_stderr(np.diag(cov), sums, finer).reshape(-1, 4)
+        edges = dyadic_edges(*support)
+        shells = [ShellRegion(a, b) for a, b in zip(edges, edges[1:])]
+        n_per = max(MIN_REGION_CANDIDATES, math.ceil(config.corpus_n() / len(shells)))
+        sums, cov, _ = integrate_shells(alg, params, shells, multi, 4 * len(phis), [n_per] * len(shells),
+                                        config.seed, (7, ai))
+        ses = np.sqrt(np.maximum(np.diag(cov), 0.0)).reshape(-1, 4)
         for (i1, i2, i3, bmid), se in zip(sums.reshape(-1, 4), ses):
             lhs = i1 ** (1.0 / t_exp) * i2 ** (1.0 / s)
             rhs = (Q - s) / s * i3

@@ -237,7 +237,7 @@ def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
     # replicates equals the two-pass replicate estimate over one draw of
     # all N = max(64, ceil(rho n)) points, replicate r one contiguous block
     # of N // 64 + (r < N % 64) points; in the thin shell each replicate
-    # holds only a few points
+    # holds only a few points; replicates=True returns those estimates
     params = params_for(heis1, k=1.0)
     nf = 40
     slices = []
@@ -267,6 +267,8 @@ def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
             assert len(slices) > 1 or (region.r_min == 0.99 and slice_ == _SLICE)
             np.testing.assert_allclose(got, est.mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_cov)))
+            # the replicate estimates themselves, on request
+            np.testing.assert_allclose(mc_region_multi(sampler, multi, nf, n, replicates=True), est, rtol=1e-12)
 
 
 def test_variance_survives_large_constant_offset(heis1, monkeypatch):
