@@ -22,12 +22,16 @@ that names no option is an error.
 
 Defaults are SuiteConfig's (``--j``: ``j_max``); ``--out`` is
 ``reports`` for verify and ``sweep.csv`` for sweep.  Sample counts are
-budgets of bounding-box candidates, at least 2048 per shell region; a
-region evaluates only the share of them that lands in it.  A Rayleigh
-quotient spends the points of its support's shells on sampled directions
-with a radial quadrature along each.  ``sweep --mode sharpness`` refuses
-a ``--j`` at which d^{4k} underflows on the support of u_j, i.e.
-4k(j + 1) >= 1022 for some k of the grid.
+budgets of bounding-box candidates, of which the unit gauge ball
+evaluates only the share that lands in it (the moments).  Every other
+integral is polar: its budget, split over the dyadic pieces of the
+support at 2048 or more each, buys the points of those pieces, spent on
+sampled directions with a radial quadrature along each.  density-total
+spends 10/3 of --samples over 2^-30 <= d < 2^12; each support of a
+Rayleigh or uncertainty quotient spends --corpus-samples.  The
+uncertainty suite checks i1^{1/t} i2^{1/s} / i3 against (Q - s)/s.
+``sweep --mode sharpness`` refuses a ``--j`` at which d^{4k} underflows
+on the support of u_j, i.e. 4k(j + 1) >= 1022 for some k of the grid.
 
 ``verify`` writes one report document per suite to
 ``<out>/<suite>-<group>-<stamp>.kv`` (colons and path separators in the
@@ -96,11 +100,12 @@ _HELP = {
     "group": "group id: heisenberg:n, quaternionic:n, custom:<file>", "k": "field parameter k >= 1",
     "p": "p-Laplacian exponent p > 1", "alpha": "norm-power weight exponent", "beta": "gradient-weight exponent",
     "seed": "base seed for all random streams (a non-negative integer)",
-    "samples": "Monte Carlo budget: n bounding-box candidates per region of an equal split (a region evaluates "
-               f"the share that lands in it), or less where the variance is low, but at least {MIN_REGION_CANDIDATES}",
-    "corpus_samples": f"sample budget per test function: split over the dyadic pieces of its support, at least "
-                      f"{MIN_REGION_CANDIDATES} each, it buys the points those shells would evaluate, spent as "
-                      "sampled directions times radial Gauss-Legendre nodes",
+    "samples": "Monte Carlo budget in bounding-box candidates: the moments evaluate the share of n that lands in "
+               "the unit gauge ball; density-total spends 10n/3 over the dyadic pieces of 2^-30 <= d < 2^12, at "
+               f"least {MIN_REGION_CANDIDATES} each, as sampled directions times radial Gauss-Legendre nodes",
+    "corpus_samples": f"sample budget per test-function support: split over its dyadic pieces, at least "
+                      f"{MIN_REGION_CANDIDATES} each, it buys the share of each piece's bounding box that the "
+                      "piece fills, spent as sampled directions times radial Gauss-Legendre nodes",
     "out": f"output directory (verify, default {_DEFAULTS['out']}) or file (sweep, default {_SWEEP_OUT}; - for stdout)",
     "format": "report format: kv or csv", "stamp": "fixed timestamp string for output filenames",
     "suite": "suite name (repeatable) or 'all'", "mode": "hardy (corpus function) or sharpness (u_j)",

@@ -1,42 +1,32 @@
-"""Deterministic-seeded randomized quasi-Monte Carlo and 1-D quadrature
-over gauge shells.
+"""Deterministic-seeded randomized quasi-Monte Carlo over the unit gauge
+ball, polar integrals over gauge shells, and 1-D quadrature.
 
-The one region type is the gauge shell r_min <= d < r_max (a ball has
-r_min = 0).  A point u of [0, 1)^{m+q} maps into the shell without
-rejection: z uniform in the m-ball |z| < r_max, with |z| = r_max
-max(u_1^{1/m}, 1e-12), a floor relative to the region so that
-integrable singularities on {z = 0} can be sampled at any scale; then
-|t|^q uniform on [a^q, b^q), the slice
-a = sqrt(max(r_min^{4k} - |z|^{4k}, 0))/4 <= |t| < b =
-sqrt(r_max^{4k} - |z|^{4k})/4 of the shell above z; directions use the
-remaining coordinates (:func:`_sphere`).  The point's weight is the
-slice volume |B^m| r_max^m |B^q| (b^q - a^q), so weight * f has mean the
-integral of f over the shell, with no jump at the shell's boundary
-(conditioning on z; Owen, *Monte Carlo theory, methods and examples*).
+The one sampled region is the unit gauge ball d < 1.  A point u of
+[0, 1)^{m+q} maps into it without rejection: z uniform in the unit
+m-ball, |z| = max(u_1^{1/m}, 1e-12), a floor so that integrable
+singularities on {z = 0} can be sampled; then |t|^q uniform on [0, b^q),
+b = sqrt(1 - |z|^{4k})/4 the half-height of the ball above z; directions
+use the remaining coordinates (:func:`_sphere`).  The point's weight is
+the slice volume |B^m| |B^q| b^q, so weight * f has mean the integral of
+f over the ball, with no jump at its boundary (conditioning on z; Owen,
+*Monte Carlo theory, methods and examples*).
 
-A sample count n is a budget of bounding-box candidates: a region draws
-N = max(REPLICATES, ceil(rho n)) points, rho = |B_1| (1 - (r_min /
-r_max)^Q) / 2^{m-q} the share of the box |z_i| <= r_max,
-|t_i| <= r_max^{2k}/4 that the shell fills.  They are REPLICATES = 64
-replicates, one contiguous block each, of the first N // 64 + (r < N %
-64) Halton points in the first m + q primes, replicate r shifted mod 1
-by its own uniform Cranley-Patterson shift (Cranley & Patterson 1976).
+A sample count n is a budget of bounding-box candidates: the ball draws
+N = max(REPLICATES, ceil(rho n)) points, rho = |B_1| / 2^{m-q} the share
+of the box |z_i| <= 1, |t_i| <= 1/4 that it fills.  They are REPLICATES
+= 64 replicates, one contiguous block each, of the first N // 64 + (r <
+N % 64) Halton points in the first m + q primes, replicate r shifted mod
+1 by its own uniform Cranley-Patterson shift (Cranley & Patterson 1976).
 Each replicate's mean of weight * f is an unbiased estimate; the
 estimate is the mean of the 64 and its standard error comes from their
 two-pass sample covariance, which no large mean cancels.  Integrands
 evaluated as columns of one call share every point (common random
-numbers).  The shifts come from Philox on the region's own substream of
-the base seed, so identical (seed, region, n) reproduce bit-identical
+numbers).  The shifts come from Philox on the sampler's own substream of
+the base seed, so identical (seed, spawn key, n) reproduce bit-identical
 results.
 
-:func:`integrate_shells` sums regions (an innermost ball plus dyadic
-shells), region i on substream spawn_key + (i,), and returns the
-outermost region's values as a tail diagnostic; :func:`neyman_counts`
-sizes their budgets by Neyman allocation from a pilot on disjoint
-substreams.
-
-:func:`integrate_polar` integrates over a shell by the polar formula
-instead: directions from the unit ball's map, the radius by
+:func:`integrate_polar` integrates over a shell r0 <= d < r1 by the
+polar formula: directions from the ball's points, the radius by
 Gauss-Legendre panels, with a quadrature error term beside the
 replicates' covariance (:func:`total_stderr`).
 """
@@ -54,24 +44,21 @@ from .closedform import ball_moment
 
 __all__ = [
     "mc_region_multi",
-    "ShellRegion",
     "Sampler",
-    "integrate_shells",
-    "neyman_counts",
     "integrate_polar",
     "total_stderr",
     "grid_integral_1d",
 ]
 
-#: floor of the radius |z| (the center tube {z = 0}), relative to the
-#: region's r_max
+#: floor of the radius |z| of a point of the unit ball (the center tube
+#: {z = 0}); a polar integral scales it with the radius
 SINGULAR_Z_FLOOR = 1e-12
 
-#: smallest budget any region of a shell integral draws on, whatever the
-#: requested sample count
+#: smallest budget that :func:`integrate_polar` spends on each dyadic
+#: piece of its support, whatever the requested sample count
 MIN_REGION_CANDIDATES = 2048
 
-#: randomly shifted copies of a region's Halton points; the spread of
+#: randomly shifted copies of a sampler's Halton points; the spread of
 #: their estimates gives the standard error, with 63 degrees of freedom,
 #: so a 3-sigma band covers 99.6% (99.73% for a known variance)
 REPLICATES = 64
@@ -89,14 +76,6 @@ _CHUNK = 1 << 17
 _SLICE = 1 << 17
 
 
-@dataclass(frozen=True)
-class ShellRegion:
-    """The gauge shell r_min <= d < r_max; r_min = 0 gives the ball."""
-
-    r_min: float
-    r_max: float
-
-
 def _primes(count: int) -> tuple:
     out = []
     c = 2
@@ -107,7 +86,7 @@ def _primes(count: int) -> tuple:
     return tuple(out)
 
 
-# the chunks of one region need at most two lengths
+# the chunks of one estimate need at most two lengths
 @functools.lru_cache(maxsize=2)
 def _halton(n: int, dim: int) -> np.ndarray:
     """The first n points (index 0 first) of the Halton sequence in the
@@ -186,64 +165,60 @@ def _sphere(U: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sampler:
-    """Reproducible randomized Halton points of a region and their slice
-    weights: identical seed implies identical shifts and points."""
+    """Reproducible randomized Halton points of the unit gauge ball and
+    their slice weights: identical seed implies identical shifts and
+    points."""
 
     alg: HTypeAlgebra
     params: OperatorParams
-    region: ShellRegion
     seed: int
     spawn_key: tuple = ()
 
     def shifts(self) -> np.ndarray:
-        """The region's REPLICATES Cranley-Patterson shifts, uniform in
+        """The sampler's REPLICATES Cranley-Patterson shifts, uniform in
         [0, 1)^{m+q}, from its Philox substream."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         return np.random.Generator(np.random.Philox(ss)).random((REPLICATES, self.alg.m + self.alg.q))
 
-    def _slice(self, z4k: np.ndarray):
-        """(a^q, b^q - a^q) of the t-slice above |z|^{4k} = z4k."""
-        k4, h = 4.0 * self.params.k, 0.5 * self.alg.q
-        lo = (np.maximum(self.region.r_min**k4 - z4k, 0.0) / 16.0) ** h
-        return lo, (np.maximum(self.region.r_max**k4 - z4k, 0.0) / 16.0) ** h - lo
+    def _slice(self, z4k: np.ndarray) -> np.ndarray:
+        """b^q for the t-slice |t| < b of the ball above |z|^{4k} = z4k."""
+        return (np.maximum(1.0 - z4k, 0.0) / 16.0) ** (0.5 * self.alg.q)
 
     def draw(self, n: int, shifts: Optional[np.ndarray] = None):
-        """n points of the region and their in-region mask (all True): one
-        replicate per row of shifts (default the region's), replicate r
+        """n points of the ball and their in-region mask (all True): one
+        replicate per row of shifts (default the sampler's), replicate r
         holding the first n // R + (r < n % R) Halton points shifted by
-        shifts[r] mod 1 and mapped into the shell, replicate after
+        shifts[r] mod 1 and mapped into the ball, replicate after
         replicate."""
         shifts = self.shifts() if shifts is None else shifts
         m, q, R = self.alg.m, self.alg.q, len(shifts)
         U = _shifted(_halton(n // R + (n % R > 0), m + q), shifts, n)
-        rz = self.region.r_max * np.maximum(U[:, 0] ** (1.0 / m), SINGULAR_Z_FLOOR)
+        rz = np.maximum(U[:, 0] ** (1.0 / m), SINGULAR_Z_FLOOR)
         Z = _sphere(U[:, 1:m], m)
         Z *= rz[:, None]
-        lo, width = self._slice(rz ** (4.0 * self.params.k))
+        tq = self._slice(rz ** (4.0 * self.params.k))
         # for q = 1, |2u - 1| and its sign give |t| and the sign of t
-        width *= np.abs(2.0 * U[:, m] - 1.0) if q == 1 else U[:, m]
-        lo += width
+        tq *= np.abs(2.0 * U[:, m] - 1.0) if q == 1 else U[:, m]
         T = _sphere(U[:, m + (q > 1) : m + q], q)
-        T *= (lo ** (1.0 / q))[:, None]
+        T *= (tq ** (1.0 / q))[:, None]
         return Z, T, np.ones(n, dtype=bool)
 
     def weights(self, Z: np.ndarray) -> np.ndarray:
-        """Each point's weight, the volume |B^m| r_max^m |B^q| (b^q - a^q)
-        of the region's z-ball times the t-slice above z."""
+        """Each point's weight, the volume |B^m| |B^q| b^q of the unit
+        z-ball times the t-slice above z."""
         m, q = self.alg.m, self.alg.q
-        _, width = self._slice(np.einsum("ni,ni->n", Z, Z) ** (2.0 * self.params.k))
-        return width * (math.pi ** (0.5 * (m + q)) * self.region.r_max**m
-                        / (math.gamma(0.5 * m + 1.0) * math.gamma(0.5 * q + 1.0)))
+        return self._slice(np.einsum("ni,ni->n", Z, Z) ** (2.0 * self.params.k)) * (
+            math.pi ** (0.5 * (m + q)) / (math.gamma(0.5 * m + 1.0) * math.gamma(0.5 * q + 1.0)))
 
 
-def _box_share(params: OperatorParams, r_min: float, r_max: float) -> float:
-    """rho = |B_1| (1 - (r_min / r_max)^Q) / 2^{m-q}, the share of its
-    bounding box that the shell r_min <= d < r_max fills."""
-    return ball_moment(params, 0.0) * (1.0 - (r_min / r_max) ** params.Q) / 2.0 ** (params.m - params.q)
+def _box_share(params: OperatorParams, inner: float = 0.0) -> float:
+    """rho = |B_1| (1 - inner^Q) / 2^{m-q}, the share of its bounding box
+    that the shell inner * r <= d < r fills (the ball at inner = 0)."""
+    return ball_moment(params, 0.0) * (1.0 - inner**params.Q) / 2.0 ** (params.m - params.q)
 
 
 def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, replicates: bool = False):
-    """Unbiased estimates of several integrands over one region from a
+    """Unbiased estimates of several integrands over the unit ball from a
     budget of n candidates (N points, see the module docstring), REPLICATES
     randomly shifted Halton sets (see :meth:`Sampler.draw`), shared by
     every integrand (common random numbers).
@@ -262,7 +237,7 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
     shifts = sampler.shifts()
-    N = max(REPLICATES, math.ceil(_box_share(sampler.params, sampler.region.r_min, sampler.region.r_max) * n))
+    N = max(REPLICATES, math.ceil(_box_share(sampler.params) * n))
     sizes = N // REPLICATES + (np.arange(REPLICATES) < N % REPLICATES)
     per = max(1, _CHUNK // int(sizes[0]))
     step = max(1, _SLICE // nf)
@@ -285,70 +260,16 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     return mean, dev.T @ dev / (REPLICATES * (REPLICATES - 1))
 
 
-def integrate_shells(alg: HTypeAlgebra, params: OperatorParams, regions, multi_fn: Callable,
-                     nf: int, counts, seed: int, spawn_key: tuple = ()):
-    """Sum of :func:`mc_region_multi` over regions, region i drawn with
-    budget counts[i] on substream spawn_key + (i,).
-
-    Returns (values, covariance, last) with last the outermost region's
-    values, so callers can check that a truncated tail has decayed.
-    """
-    vals = np.zeros(nf)
-    cov = np.zeros((nf, nf))
-    last = vals
-    for i, (region, n) in enumerate(zip(regions, counts, strict=True)):
-        sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
-        last, c = mc_region_multi(sampler, multi_fn, nf, n)
-        vals += last
-        cov += c
-    return vals, cov, last
-
-
-def neyman_counts(alg: HTypeAlgebra, params: OperatorParams, regions, f: Callable,
-                  n: int, seed: int, spawn_key: tuple = ()) -> list:
-    """Per-region budgets for :func:`integrate_shells` that give the sum
-    over regions of f two thirds of the variance of an equal split of n per
-    region, with the smallest total (Neyman allocation).
-
-    A pilot of budget P = max(MIN_REGION_CANDIDATES, n // 64) per region,
-    region i on substream spawn_key + (i,), estimates the variance v_i of
-    each region's estimate at P.  Region i at budget n_i is modelled as
-    v_i (P / n_i)^g with g = 1 + 1/(m + q), the randomized Halton rate of
-    an integrand with a jump; the shell map leaves none, and its measured
-    rates are higher (1.7 to 2.6 on heisenberg:1) but erratic where psi
-    concentrates, while g = 2 moves the allocated error bar and total by
-    under 12%.  The smallest total that reaches the variance V has n_i
-    proportional to v_i^{1/(1+g)}.  V is two thirds of the equal split's
-    sum(v_i) (P / n)^g: every variance here is estimated from 64
-    replicates, about 9% off in a standard error, and the margin keeps the
-    allocated error bar below the equal split's despite that noise.  Every
-    region gets at least P, so one whose pilot saw little variance is
-    still sampled.  The caller keeps the pilot substreams disjoint from the
-    main ones.
-    """
-    pilot = max(MIN_REGION_CANDIDATES, n // 64)
-    v = np.empty(len(regions))
-    for i, region in enumerate(regions):
-        sampler = Sampler(alg, params, region, seed, spawn_key=spawn_key + (i,))
-        _, c = mc_region_multi(sampler, lambda Z, T: [f(Z, T)], 1, pilot)
-        v[i] = c[0, 0]
-    total = float(np.sum(v))
-    if total == 0.0:
-        return [pilot] * len(regions)
-    g = 1.0 + 1.0 / (alg.m + alg.q)
-    w = v ** (1.0 / (1.0 + g))
-    scale = n * (1.5 * float(np.sum(w)) / total) ** (1.0 / g)
-    return [max(pilot, math.ceil(scale * x)) for x in w]
-
-
 # a lambda, so that np.polynomial loads on first use and not with every command's imports
 _leggauss = functools.lru_cache(lambda deg: np.polynomial.legendre.leggauss(deg))
 
 
 def dyadic_edges(r0: float, r1: float) -> np.ndarray:
     """Edges r0, 2 r0, 4 r0, ..., r1 of the dyadic split of [r0, r1]
-    (the last piece partial)."""
-    return np.append(r0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(r1 / r0)))), r1)
+    (the last piece partial).  The octaves are counted as log2 r1 -
+    log2 r0 and the edges scaled by ldexp, which stay finite where
+    r1 / r0 or 2^octaves overflows."""
+    return np.append(np.ldexp(r0, np.arange(max(1, math.ceil(math.log2(r1) - math.log2(r0))))), r1)
 
 
 def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: Callable, nf: int, n: int,
@@ -366,10 +287,12 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     is evaluated at the real points delta_r w, at most _SLICE // nf per
     call.
 
-    Budget: n candidates split evenly over the dyadic pieces of the
-    support, at least MIN_REGION_CANDIDATES each, buy the points that
-    shell sampling would evaluate, spent as max(REPLICATES,
-    points // nodes) directions.
+    Budget: n candidates split evenly over the dyadic pieces [a, b) of
+    the support, n_per = max(MIN_REGION_CANDIDATES, ceil(n / pieces))
+    each, buy max(REPLICATES, ceil(rho n_per)) points per piece, rho =
+    |B_1| (1 - (a / b)^Q) / 2^{m-q} the share of the piece's bounding box
+    that it fills; they are spent as max(REPLICATES, points // nodes)
+    directions.
 
     Returns (estimates, gain): the (REPLICATES, nf) replicate estimates
     of mc_region_multi, whose column means are the integrals, and column
@@ -382,7 +305,7 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     Q, k, m, q = params.Q, params.k, alg.m, alg.q
     dyadic = dyadic_edges(edges[0], edges[-1])
     n_per = max(MIN_REGION_CANDIDATES, math.ceil(n / (len(dyadic) - 1)))
-    points = sum(max(REPLICATES, math.ceil(_box_share(params, a, b) * n_per)) for a, b in zip(dyadic, dyadic[1:]))
+    points = sum(max(REPLICATES, math.ceil(_box_share(params, a / b) * n_per)) for a, b in zip(dyadic, dyadic[1:]))
     directions = max(REPLICATES, points // (POLAR_NODES * (len(edges) - 1)))
 
     def along_rays(deg):
@@ -405,8 +328,8 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
 
         return h
 
-    sampler = Sampler(alg, params, ShellRegion(0.0, 1.0), seed, spawn_key)
-    est = mc_region_multi(sampler, along_rays(POLAR_NODES), nf, math.ceil(directions / _box_share(params, 0.0, 1.0)),
+    sampler = Sampler(alg, params, seed, spawn_key)
+    est = mc_region_multi(sampler, along_rays(POLAR_NODES), nf, math.ceil(directions / _box_share(params)),
                           replicates=True)
     Z, T, _ = sampler.draw(-(-directions // REPLICATES), sampler.shifts()[:1])
     w = sampler.weights(Z)

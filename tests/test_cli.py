@@ -53,6 +53,17 @@ def test_verify_failing_suite_exit_one(tmp_path):
     assert failing == ["final-ratio"]
 
 
+def test_reports_echo_the_alpha_and_beta_a_suite_used(tmp_path):
+    # uncertainty is checked unweighted and the lemma2 witness at beta = 0,
+    # whatever the flags say, and their reports say so
+    run_cli(["verify", "--suite", "uncertainty", "--suite", "lemma2", "--alpha", "0.5", "--beta", "1",
+             "--out", str(tmp_path), "--stamp", "E"] + FAST_SAMPLES)
+    unc = (tmp_path / "uncertainty-heisenberg_1-E.kv").read_text()
+    assert "config.alpha = 0.0\n" in unc and "config.beta = 0.0\n" in unc
+    lemma2 = (tmp_path / "lemma2-heisenberg_1-E.kv").read_text()
+    assert "config.alpha = 0.5\n" in lemma2 and "config.beta = 0.0\n" in lemma2
+
+
 def test_verify_rejects_bad_k(capsys):
     code = run_cli(["verify", "--group", "heisenberg:1", "--k", "0.5", "--p", "2", "--suite", "lemma1"])
     assert code == 2

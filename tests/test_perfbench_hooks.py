@@ -47,3 +47,28 @@ def test_traced_draws_accept_at_most_their_candidates(tmp_path):
     for attrs in draws:
         assert type(attrs["accepted"]) is int and type(attrs["candidates"]) is int
         assert 0 < attrs["accepted"] <= attrs["candidates"]
+
+
+def _ancestors(spans, i):
+    names = []
+    while spans[i][3] >= 0:
+        i = spans[i][3]
+        names.append(spans[i][0])
+    return names
+
+
+def test_trace_hooks_see_the_polar_density_and_uncertainty_integrals(tmp_path):
+    # both suites integrate through integrate_polar: psi and the suites'
+    # integrands are evaluated inside mc_region_multi, and every draw
+    # there still accepts at most its candidates
+    spans = _trace_spans(tmp_path, ["verify", "--suite", "fundamental_solution", "--suite", "uncertainty",
+                                    "--samples", "20000", "--corpus-samples", "8000",
+                                    "--out", str(tmp_path / "reports"), "--stamp", "T"])
+    for suite in ("fundamental_solution", "uncertainty"):
+        evaluate = [i for i, span in enumerate(spans)
+                    if span[0] == "verify.evaluate" and f"verify.suite.{suite}" in _ancestors(spans, i)]
+        assert evaluate and all("quadrature.mc_region_multi" in _ancestors(spans, i) for i in evaluate)
+    psi = [_ancestors(spans, i) for i, span in enumerate(spans) if span[0] == "closedform.psi"]
+    assert any("quadrature.mc_region_multi" in up and "verify.evaluate" in up for up in psi)
+    draws = [span[4] for span in spans if span[0] == "quadrature.draw"]
+    assert draws and all(0 < attrs["accepted"] <= attrs["candidates"] for attrs in draws)

@@ -11,11 +11,9 @@ from hplap.quadrature import (
     REPLICATES,
     _sphere,
     Sampler,
-    ShellRegion,
+    dyadic_edges,
     grid_integral_1d,
-    integrate_shells,
     mc_region_multi,
-    neyman_counts,
 )
 from hplap.verify import SuiteConfig, verify_moments
 from conftest import params_for
@@ -29,10 +27,16 @@ def one(Z, T):
     return np.ones(len(Z))
 
 
-def ball_integral(alg, params, f, R, n, seed):
-    """(value, stderr) of the integral of f over the gauge ball d < R."""
-    vals, cov = mc_region_multi(Sampler(alg, params, ShellRegion(0.0, R), seed), lambda Z, T: [f(Z, T)], 1, n)
+def ball_integral(alg, params, f, n, seed):
+    """(value, stderr) of the integral of f over the unit gauge ball."""
+    vals, cov = mc_region_multi(Sampler(alg, params, seed), lambda Z, T: [f(Z, T)], 1, n)
     return float(vals[0]), math.sqrt(cov[0, 0])
+
+
+def dilated(params, f, lam):
+    """f(delta_lam .): the unit-ball integral of it is lam^{-Q} times the
+    integral of f over the ball d < lam."""
+    return lambda Z, T: f(lam * Z, lam ** (2.0 * params.k) * T)
 
 
 def test_grid_integral_polynomial():
@@ -81,34 +85,35 @@ def test_radial_tail_integral_identity(k, p, heis1):
 
 def test_mc_ball_volume_heisenberg(heis1):
     params = params_for(heis1, k=1.0)
-    value, stderr = ball_integral(heis1, params, one, 1.0, 400_000, seed=11)
+    value, stderr = ball_integral(heis1, params, one, 400_000, seed=11)
     assert abs(value - math.pi**2 / 8.0) <= 3.0 * stderr
     assert stderr < 5e-3
 
 
 def test_mc_ball_moment_gamma2(heis1):
     params = params_for(heis1, k=1.0)
-    value, stderr = ball_integral(heis1, params, zsq, 1.0, 400_000, seed=12)
+    value, stderr = ball_integral(heis1, params, zsq, 400_000, seed=12)
     assert abs(value - cf.ball_moment(params, 2.0)) <= 3.0 * stderr
 
 
 def test_mc_ball_homogeneous_scaling(heis1):
-    # for f homogeneous of degree gamma, the d < R integral scales like
-    # R^{Q + gamma}
+    # for f homogeneous of degree gamma, the d < R integral, R^Q times the
+    # unit-ball integral of f(delta_R .), scales like R^{Q + gamma}
     params = params_for(heis1, k=1.0)
-    v1, se1 = ball_integral(heis1, params, zsq, 1.0, 300_000, seed=13)
-    v2, se2 = ball_integral(heis1, params, zsq, 2.0, 300_000, seed=14)
-    ratio = v2 / v1
+    R = 2.0
+    v1, se1 = ball_integral(heis1, params, zsq, 300_000, seed=13)
+    v2, se2 = ball_integral(heis1, params, dilated(params, zsq, R), 300_000, seed=14)
+    ratio = R**params.Q * v2 / v1
     se = ratio * (se1 / v1 + se2 / v2)
-    assert abs(ratio - 2.0 ** (params.Q + 2.0)) <= 3.0 * se
+    assert abs(ratio - R ** (params.Q + 2.0)) <= 3.0 * se
 
 
 def test_seed_determinism(heis1):
     params = params_for(heis1, k=1.0)
-    a = ball_integral(heis1, params, zsq, 1.0, 50_000, seed=77)
-    b = ball_integral(heis1, params, zsq, 1.0, 50_000, seed=77)
+    a = ball_integral(heis1, params, zsq, 50_000, seed=77)
+    b = ball_integral(heis1, params, zsq, 50_000, seed=77)
     assert a == b  # bit-identical (value, stderr)
-    c = ball_integral(heis1, params, zsq, 1.0, 50_000, seed=78)
+    c = ball_integral(heis1, params, zsq, 50_000, seed=78)
     assert c[0] != a[0]
 
 
@@ -120,8 +125,8 @@ def test_stderr_falls_faster_than_inverse_sqrt_n(heis1):
     params = params_for(heis1, k=1.0)
     ratios = []
     for rep in range(10):
-        _, se_a = ball_integral(heis1, params, zsq, 1.0, 20_000, seed=100 + rep)
-        _, se_b = ball_integral(heis1, params, zsq, 1.0, 80_000, seed=200 + rep)
+        _, se_a = ball_integral(heis1, params, zsq, 20_000, seed=100 + rep)
+        _, se_b = ball_integral(heis1, params, zsq, 80_000, seed=200 + rep)
         ratios.append(se_a / se_b)
     assert 3.0 <= np.mean(ratios) <= 4.0
 
@@ -132,111 +137,41 @@ def test_statistical_coverage(heis1):
     want = cf.ball_moment(params, 2.0)
     hits = 0
     for seed in range(50):
-        value, stderr = ball_integral(heis1, params, zsq, 1.0, 20_000, seed=seed)
+        value, stderr = ball_integral(heis1, params, zsq, 20_000, seed=seed)
         hits += abs(value - want) <= 2.0 * stderr
     assert hits >= 45
 
 
 def test_dilation_covariance(heis1):
-    # integral over d < R of f(delta_lam g) = lam^{-Q} integral over
-    # d < lam R of f
+    # the integral of f = |z|^2 e^{-d} over d < lam is lam^Q times the
+    # unit-ball integral of f(delta_lam .), and equals its polar reduction
+    # (Q + 2) int_{B_1} |z|^2 * int_0^lam r^{Q+1} e^{-r} dr
     params = params_for(heis1, k=1.0)
-    lam = 2.0
-
-    def f_dilated(Z, T):
-        return zsq(lam * Z, lam ** (2.0 * params.k) * T)
-
-    a, se_a = ball_integral(heis1, params, f_dilated, 1.0, 400_000, seed=21)
-    b, se_b = ball_integral(heis1, params, zsq, lam, 400_000, seed=22)
-    se = math.hypot(se_a, lam ** (-params.Q) * se_b)
-    assert abs(a - lam ** (-params.Q) * b) <= 3.0 * se
-
-
-def _dyadic_regions(a0: int, a1: int) -> list:
-    return [ShellRegion(0.0, 2.0**a0)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(a0, a1)]
-
-
-def test_integrate_shells_region_uses_own_substream(heis1):
-    # f supported in one dyadic shell: the sum over all regions equals
-    # that shell's estimate on substream spawn_key + (region index,)
-    params = params_for(heis1, k=1.0)
+    Q, lam = params.Q, 2.0
 
     def f(Z, T):
-        d = norm_d(params, (Z, T))
-        return [np.where((d >= 2.0) & (d < 4.0), d**-2.0, 0.0)]
+        return zsq(Z, T) * np.exp(-norm_d(params, (Z, T)))
 
-    regions = _dyadic_regions(-12, 12)
-    vals, cov, last = integrate_shells(heis1, params, regions, f, 1, [20_000] * len(regions), 5, (3,))
-    idx = regions.index(ShellRegion(2.0, 4.0))
-    ref, ref_cov = mc_region_multi(Sampler(heis1, params, regions[idx], 5, spawn_key=(3, idx)), f, 1, 20_000)
-    assert vals[0] == pytest.approx(ref[0], rel=1e-12) and vals[0] > 0.0
-    assert cov[0, 0] == pytest.approx(ref_cov[0, 0], rel=1e-12)
-    assert last[0] == 0.0
+    a, se = ball_integral(heis1, params, dilated(params, f, lam), 400_000, seed=21)
+    want = (Q + 2.0) * cf.ball_moment(params, 2.0) * grid_integral_1d(lambda r: r ** (Q + 1.0) * np.exp(-r), 0.0, lam)
+    assert abs(lam**Q * a - want) <= 3.0 * lam**Q * se
 
 
-def test_integrate_shells_linearity_common_seed(heis1):
-    # columns share every sample, so linear combinations hold to rounding
-    params = params_for(heis1, k=1.0)
-
-    def multi(Z, T):
-        d = norm_d(params, (Z, T))
-        f = np.exp(-d)
-        g = np.exp(-2.0 * d) * zsq(Z, T)
-        return np.stack([f, g, 2.0 * f - 3.0 * g])
-
-    regions = _dyadic_regions(-6, 6)
-    vals, cov, _ = integrate_shells(heis1, params, regions, multi, 3, [10_000] * len(regions), 9)
-    assert vals[2] == pytest.approx(2.0 * vals[0] - 3.0 * vals[1], rel=1e-10)
-    assert cov[2, 2] == pytest.approx(4.0 * cov[0, 0] - 12.0 * cov[0, 1] + 9.0 * cov[1, 1], rel=1e-8)
-
-
-def test_integrate_shells_unequal_counts_match_per_region_sums(heis1):
-    # region i takes counts[i] candidates on substream spawn_key + (i,);
-    # the totals are the region estimates summed in order, bit for bit
-    params = params_for(heis1, k=1.0)
-
-    def multi(Z, T):
-        d = norm_d(params, (Z, T))
-        return np.stack([np.exp(-d), zsq(Z, T) * np.exp(-2.0 * d)])
-
-    regions = _dyadic_regions(-3, 3)
-    counts = [3_000, 11_000, 2_048, 7_500, 5_000, 9_999, 4_096]
-    vals, cov, last = integrate_shells(heis1, params, regions, multi, 2, counts, 4, (6,))
-    ref_vals, ref_cov = np.zeros(2), np.zeros((2, 2))
-    for i, (region, n) in enumerate(zip(regions, counts)):
-        v, c = mc_region_multi(Sampler(heis1, params, region, 4, spawn_key=(6, i)), multi, 2, n)
-        ref_vals += v
-        ref_cov += c
-    assert np.array_equal(vals, ref_vals) and np.array_equal(cov, ref_cov) and np.array_equal(last, v)
-    with pytest.raises(ValueError):
-        integrate_shells(heis1, params, regions, multi, 2, counts[:-1], 4, (6,))
-
-
-def test_neyman_counts_floor_and_zero_variance(heis1):
-    # every region gets at least the pilot size P, including regions where
-    # the integrand vanishes (pilot standard deviation 0)
-    params = params_for(heis1, k=1.0)
-    regions = _dyadic_regions(-2, 2)
-    n = 200_000
-    pilot = max(2048, n // 64)
-
-    def outer(Z, T):
-        d = norm_d(params, (Z, T))
-        return np.where(d >= 1.0, np.exp(-d), 0.0)
-
-    counts = neyman_counts(heis1, params, regions, outer, n, 3, (3,))
-    assert len(counts) == len(regions) and all(isinstance(c, int) for c in counts)
-    assert counts[:3] == [pilot] * 3  # the ball and the shells below d = 1
-    assert min(counts) >= pilot and max(counts) > pilot
-    assert neyman_counts(heis1, params, regions, lambda Z, T: np.zeros(len(Z)), n, 3, (3,)) == [pilot] * len(regions)
-    assert neyman_counts(heis1, params, regions[:1], one, 1_000, 3)[0] >= 2048
+def test_dyadic_edges_past_the_overflow_of_r1_over_r0():
+    # r1 / r0 overflows to inf for both inner edges; the octaves are
+    # counted from the logarithms instead, and each edge doubles the last
+    for r0, octaves in ((2.0**-1025, 1025), (5e-324, 1074)):
+        edges = dyadic_edges(r0, 1.0)
+        assert len(edges) == octaves + 1 and edges[0] == r0 and edges[-1] == 1.0
+        assert np.all(edges[1:-1] == 2.0 * edges[:-2]) and edges[-2] == 0.5
+    np.testing.assert_array_equal(dyadic_edges(0.5, 3.0), [0.5, 1.0, 2.0, 3.0])
 
 
 def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
     # the reduction in slices that span replicates and in chunks of whole
     # replicates equals the two-pass replicate estimate over one draw of
     # all N = max(64, ceil(rho n)) points, replicate r one contiguous block
-    # of N // 64 + (r < N % 64) points; in the thin shell each replicate
+    # of N // 64 + (r < N % 64) points; at the small budget each replicate
     # holds only a few points; replicates=True returns those estimates
     params = params_for(heis1, k=1.0)
     nf = 40
@@ -247,9 +182,9 @@ def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
         d = norm_d(params, (Z, T))
         return np.stack([np.exp(-j * d / 4.0) * (1.0 + Z[:, 0] ** 2) ** (j % 3) for j in range(nf)])
 
-    for region, n in ((ShellRegion(0.5, 1.5), 20_000), (ShellRegion(0.99, 1.0), 3 * REPLICATES + 5)):
-        sampler = Sampler(heis1, params, region, 21, spawn_key=(1,))
-        rho = cf.ball_moment(params, 0.0) * (1.0 - (region.r_min / region.r_max) ** params.Q) / 2.0 ** (heis1.m - heis1.q)
+    sampler = Sampler(heis1, params, 21, spawn_key=(1,))
+    rho = cf.ball_moment(params, 0.0) / 2.0 ** (heis1.m - heis1.q)
+    for n in (20_000, 3 * REPLICATES + 5):
         N = max(REPLICATES, math.ceil(rho * n))
         Z, T, mask = sampler.draw(N)
         assert mask.all() and len(Z) == N
@@ -264,7 +199,7 @@ def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
             slices.clear()
             got, cov = mc_region_multi(sampler, multi, nf, n)
             assert max(slices) <= slice_ // nf and sum(slices) == N
-            assert len(slices) > 1 or (region.r_min == 0.99 and slice_ == _SLICE)
+            assert len(slices) > 1 or (n < 1000 and slice_ == _SLICE)
             np.testing.assert_allclose(got, est.mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_cov)))
             # the replicate estimates themselves, on request
@@ -278,7 +213,7 @@ def test_variance_survives_large_constant_offset(heis1, monkeypatch):
     # points loses every digit of it to cancellation
     params = params_for(heis1, k=1.0)
     monkeypatch.setattr(Sampler, "weights", lambda self, Z: np.ones(len(Z)))
-    sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), 8)
+    sampler = Sampler(heis1, params, 8)
     _, cov = mc_region_multi(sampler, lambda Z, T: np.stack([1e8 + zsq(Z, T), zsq(Z, T)]), 2, 100_000)
     assert cov[1, 1] > 0.0
     assert cov[0, 0] == pytest.approx(cov[1, 1], rel=1e-3)
@@ -287,16 +222,15 @@ def test_variance_survives_large_constant_offset(heis1, monkeypatch):
 def test_halton_points_and_replicate_layout(heis1):
     # radical inverses in bases 2, 3, 5; replicate r of a draw holds the
     # first n // R + (r < n % R) points shifted by its shift mod 1, mapped
-    # into the shell: on heisenberg:1, z = r1 sqrt(u0) (cos, sin)(2 pi u1)
-    # and t = sign(2 u2 - 1) (a + |2 u2 - 1| (b - a))
+    # into the ball: on heisenberg:1, z = sqrt(u0) (cos, sin)(2 pi u1)
+    # and t = (2 u2 - 1) b, b = sqrt(1 - |z|^4) / 4
     H = quadrature._halton(6, 3)
     np.testing.assert_allclose(H[:, 0], [0, 1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8], rtol=1e-15)
     np.testing.assert_allclose(H[:, 1], [0, 1 / 3, 2 / 3, 1 / 9, 4 / 9, 7 / 9], rtol=1e-15)
     np.testing.assert_allclose(H[:, 2], [0, 1 / 5, 2 / 5, 3 / 5, 4 / 5, 1 / 25], rtol=1e-15)
     assert quadrature._primes(7) == (2, 3, 5, 7, 11, 13, 17)
     params = params_for(heis1, k=1.0)
-    r0, r1 = 1.0, 2.0
-    sampler = Sampler(heis1, params, ShellRegion(r0, r1), 3)
+    sampler = Sampler(heis1, params, 3)
     shifts = sampler.shifts()
     assert shifts.shape == (REPLICATES, 3)
     n = 5 * REPLICATES + 7
@@ -306,15 +240,14 @@ def test_halton_points_and_replicate_layout(heis1):
     for r in range(REPLICATES):
         size = 5 + (r < 7)
         u = (H[:size] + shifts[r]) % 1.0
-        rz = r1 * np.sqrt(u[:, 0])
-        a = np.sqrt(np.maximum(r0**4 - rz**4, 0.0)) / 4.0
-        b = np.sqrt(r1**4 - rz**4) / 4.0
+        rz = np.sqrt(u[:, 0])
+        b = np.sqrt(1.0 - rz**4) / 4.0
         v = 2.0 * u[:, 2] - 1.0
         angle = 2.0 * np.pi * u[:, 1]
         block = slice(start, start + size)
         circle = np.stack([np.cos(angle), np.sin(angle)], axis=1)
         np.testing.assert_allclose(Z[block], rz[:, None] * circle, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(T[block, 0], np.sign(v) * (a + np.abs(v) * (b - a)), rtol=1e-12)
+        np.testing.assert_allclose(T[block, 0], v * b, rtol=1e-12)
         start += size
 
 
@@ -340,7 +273,7 @@ def test_small_budget_still_fills_every_replicate():
     cfg = SuiteConfig(group="quaternionic:2", n_samples=10_000, seed=1)
     alg = cfg.algebra()
     params = cfg.params(alg)
-    sampler = Sampler(alg, params, ShellRegion(0.0, 1.0), cfg.seed)
+    sampler = Sampler(alg, params, cfg.seed)
     points = []
 
     def ones(Z, T):
@@ -357,12 +290,12 @@ def test_small_budget_still_fills_every_replicate():
 
 def test_sampler_stream_reproducible(heis1):
     params = params_for(heis1, k=1.0)
-    s1 = Sampler(heis1, params, ShellRegion(0.5, 1.0), seed=42, spawn_key=(3,))
-    s2 = Sampler(heis1, params, ShellRegion(0.5, 1.0), seed=42, spawn_key=(3,))
+    s1 = Sampler(heis1, params, seed=42, spawn_key=(3,))
+    s2 = Sampler(heis1, params, seed=42, spawn_key=(3,))
     Z1, T1, m1 = s1.draw(1000)
     Z2, T2, m2 = s2.draw(1000)
     assert np.array_equal(Z1, Z2) and np.array_equal(T1, T2) and np.array_equal(m1, m2)
-    s3 = Sampler(heis1, params, ShellRegion(0.5, 1.0), seed=42, spawn_key=(4,))
+    s3 = Sampler(heis1, params, seed=42, spawn_key=(4,))
     assert not np.array_equal(s3.draw(1000)[0], Z1)
 
 
@@ -371,7 +304,7 @@ def test_ball_sampler_excludes_center_tube(heis1):
     # replicate at radius coordinate u = 0, where |z| is floored at the tube
     # radius 1e-12 instead of reaching 0
     params = params_for(heis1, k=1.0)
-    s = Sampler(heis1, params, ShellRegion(0.0, 1.0), seed=0)
+    s = Sampler(heis1, params, seed=0)
     Z, T, mask = s.draw(10_000, np.tile([0.0, 0.0, 0.25], (REPLICATES, 1)))
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     assert mask.all() and np.all(zn >= 1e-12 * (1.0 - 1e-12)) and zn.min() <= 1e-12 * (1.0 + 1e-12)
@@ -391,29 +324,34 @@ def map_groups(tmp_path_factory):
             (resolve_group("quaternionic:1"), 2.0), (resolve_group(f"custom:{path}"), 1.0)]
 
 
-_MAP_REGIONS = (ShellRegion(0.0, 1.0), ShellRegion(0.5, 1.0), ShellRegion(1.0, 2.0), ShellRegion(0.125, 0.25))
+#: (r0, r1) of the shells r0 <= d < r1 that the map tests reach by dilating the unit ball
+_MAP_SHELLS = ((0.0, 1.0), (0.5, 1.0), (1.0, 2.0), (0.125, 0.25))
 
 
 def test_map_points_lie_in_their_shell(map_groups):
-    # also a shell far below the |z| floor's scale: the floor is relative to r_max
+    # every point lies in the unit ball off the center tube, and so does
+    # every point dilated into the ball d < 2^-49, far below the |z|
+    # floor's scale
     assert [(alg.m, alg.q) for alg, _ in map_groups] == [(2, 1), (6, 1), (4, 3), (4, 2)]
     for alg, k in map_groups:
         params = params_for(alg, k=k)
-        for i, region in enumerate(_MAP_REGIONS + (ShellRegion(2.0**-50, 2.0**-49),)):
-            Z, T, mask = Sampler(alg, params, region, 5, spawn_key=(i,)).draw(20_000)
-            d = norm_d(params, (Z, T))
+        for i, r in enumerate((1.0, 2.0**-49)):
+            Z, T, mask = Sampler(alg, params, 5, spawn_key=(i,)).draw(20_000)
+            Z, T = r * Z, r ** (2.0 * k) * T
             assert mask.all() and np.all(np.einsum("ni,ni->n", Z, Z) > 0.0)
-            assert np.all(d >= region.r_min * (1.0 - 1e-12)) and np.all(d < region.r_max * (1.0 + 1e-12))
+            assert np.all(norm_d(params, (Z, T)) < r * (1.0 + 1e-12))
 
 
 def test_map_mean_weight_is_shell_volume(map_groups):
-    # the weights integrate 1: their replicate mean is |B_1| (r1^Q - r0^Q) within 3 stderr
+    # the weights integrate the indicator of the shell r0 <= d < r1, dilated
+    # into the unit ball: its replicate mean is |B_1| (1 - (r0 / r1)^Q)
+    # within 3 stderr
     for alg, k in map_groups:
         params = params_for(alg, k=k)
-        for i, region in enumerate(_MAP_REGIONS):
-            sampler = Sampler(alg, params, region, 6, spawn_key=(i,))
-            vals, cov = mc_region_multi(sampler, lambda Z, T: [one(Z, T)], 1, 50_000)
-            vol = cf.ball_moment(params, 0.0) * (region.r_max**params.Q - region.r_min**params.Q)
+        for i, (r0, r1) in enumerate(_MAP_SHELLS):
+            shell = dilated(params, lambda Z, T: (norm_d(params, (Z, T)) >= r0).astype(float), r1)
+            vals, cov = mc_region_multi(Sampler(alg, params, 6, spawn_key=(i,)), lambda Z, T: [shell(Z, T)], 1, 50_000)
+            vol = cf.ball_moment(params, 0.0) * (1.0 - (r0 / r1) ** params.Q)
             assert abs(vals[0] - vol) <= 3.0 * math.sqrt(cov[0, 0]) and cov[0, 0] > 0.0
 
 

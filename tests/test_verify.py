@@ -11,7 +11,7 @@ from hplap import closedform as cf
 from hplap.algebra import OperatorParams, make_heisenberg, norm_d, resolve_group
 from hplap.fields import euclid_gradient, horizontal_gradient_batch
 from hplap import verify as verify_mod
-from hplap.quadrature import Sampler, ShellRegion, dyadic_edges, integrate_polar, integrate_shells, mc_region_multi
+from hplap.quadrature import Sampler, dyadic_edges, integrate_polar, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
     _panel_edges,
@@ -258,20 +258,21 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
 
 def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch):
     # the four columns of each function in a batched uncertainty integral
-    # equal that function's own integrate_shells call on the same shells
-    # and substreams, with u and grad_X u from its whole field
+    # equal that function's own integrate_polar call on the same panels
+    # and substream, with u and grad_X u from its whole field
     calls = []
 
-    def recorded(alg, params, regions, multi_fn, nf, counts, seed, spawn_key):
-        out = integrate_shells(alg, params, regions, multi_fn, nf, counts, seed, spawn_key)
-        calls.append((params, regions, counts, seed, spawn_key, out))
+    def recorded(alg, params, edges, multi_fn, nf, n, seed, spawn_key):
+        out = integrate_polar(alg, params, edges, multi_fn, nf, n, seed, spawn_key)
+        calls.append((params, edges, n, seed, spawn_key, out))
         return out
 
-    monkeypatch.setattr(verify_mod, "integrate_shells", recorded)
+    monkeypatch.setattr(verify_mod, "integrate_polar", recorded)
     verify_uncertainty(SuiteConfig(group="heisenberg:1", k=1.5, p=2.5, **FAST))
-    params, regions, counts, seed, spawn_key, (sums, cov, _) = calls[0]
+    params, edges, n, seed, spawn_key, (est, gain) = calls[0]
     phis = build_hardy_corpus()[:10:3]
-    assert len(sums) == 4 * len(phis) and {phi.modulation.kind for phi in phis if phi.modulation} == {"z1", "t1"}
+    assert est.shape[1] == 4 * len(phis) and {phi.modulation.kind for phi in phis if phi.modulation} == {"z1", "t1"}
+    np.testing.assert_array_equal(edges, _panel_edges(phis))
     s, k = params.p, params.k
     for j, phi in enumerate(phis):
         fld = phi.as_scalar_field(heis1, params)
@@ -285,10 +286,10 @@ def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch)
             return np.stack([zn ** (s / (s - 1.0)) * np.abs(u) ** (s / (s - 1.0)), gn**s,
                              (zn / d) ** (2.0 * k) * u**2, (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s) * np.abs(u) ** s])
 
-        ref, ref_cov, _ = integrate_shells(heis1, params, regions, single, 4, counts, seed, spawn_key)
+        ref, ref_gain = integrate_polar(heis1, params, edges, single, 4, n, seed, spawn_key)
         block = slice(4 * j, 4 * j + 4)
-        assert sums[block] == pytest.approx(ref, rel=1e-12)
-        assert np.diag(cov)[block] == pytest.approx(np.diag(ref_cov), rel=1e-10)
+        np.testing.assert_allclose(est[:, block], ref, rtol=1e-12)
+        np.testing.assert_allclose(gain[block], ref_gain, rtol=1e-12)
 
 
 def _counting(calls, name, fn):
@@ -300,15 +301,15 @@ def _counting(calls, name, fn):
 
 
 def test_corpus_suites_make_one_call_per_support(monkeypatch):
-    # hardy and uncertainty make one integral per corpus annulus (polar and
-    # over the shells), lemma2 one for its ten functions of one annulus
-    calls = {"hardy_ratio": 0, "integrate_shells": 0}
+    # hardy and uncertainty make one polar integral per corpus annulus,
+    # lemma2 one for its ten functions of one annulus
+    calls = {"hardy_ratio": 0, "integrate_polar": 0}
     monkeypatch.setattr(verify_mod, "hardy_ratio", _counting(calls, "hardy_ratio", verify_mod.hardy_ratio))
     cfg = SuiteConfig(group="heisenberg:1", **FAST)
     assert run_suite("hardy", cfg).overall_pass and calls["hardy_ratio"] == 5
     assert run_suite("lemma2", cfg).overall_pass and calls["hardy_ratio"] == 6
-    monkeypatch.setattr(verify_mod, "integrate_shells", _counting(calls, "integrate_shells", verify_mod.integrate_shells))
-    assert run_suite("uncertainty", cfg).overall_pass and calls["integrate_shells"] == 5
+    monkeypatch.setattr(verify_mod, "integrate_polar", _counting(calls, "integrate_polar", verify_mod.integrate_polar))
+    assert run_suite("uncertainty", cfg).overall_pass and calls["integrate_polar"] == 5
 
 
 def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
@@ -478,6 +479,29 @@ def test_modulated_quotients_calibrated(group, k, p, n):
     assert np.all((0.8 <= sd) & (sd <= 1.25)) and np.all(np.sum(np.abs(z) > 3.0, axis=0) <= 1)
 
 
+def test_modulated_uncertainty_quotients_calibrated(quat1):
+    # over 40 fixed seeds at the suite's budget, the stderr of the
+    # uncertainty-main quotient i1^{1/t} i2^{1/s} / i3 of the two modulated
+    # functions of its first support (both modulation kinds) is honest
+    # against a 16x-budget reference: z has sd near 1 and at most one
+    # |z| > 3 per function
+    params = OperatorParams.of(quat1, k=2.0, p=3.0)
+    phis = build_hardy_corpus()[:10:3]
+    n = SuiteConfig(group="quaternionic:1").corpus_n()
+    modulated = [i for i, phi in enumerate(phis) if not phi.radial]
+    assert {phis[i].modulation.kind for i in modulated} == {"z1", "t1"}
+
+    def main(seed, budget):
+        quotients = verify_mod._uncertainty_quotients(quat1, params, phis, budget, seed, (7, 0))
+        return [quotients[i][0] for i in modulated]
+
+    ref = main(999, 16 * n)
+    z = np.array([[(q - r) / math.hypot(se, se_r) for (q, se), (r, se_r) in zip(main(seed, n), ref)]
+                  for seed in range(40)])
+    sd = np.std(z, axis=0, ddof=1)
+    assert np.all((0.8 <= sd) & (sd <= 1.25)) and np.all(np.sum(np.abs(z) > 3.0, axis=0) <= 1)
+
+
 def test_radial_reduction_self_check(heis1):
     params = params_for(heis1, k=2.0, p=2.5, alpha=0.5)
     [res] = hardy_ratio(heis1, [(params, annulus_bump(0.5, 2.0, "poly3"))], 40_000, seed=6)
@@ -602,40 +626,17 @@ def _density_total(report):
     return check
 
 
-def test_fundamental_solution_neyman_matches_equal_split(heis1, monkeypatch):
-    # the allocated density-total keeps the error bar of n candidates in
-    # every region, for at most a fifth of the candidates (pilot included)
-    n = 100_000
-    allocated = []
-    neyman = verify_mod.neyman_counts
-
-    def recording(*args, **kwargs):
-        allocated.append(neyman(*args, **kwargs))
-        return allocated[-1]
-
-    monkeypatch.setattr(verify_mod, "neyman_counts", recording)
-    check = _density_total(verify_fundamental_solution(SuiteConfig(n_samples=n)))
-    [counts] = allocated
-    params = params_for(heis1, k=1.0, p=2.0)
-    regions = [ShellRegion(0.0, 2.0**-12)] + [ShellRegion(2.0**a, 2.0 ** (a + 1)) for a in range(-12, 12)]
-
-    def psi(Z, T):
-        return [cf.psi(params, (Z, T))]
-
-    _, cov, _ = integrate_shells(heis1, params, regions, psi, 1, [n] * len(regions), SuiteConfig.seed, (2,))
-    assert check.passed
-    assert check.stderr <= 1.05 * math.sqrt(cov[0, 0])
-    assert sum(counts) + len(regions) * max(2048, n // 64) <= 0.2 * n * len(regions)
-
-
 def test_fundamental_solution_density_total_calibrated():
-    # z = (observed - target) / stderr over 20 fixed seeds: the allocated
-    # error bar is neither too narrow nor too wide
-    z = []
-    for seed in range(1000, 1020):
-        check = _density_total(verify_fundamental_solution(SuiteConfig(n_samples=60_000, seed=seed)))
-        z.append((check.observed - check.target) / check.stderr)
-    assert abs(np.mean(z)) <= 0.7 and 0.6 <= np.std(z, ddof=1) <= 1.5
+    # z = (observed - target) / stderr over 20 fixed seeds: the error bar
+    # is neither too narrow nor too wide, also where psi concentrates at
+    # d^{-33} (quaternionic:1) and where a budget buys few points
+    # (quaternionic:2)
+    for group, k, p in (("heisenberg:1", 1.0, 2.0), ("quaternionic:1", 2.0, 3.0), ("quaternionic:2", 1.0, 2.0)):
+        z = []
+        for seed in range(1000, 1020):
+            check = _density_total(verify_fundamental_solution(SuiteConfig(group, k, p, n_samples=60_000, seed=seed)))
+            z.append((check.observed - check.target) / check.stderr)
+        assert abs(np.mean(z)) <= 0.7 and 0.6 <= np.std(z, ddof=1) <= 1.5, group
 
 
 def test_lemma1_rejects_invalid_k():
@@ -655,7 +656,7 @@ def test_moments_columns_match_single_column_estimates(heis1):
     params = cfg.params(heis1)
     checks = [c for c in verify_moments(cfg).checks if c.check_id.startswith("ball-moment-")]
     assert [c.check_id for c in checks] == ["ball-moment-0", "ball-moment-1", "ball-moment-6", "ball-moment-9"]
-    sampler = Sampler(heis1, params, ShellRegion(0.0, 1.0), cfg.seed)
+    sampler = Sampler(heis1, params, cfg.seed)
     for check, gamma in zip(checks, (0.0, 1.0, 6.0, 9.0)):
         vals, cov = mc_region_multi(sampler, lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (gamma / 2.0)], 1, cfg.n_samples)
         assert check.observed == pytest.approx(vals[0], rel=1e-12)
