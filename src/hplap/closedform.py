@@ -79,6 +79,7 @@ __all__ = [
     "lap_d_eps",
     "radial_L",
     "psi",
+    "psi_radial",
     "psi_prefactor",
     "sigma_p",
     "sigma_p_beta",
@@ -204,6 +205,18 @@ def psi(params: OperatorParams, zt):
         out = pref * dpow * zpow / (1.0 + d4) ** ((4.0 * k * p - p + Q) / (4.0 * k))
     out = np.where((zn2 == 0.0), 0.0, out)
     return out
+
+
+def psi_radial(params: OperatorParams, r):
+    """psi(delta_r w) / psi(w) for w on the unit gauge sphere (d(w) = 1):
+    |z| and d scale by r, so
+
+        psi(delta_r w) = psi(w) r^{2kp-4k+(2k-1)p} (2 / (1 + r^{4k}))^{(4kp-p+Q)/(4k)}.
+    """
+    k, p, Q = params.k, params.p, params.Q
+    r = np.asarray(r, dtype=float)
+    return r ** (2.0 * k * p - 4.0 * k + (2.0 * k - 1.0) * p) * (2.0 / (1.0 + r ** (4.0 * k))) ** (
+        (4.0 * k * p - p + Q) / (4.0 * k))
 
 
 # ---------------------------------------------------------------------------

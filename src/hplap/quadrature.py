@@ -28,7 +28,13 @@ results.
 :func:`integrate_polar` integrates over a shell r0 <= d < r1 by the
 polar formula: directions from the ball's points, the radius by
 Gauss-Legendre panels, with a quadrature error term beside the
-replicates' covariance (:func:`total_stderr`).
+replicates' covariance (:func:`total_stderr`).  Its integrands come in
+ray form: multi_fn(Z, T, r, c) gets directions on the unit gauge sphere,
+the radial nodes r and their weights c, and returns each column already
+contracted over the radius, so that a homogeneous integrand computes its
+geometry once per direction and its profiles once per node.  A call
+gets at most _SLICE // len(r) directions, so that no directions x nodes
+array exceeds _SLICE elements, whatever the number of columns.
 """
 from __future__ import annotations
 
@@ -217,7 +223,8 @@ def _box_share(params: OperatorParams, inner: float = 0.0) -> float:
     return ball_moment(params, 0.0) * (1.0 - inner**params.Q) / 2.0 ** (params.m - params.q)
 
 
-def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, replicates: bool = False):
+def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, replicates: bool = False,
+                    step: Optional[int] = None):
     """Unbiased estimates of several integrands over the unit ball from a
     budget of n candidates (N points, see the module docstring), REPLICATES
     randomly shifted Halton sets (see :meth:`Sampler.draw`), shared by
@@ -226,13 +233,13 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     multi_fn(Z, T) returns an (nf, len(Z)) array of integrand values.
     Points are drawn in chunks of whole replicates, at most _CHUNK points
     unless one replicate is larger, so they do not depend on nf; they are
-    evaluated in slices of at most _SLICE // nf points that may span
-    replicates.  Returns (values, covariance) where values[i], the mean of
-    the replicate estimates, estimates integral i, and covariance is that
-    of values: the two-pass sample covariance of the replicate estimates
-    divided by REPLICATES.  With replicates=True, returns the
-    (REPLICATES, nf) replicate estimates themselves instead, whose column
-    means are the values.
+    evaluated in slices of at most step points (default _SLICE // nf)
+    that may span replicates.  Returns (values, covariance) where
+    values[i], the mean of the replicate estimates, estimates integral i,
+    and covariance is that of values: the two-pass sample covariance of
+    the replicate estimates divided by REPLICATES.  With replicates=True,
+    returns the (REPLICATES, nf) replicate estimates themselves instead,
+    whose column means are the values.
     """
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
@@ -240,7 +247,7 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     N = max(REPLICATES, math.ceil(_box_share(sampler.params) * n))
     sizes = N // REPLICATES + (np.arange(REPLICATES) < N % REPLICATES)
     per = max(1, _CHUNK // int(sizes[0]))
-    step = max(1, _SLICE // nf)
+    step = max(1, _SLICE // nf) if step is None else step
     sums = np.zeros((REPLICATES, nf))
     for r0 in range(0, REPLICATES, per):
         reps = slice(r0, r0 + per)
@@ -282,10 +289,14 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     substream spawn_key: the inner integral h(w(x)) has degree 0 in x, so
     int_S h dsigma = Q int_{B_1} h(w(x)) dx, estimated by
     :func:`mc_region_multi` with no radial variance.  Radius: POLAR_NODES
-    Gauss-Legendre nodes per panel [edges[i], edges[i + 1]], which should
-    end where an integrand is not smooth; multi_fn(Z, T) -> (nf, len(Z))
-    is evaluated at the real points delta_r w, at most _SLICE // nf per
-    call.
+    Gauss-Legendre nodes r per panel [edges[i], edges[i + 1]], which
+    should end where an integrand is not smooth, with weights
+    c = Q w r^{Q-1}.  multi_fn(Z, T, r, c) -> (nf, len(Z)) gets directions
+    Z, T on the unit gauge sphere (d = 1) and returns column i as
+    sum_j f_i(delta_{r_j} w) c_j, so a field of known degree under delta_r
+    is evaluated once per direction and its profile once per node.  Each
+    call gets at most _SLICE // len(r) directions: a directions x nodes
+    array holds at most _SLICE elements, whatever nf is.
 
     Budget: n candidates split evenly over the dyadic pieces [a, b) of
     the support, n_per = max(MIN_REGION_CANDIDATES, ceil(n / pieces))
@@ -302,38 +313,35 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     has the quadrature term of :func:`total_stderr`.
     """
     edges = np.asarray(edges, dtype=float)
-    Q, k, m, q = params.Q, params.k, alg.m, alg.q
+    Q, k = params.Q, params.k
     dyadic = dyadic_edges(edges[0], edges[-1])
     n_per = max(MIN_REGION_CANDIDATES, math.ceil(n / (len(dyadic) - 1)))
     points = sum(max(REPLICATES, math.ceil(_box_share(params, a / b) * n_per)) for a, b in zip(dyadic, dyadic[1:]))
     directions = max(REPLICATES, points // (POLAR_NODES * (len(edges) - 1)))
 
     def along_rays(deg):
-        """h(Z, T) -> (nf, len(Z)): the radial rule of deg nodes per panel along the directions of Z, T."""
+        """(h, per): h(Z, T) -> (nf, len(Z)), the radial rule of deg nodes per panel along the directions of Z, T,
+        which passes multi_fn at most per directions per call."""
         x, w = _leggauss(deg)
         lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
         r = (lo + half * (x + 1.0)).ravel()
-        c, rt = Q * (half * w).ravel() * r ** (Q - 1.0), r ** (2.0 * k)
-        per = max(1, _SLICE // (nf * len(r)))
+        c = Q * (half * w).ravel() * r ** (Q - 1.0)
+        per = max(1, _SLICE // len(r))
 
         def h(Z, T):
             d = norm_d(params, (Z, T))
             Z, T = Z / d[:, None], T / (d ** (2.0 * k))[:, None]
-            out = np.empty((nf, len(Z)))
-            for i in range(0, len(Z), per):
-                z, t = Z[i : i + per, None, :] * r[:, None], T[i : i + per, None, :] * rt[:, None]
-                vals = np.asarray(multi_fn(z.reshape(-1, m), t.reshape(-1, q)), dtype=float)
-                out[:, i : i + per] = vals.reshape(nf, len(z), len(r)) @ c
-            return out
+            return np.hstack([np.asarray(multi_fn(Z[i : i + per], T[i : i + per], r, c), dtype=float).reshape(nf, -1)
+                              for i in range(0, len(Z), per)])
 
-        return h
+        return h, per
 
     sampler = Sampler(alg, params, seed, spawn_key)
-    est = mc_region_multi(sampler, along_rays(POLAR_NODES), nf, math.ceil(directions / _box_share(params)),
-                          replicates=True)
+    h, per = along_rays(POLAR_NODES)
+    est = mc_region_multi(sampler, h, nf, math.ceil(directions / _box_share(params)), replicates=True, step=per)
     Z, T, _ = sampler.draw(-(-directions // REPLICATES), sampler.shifts()[:1])
     w = sampler.weights(Z)
-    coarse, fine = (along_rays(deg)(Z, T) @ w for deg in (POLAR_NODES, 2 * POLAR_NODES))
+    coarse, fine = (along_rays(deg)[0](Z, T) @ w for deg in (POLAR_NODES, 2 * POLAR_NODES))
     return est, np.divide(fine, coarse, out=np.ones(nf), where=coarse != 0.0)
 
 

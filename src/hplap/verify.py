@@ -491,6 +491,9 @@ class HardyRatioResult:
 #: brackets sign changes
 _KINK_GRID = 64
 
+#: subintervals per step of the kink search of :func:`_panel_edges`
+_KINK_SPLIT = 32
+
 #: Gauss-Legendre nodes per panel of the 1-D reduction (32 panels of 32)
 _PANEL_NODES_1D = 1024
 
@@ -501,25 +504,32 @@ def _panel_edges(phis) -> np.ndarray:
     profile derivative r^{-a} (F' - a F / r) changes (to or from 0, too,
     as at the ends of a plateau), because |.|^p has a kink there.  The
     changes are bracketed on _KINK_GRID intervals per dyadic piece, then
-    narrowed to 1e-10 relative by bisection, one shape evaluation per step
-    for every power and bracket that shares the shape (about 27 steps); a
-    kink within 1e-9 (relative) of an edge or of a smaller kink is
-    dropped.  A kink that far inside a panel of width h adds an error of
-    order (1e-9 r / h)^{p+1}."""
+    narrowed to 1e-10 relative: each step splits every bracket into
+    _KINK_SPLIT and keeps the piece of the first change, with one shape
+    evaluation for every power and bracket that shares the shape (about 6
+    steps); a kink within 1e-9 (relative) of an edge or of a smaller kink
+    is dropped.  A kink that far inside a panel of width h adds an error
+    of order (1e-9 r / h)^{p+1}."""
     dyadic = dyadic_edges(*phis[0].support)
     grid = np.unique(np.concatenate([np.linspace(a, b, _KINK_GRID + 1) for a, b in zip(dyadic, dyadic[1:])]))
+    split = np.arange(_KINK_SPLIT + 1) / _KINK_SPLIT
     kinks = []
     for shape in dict.fromkeys(phi.shape for phi in phis):
         powers = np.array(sorted({phi.power for phi in phis if phi.shape is shape}))[:, None]
         F, dF = shape(grid)
         sign = np.sign(dF - powers * F / grid)
         ia, ig = np.nonzero(sign[:, 1:] != sign[:, :-1])
-        lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia, 0], sign[ia, ig]
+        lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia], sign[ia, ig][:, None]
         while np.any(hi - lo > 1e-10 * hi):
-            mid = 0.5 * (lo + hi)
-            F, dF = shape(mid)
-            keep = np.sign(dF - a * F / mid) == side
-            lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+            x = lo[:, None] + (hi - lo)[:, None] * split  # each bracket's ends and the points between them
+            x[:, -1] = hi
+            inner = x[:, 1:-1]
+            F, dF = (v.reshape(inner.shape) for v in shape(inner.ravel()))
+            changed = np.sign(dF - a * F / inner) != side
+            # the piece that ends at the first changed point, or the last piece
+            j = np.where(changed.any(axis=1), changed.argmax(axis=1), _KINK_SPLIT - 1)
+            rows = np.arange(len(x))
+            lo, hi = x[rows, j], x[rows, j + 1]
         kinks.append(hi)
     k = np.unique(np.concatenate(kinks)) if kinks else np.empty(0)
     k = k[(np.min(np.abs(k[:, None] - dyadic), axis=1, initial=np.inf) > 1e-9 * k)
@@ -527,30 +537,56 @@ def _panel_edges(phis) -> np.ndarray:
     return np.union1d(dyadic, k)
 
 
-def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, phis):
-    """(d, |z|, field) on one batch, field(phi) = (|Phi|, |grad_X Phi|) for phi in phis by grad_X Phi =
-    phi'(d) grad_X d * mod + phi(d) grad_X mod.  d, its Euclidean gradient and the drift of X once per batch, X d
-    and each modulation's value and X-gradient contracted from them once (the gradient and drift are not kept
-    past this call); F(d), F'(d) once per shape, which corpus twins share."""
-    _near_singular_check(params, Z)
+def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
+    """(|z_w|, field) on directions w = (Z, T) of the unit gauge sphere and radial nodes r: field(phi) =
+    (|Phi|, |grad_X Phi|) at the points delta_r w for phi in phis, each a function p -> its p-th power in the ray
+    form of :func:`_ray_sum`, computed once per p.
+    Under delta_r, X_j and d have degree 1 and X_j d and a modulation m degree 0, so |Phi| = |phi(r)| |m(w)| and
+    grad_X Phi = phi'(r) X d(w) m(w) + phi(r) X m(w) / r: d, its Euclidean gradient and the drift of X once per
+    direction, X d and each modulation's value and X-gradient contracted from them once; F(r), F'(r) once per
+    shape, which corpus twins share."""
+    _near_singular_check(params, np.min(r) * Z)  # the points delta_r w closest to {z = 0}
     d, grad_d = _d_and_grad(params, Z, T)
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     drift = _drift(alg, params, Z)
     Xd = _x_from_euclid(alg, drift, grad_d)
-    Xd_norm = np.sqrt(np.einsum("nj,nj->n", Xd, Xd))
-    shape_values = cache(lambda shape: shape(d))
-    modulation = {mod: (mod.value(params, Z, T, d), _x_from_euclid(alg, drift, mod.grad(params, Z, T, (d, grad_d))))
-                  for mod in {phi.modulation for phi in phis} - {None}}
+    Xd2 = np.einsum("nj,nj->n", Xd, Xd)
+    Xd_norm, ones = np.sqrt(Xd2)[:, None], np.ones((len(Z), 1))
+    shape_values = cache(lambda shape: shape(r))
+
+    def modulation(mod):
+        """m and the coefficients of |grad_X Phi|^2 = m^2 |X d|^2 phi'^2 + 2 m <X d, X m> phi' phi / r
+        + |X m|^2 (phi / r)^2."""
+        mv = mod.value(params, Z, T, d)
+        Xm = _x_from_euclid(alg, drift, mod.grad(params, Z, T, (d, grad_d)))
+        return mv, (mv * mv * Xd2)[:, None], (2.0 * mv * np.einsum("nj,nj->n", Xd, Xm))[:, None], \
+            np.einsum("nj,nj->n", Xm, Xm)[:, None]
+
+    modulations = {mod: modulation(mod) for mod in {phi.modulation for phi in phis} - {None}}
+
+    def powers(A, B):
+        """p -> (A^p, B^p), once per p."""
+        return cache(lambda p: (A**p, B**p))
 
     def field(phi):
-        f, df = phi.profile(d, *shape_values(phi.shape))
+        f, df = phi.profile(r, *shape_values(phi.shape))
         if phi.modulation is None:
-            return np.abs(f), np.abs(df) * Xd_norm
-        mv, Xm = modulation[phi.modulation]
-        G = (df * mv)[:, None] * Xd + f[:, None] * Xm
-        return np.abs(f * mv), np.sqrt(np.einsum("nj,nj->n", G, G))
+            return powers(ones, np.abs(f)), powers(Xd_norm, np.abs(df))
+        mv, a, b, cc = modulations[phi.modulation]
+        fr = f / r
+        gn = np.sqrt(np.maximum(a * df**2 + b * (df * fr) + cc * fr**2, 0.0))
+        return powers(np.abs(mv)[:, None], np.abs(f)), powers(gn, 1.0)
 
-    return d, zn, field
+    return zn, field
+
+
+def _ray_sum(f, ang, rad, c) -> np.ndarray:
+    """sum_j ang rad_j f_j c_j along each direction of a ray-form value f = (A, B) on the radial nodes r_j:
+    f_j = A[:, j] B_j, with A of shape (directions, 1) for a separable f (and (directions, len(r)) otherwise) and
+    B of shape (len(r),) or a scalar; ang is per direction and rad per node (either may be a scalar)."""
+    A, B = f
+    w = B * rad * c
+    return ang * (A @ w if A.shape[1] > 1 else A[:, 0] * np.sum(w))
 
 
 def _radial_1d_batch(cases, edges=None) -> np.ndarray:
@@ -592,22 +628,21 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     for each (params, phi) in cases, by :func:`integrate_polar` over the
     support: sampled directions, and Gauss-Legendre in the radius on the
     panels of :func:`_panel_edges`, which end at every kink of a case's
-    |phi'|^p.  Every standard error is :func:`total_stderr` of the
-    replicates' variance and the quadrature term; the ratio's replicate
-    variance is that of the replicate estimates (L_r - ratio R_r) / R (the
-    delta method, without the cancellation of var L, var R and cov(L, R)).
-    For radial Phi both integrals carry the same angular factor
-    int_S |grad_X d|^p, so L_r / R_r is the quotient of the two radial
-    integrals in every replicate, that variance is round-off, and the
-    quadrature term is the ratio's whole error.
+    |phi'|^p.  L, R and the ratio L / R, with their standard errors, come
+    from :func:`_power_quotients`.  For radial Phi both integrals carry the
+    same angular factor int_S |grad_X d|^p, so L_r / R_r is the quotient of
+    the two radial integrals in every replicate, the ratio's replicate
+    variance is round-off, and the quadrature term is its whole error.
 
     All cases share one set of directions and panels (common random
     numbers), so they must share k and the support of phi.  On each batch
-    :func:`_corpus_batch` gives |Phi| and |grad_X Phi| once per distinct
-    phi, and each power d^alpha, |grad_X d|^p, weight d^{alpha-p}
-    |grad_X d|^p and (|Phi|^p, |grad_X Phi|^p) is computed once, for every
-    case that uses it; a case's columns are the same products as in a call
-    of its own on the same panels, so batching changes no bit of them.
+    of directions :func:`_corpus_batch` gives |Phi| and |grad_X Phi| along
+    the rays once per distinct phi, with d = r and |grad_X d| = |z_w|^{2k-1}
+    of degree 0; each power r^a, |grad_X d|^p and (|Phi|^p, |grad_X Phi|^p)
+    is computed once, for every case that uses it, and a separable column
+    contracts as its angular factor times its radial factor summed against
+    c.  A case's columns are the same products as in a call of its own on
+    the same panels, so batching changes no bit of them.
 
     For radial Phi the 1-D polar reduction (one batch for all radial cases)
     must agree with the sampled values within 5 standard errors
@@ -624,37 +659,31 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
             raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + params.alpha}, got p={params.p}")
         by_phi.setdefault(id(phi), (phi, []))[1].append((i, params.p, params.alpha))
 
-    def multi(Z, T):
-        d, zn, field = _corpus_batch(alg, base, Z, T, [phi for phi, _ in by_phi.values()])
-        gd = (zn / d) ** (2.0 * base.k - 1.0)
+    def multi(Z, T, r, c):
+        zn, field = _corpus_batch(alg, base, Z, T, r, [phi for phi, _ in by_phi.values()])
+        gd = zn ** (2.0 * base.k - 1.0)  # |grad_X d| at d = 1, of degree 0
         # each power once per batch, however many cases use it; one phi's powers at a time
-        d_pow = cache(lambda a: d**a)
+        r_pow = cache(lambda a: r**a)
         gd_pow = cache(lambda p: gd**p)
-        weight = cache(lambda p, a: d ** (a - p) * gd_pow(p))
-        out = np.empty((2 * len(cases), len(d)))
+        out = np.empty((2 * len(cases), len(Z)))
         for phi, idx in by_phi.values():
             u, gu = field(phi)
-            pows = cache(lambda p: (u**p, gu**p))
             for i, p, a in idx:
-                up, gup = pows(p)
-                out[2 * i] = d_pow(a) * gup
-                out[2 * i + 1] = weight(p, a) * up
+                out[2 * i] = _ray_sum(gu(p), 1.0, r_pow(a), c)
+                out[2 * i + 1] = _ray_sum(u(p), gd_pow(p), r_pow(a - p), c)
         return out
 
     edges = _panel_edges([phi for phi, _ in by_phi.values()])
     est, gain = integrate_polar(alg, base, edges, multi, 2 * len(cases), n, seed, spawn_key)
-    sums = est.mean(axis=0)
-    dev = est - sums
     radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
     one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial], edges))) if radial else {}
     out = []
+    # L, R and L / R of every case
+    values, stderrs = _power_quotients(est, gain, [e for i in range(0, 2 * len(cases), 2)
+                                                   for e in ({i: 1.0}, {i + 1: 1.0}, {i: 1.0, i + 1: -1.0})])
     for i, (params, phi) in enumerate(cases):
-        (L, R), (gL, gR) = sums[2 * i : 2 * i + 2], gain[2 * i : 2 * i + 2]
-        dL, dR = dev[:, 2 * i], dev[:, 2 * i + 1]
-        x = dL - (L / R) * dR
-        varL, varR, var_ratio = (v @ v / (REPLICATES * (REPLICATES - 1.0)) for v in (dL, dR, x / R))
-        res = HardyRatioResult(float(L), float(R), float(L / R), float(total_stderr(var_ratio, L / R, gL / gR)),
-                               float(total_stderr(varL, L, gL)), float(total_stderr(varR, R, gR)))
+        (L, R, ratio), (se_L, se_R, se) = values[3 * i : 3 * i + 3], stderrs[3 * i : 3 * i + 3]
+        res = HardyRatioResult(L, R, ratio, se, se_L, se_R)
         if phi.radial:
             lhs1, rhs1 = one_d[i]
             # 5 sigma: this self-check runs hundreds of times per suite, so a
@@ -667,19 +696,25 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     return out
 
 
-def _power_quotient(est: np.ndarray, gain: np.ndarray, powers: dict) -> tuple:
-    """(value, stderr) of the product of I_i^{e_i} over the items i: e_i of
-    powers, I_i the integral of the replicate estimates est[:, i] of
-    :func:`integrate_polar`: :func:`total_stderr` of the variance of the
-    replicate estimates value * sum_i e_i (est[r, i] - I_i) / I_i (the
-    delta method replicate by replicate, as in :func:`hardy_ratio`) and
-    of the gain, the product of gain[i]^{e_i}."""
-    cols, exps = list(powers), np.array(list(powers.values()))
-    est, gain = est[:, cols], gain[cols]
+def _power_quotients(est: np.ndarray, gain: np.ndarray, quotients) -> tuple:
+    """(values, stderrs) of the products of I_i^{e_i} over the items i of
+    each dict {i: e_i} of quotients, I_i the integral of the replicate
+    estimates est[:, i] of :func:`integrate_polar`: :func:`total_stderr`
+    of the variance of the replicate estimates value * sum_i e_i
+    (est[r, i] - I_i) / I_i (the delta method replicate by replicate,
+    without the cancellation of the variances and covariances of the I_i)
+    and of the gain, the product of gain[i]^{e_i}.  Two lists of floats,
+    one entry per quotient."""
+    exps = np.zeros((est.shape[1], len(quotients)))
+    for j, powers in enumerate(quotients):
+        exps[list(powers), j] = list(powers.values())
+    used = exps.any(axis=1)
+    est, gain, exps = est[:, used], gain[used, None], exps[used]
     I = est.mean(axis=0)
-    value = float(np.prod(I**exps))
+    value = np.prod(I[:, None] ** exps, axis=0)
     x = value * (((est - I) / I) @ exps)
-    return value, float(total_stderr(x @ x / (REPLICATES * (REPLICATES - 1.0)), value, np.prod(gain**exps)))
+    var = np.einsum("rj,rj->j", x, x) / (REPLICATES * (REPLICATES - 1.0))
+    return value.tolist(), total_stderr(var, value, np.prod(gain**exps, axis=0)).tolist()
 
 
 def sharp_hardy_constant(params: OperatorParams) -> float:
@@ -726,22 +761,27 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
     pref = cf.psi_prefactor(params)
     target = (pref / (4.0 * k * p - 4.0 * k + Q - p)) * cf.sigma_p(params)
 
-    def multi(Zs, Ts):
-        psi_v = cf.psi(params, (Zs, Ts))
+    def multi(Zs, Ts, r, c):
+        # psi(delta_r w) = psi(w) psi_radial(r), and |z|^2, |t|^2 scale by r^2, r^{4k}
+        psi_w = cf.psi(params, (Zs, Ts))
         zn2 = np.einsum("ni,ni->n", Zs, Zs)
         tn2 = np.einsum("ni,ni->n", Ts, Ts)
-        cols = [psi_v]
-        for e in eps_list:
-            cols.append(psi_v * np.exp(-(e**2) * zn2 - e ** (4.0 * k) * tn2))
-        cols.append(np.where(norm_d(params, (Zs, Ts)) >= 2.0**11, psi_v, 0.0))
-        return np.stack(cols)
+        rad = cf.psi_radial(params, r) * c
+        # the sweep's Gaussian at delta_r w is exp(-|z_w|^2 s^2 - |t_w|^2 s^{4k}) at s = eps r: one exponential per
+        # distinct s (dyadic eps and panels share most of them), each column's weights rad at its own s
+        s, at = np.unique(np.multiply.outer(eps_list, r), return_inverse=True)
+        weights = np.zeros((len(s), len(eps_list)))
+        weights[at.reshape(len(eps_list), -1), np.arange(len(eps_list))[:, None]] = rad
+        sweep = np.exp(-zn2[:, None] * s**2 - tn2[:, None] * s ** (4.0 * k)) @ weights
+        total, tail = np.full_like(psi_w, np.sum(rad)), np.full_like(psi_w, np.sum(rad[r >= 2.0**11]))
+        return psi_w * np.vstack([total, sweep.T, tail])
 
     est, gain = integrate_polar(alg, params, dyadic_edges(2.0**-30, 2.0**12), multi, len(eps_list) + 2,
                                 10 * config.n_samples // 3, config.seed, (2,))
     vals = est.mean(axis=0)
     if abs(vals[-1]) > 0.01 * abs(vals[0]):
         raise RuntimeError("scaling-density integral: non-decaying tail at the outermost shell")
-    est0, se = _power_quotient(est, gain, {0: 1.0})
+    (est0,), (se,) = _power_quotients(est, gain, [{0: 1.0}])
     report.add_stochastic("density-total", est0, target, se, nsigma=config.mc_nsigma())
 
     # (c) observed pairing error |int psi * phi(delta_eps .) - phi(0) int psi|
@@ -1004,16 +1044,19 @@ def _uncertainty_quotients(alg: HTypeAlgebra, params: OperatorParams, phis, n: i
     s, k = params.p, params.k
     t_exp = s / (s - 1.0)
 
-    def multi(Z, T):
-        d, zn, field = _corpus_batch(alg, params, Z, T, phis)
-        w1, w3, wb = zn**t_exp, (zn / d) ** (2.0 * k), (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s)
-        return np.concatenate([[w1 * u**t_exp, gn**s, w3 * u**2, wb * u**s] for u, gn in map(field, phis)])
+    def multi(Z, T, r, c):
+        # at delta_r w: w1 = (r |z_w|)^t, w3 = |z_w|^{2k} and wb = |z_w|^{(2k-1)s} r^{-s}
+        zn, field = _corpus_batch(alg, params, Z, T, r, phis)
+        w1, w3, wb, rt, rs = zn**t_exp, zn ** (2.0 * k), zn ** ((2.0 * k - 1.0) * s), r**t_exp, r ** (-s)
+        return np.concatenate([[_ray_sum(u(t_exp), w1, rt, c), _ray_sum(gu(s), 1.0, 1.0, c),
+                                _ray_sum(u(2.0), w3, 1.0, c), _ray_sum(u(s), wb, rs, c)] for u, gu in map(field, phis)])
 
     est, gain = integrate_polar(alg, params, _panel_edges(phis), multi, 4 * len(phis), n, seed, spawn_key)
     # i1^{1/t} i2^{1/s} / i3, i1^{1/t} B^{1/s} / i3 and (i2 / B)^{1/s}
-    return [(_power_quotient(est, gain, {i1: 1.0 / t_exp, i1 + 1: 1.0 / s, i1 + 2: -1.0}),
-             _power_quotient(est, gain, {i1: 1.0 / t_exp, i1 + 3: 1.0 / s, i1 + 2: -1.0}),
-             _power_quotient(est, gain, {i1 + 1: 1.0 / s, i1 + 3: -1.0 / s})) for i1 in range(0, 4 * len(phis), 4)]
+    values, stderrs = _power_quotients(est, gain, [e for i1 in range(0, 4 * len(phis), 4) for e in (
+        {i1: 1.0 / t_exp, i1 + 1: 1.0 / s, i1 + 2: -1.0}, {i1: 1.0 / t_exp, i1 + 3: 1.0 / s, i1 + 2: -1.0},
+        {i1 + 1: 1.0 / s, i1 + 3: -1.0 / s})])
+    return [tuple(zip(values[j : j + 3], stderrs[j : j + 3])) for j in range(0, len(values), 3)]
 
 
 def verify_uncertainty(config: SuiteConfig) -> VerificationReport:

@@ -31,6 +31,24 @@ def params_for(alg, k=1.0, p=2.0, alpha=0.0, beta=0.0):
     return OperatorParams.of(alg, k=k, p=p, alpha=alpha, beta=beta)
 
 
+def real_points(params, Z, T, r):
+    """The points delta_r w = (r z, r^{2k} t) of the directions w = (Z, T)
+    and the radial nodes r, direction by direction and node by node."""
+    return ((Z[:, None, :] * r[:, None]).reshape(-1, Z.shape[1]),
+            (T[:, None, :] * (r ** (2.0 * params.k))[:, None]).reshape(-1, T.shape[1]))
+
+
+def at_real_points(params, f):
+    """The ray form (Z, T, r, c) -> (nf, len(Z)) of a point-wise integrand
+    f(Z, T) -> (nf, n), as integrate_polar calls it: f at the real points
+    of the directions and the radial nodes r, contracted with the weights c."""
+
+    def ray(Z, T, r, c):
+        return np.asarray(f(*real_points(params, Z, T, r)), dtype=float).reshape(-1, len(Z), len(r)) @ c
+
+    return ray
+
+
 def group_product(alg, g, h):
     """The group law (z, t)(w, s) = (z + w, t + s + [z, w]/2) on (z, t) pairs."""
     (z, t), (w, s) = g, h

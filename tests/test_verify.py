@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import groupby
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hplap import closedform as cf
 from hplap.algebra import OperatorParams, make_heisenberg, norm_d, resolve_group
-from hplap.fields import euclid_gradient, horizontal_gradient_batch
+from hplap.fields import NearSingularWarning, euclid_gradient, horizontal_gradient_batch
 from hplap import verify as verify_mod
 from hplap.quadrature import Sampler, dyadic_edges, integrate_polar, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
@@ -31,7 +32,7 @@ from hplap.verify import (
     verify_moments,
     verify_uncertainty,
 )
-from conftest import params_for
+from conftest import at_real_points, params_for, real_points
 
 FAST = dict(n_samples=40_000, corpus_samples=8_000)
 
@@ -256,6 +257,23 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
     assert calls["shape"] == calls["batches"] + (len(edges) - 1) + searches[1]
 
 
+def _uncertainty_columns(alg, params, phi):
+    """The four uncertainty integrands of phi, point-wise from its whole field."""
+    s, k = params.p, params.k
+    fld = phi.as_scalar_field(alg, params)
+
+    def columns(Z, T):
+        d = norm_d(params, (Z, T))
+        zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
+        u = fld.eval(Z, T)
+        G = horizontal_gradient_batch(alg, params, fld, Z, T)
+        gn = np.sqrt(np.einsum("nj,nj->n", G, G))
+        return np.stack([zn ** (s / (s - 1.0)) * np.abs(u) ** (s / (s - 1.0)), gn**s,
+                         (zn / d) ** (2.0 * k) * u**2, (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s) * np.abs(u) ** s])
+
+    return columns
+
+
 def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch):
     # the four columns of each function in a batched uncertainty integral
     # equal that function's own integrate_polar call on the same panels
@@ -273,19 +291,8 @@ def test_uncertainty_batch_matches_single_function_integrals(heis1, monkeypatch)
     phis = build_hardy_corpus()[:10:3]
     assert est.shape[1] == 4 * len(phis) and {phi.modulation.kind for phi in phis if phi.modulation} == {"z1", "t1"}
     np.testing.assert_array_equal(edges, _panel_edges(phis))
-    s, k = params.p, params.k
     for j, phi in enumerate(phis):
-        fld = phi.as_scalar_field(heis1, params)
-
-        def single(Z, T):
-            d = norm_d(params, (Z, T))
-            zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
-            u = fld.eval(Z, T)
-            G = horizontal_gradient_batch(heis1, params, fld, Z, T)
-            gn = np.sqrt(np.einsum("nj,nj->n", G, G))
-            return np.stack([zn ** (s / (s - 1.0)) * np.abs(u) ** (s / (s - 1.0)), gn**s,
-                             (zn / d) ** (2.0 * k) * u**2, (zn / d) ** ((2.0 * k - 1.0) * s) * d ** (-s) * np.abs(u) ** s])
-
+        single = at_real_points(params, _uncertainty_columns(heis1, params, phi))
         ref, ref_gain = integrate_polar(heis1, params, edges, single, 4, n, seed, spawn_key)
         block = slice(4 * j, 4 * j + 4)
         np.testing.assert_allclose(est[:, block], ref, rtol=1e-12)
@@ -314,8 +321,9 @@ def test_corpus_suites_make_one_call_per_support(monkeypatch):
 
 def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
     # ten functions, both modulation kinds, the whole (p, alpha) grid: in
-    # each field batch, d once, each modulation's gradient once and each
-    # distinct shape once, not once per function or case
+    # each batch of directions, d once, each modulation's gradient once and
+    # each distinct shape once, on the len(r) radial nodes and not on
+    # directions x nodes points
     calls = {"norm_d": 0, "z1": 0, "t1": 0}
     grad = AngularModulation.grad
 
@@ -325,19 +333,30 @@ def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
 
     monkeypatch.setattr(AngularModulation, "grad", counted_grad)
     monkeypatch.setattr(verify_mod, "norm_d", _counting(calls, "norm_d", verify_mod.norm_d))
+    sizes = []  # the shapes of the arrays that the shapes are called on
+
+    def counted_shape(key, shape):
+        def wrapped(x):
+            calls[key] += 1
+            sizes.append(np.shape(x))
+            return shape(x)
+
+        return wrapped
+
     shapes = {}  # one counted shape per distinct shape, shared by its twins as in the corpus
     for phi in build_hardy_corpus()[:10]:
         if id(phi.shape) not in shapes:
             key = f"shape{len(shapes)}"
             calls[key] = 0
-            shapes[id(phi.shape)] = _counting(calls, key, phi.shape)
+            shapes[id(phi.shape)] = counted_shape(key, phi.shape)
     batches = []
 
     def per_batch(multi_fn):
-        def wrapped(Z, T):
+        def wrapped(Z, T, r, c):
             before = dict(calls)
-            out = multi_fn(Z, T)
-            batches.append({key: calls[key] - before[key] for key in calls})
+            sizes.clear()
+            out = multi_fn(Z, T, r, c)
+            batches.append(({key: calls[key] - before[key] for key in calls}, set(sizes), len(r)))
             return out
 
         return wrapped
@@ -349,7 +368,8 @@ def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
     phis = [replace(phi, shape=shapes[id(phi.shape)]) for phi in build_hardy_corpus()[:10]]
     hardy_ratio(heis1, [(params, phi) for phi in phis for params in _admissible_grid(heis1)], 8_000, seed=11)
     assert len(shapes) == 5 and len(batches) >= 2
-    assert all(set(counts.values()) == {1} and len(counts) == 8 for counts in batches)
+    for counts, shape_sizes, nodes in batches:
+        assert set(counts.values()) == {1} and len(counts) == 8 and shape_sizes == {(nodes,)}
 
 
 def test_corpus_twins_share_one_shape():
@@ -381,8 +401,150 @@ def test_hardy_ratio_chain_rule_matches_full_gradient(kind, heis1):
         return [norm_d(params, (Z, T)) ** 0.5 * np.einsum("nj,nj->n", G, G) ** 1.25]
 
     [res] = hardy_ratio(heis1, [(params, phi)], 8_000, seed=2, spawn_key=(7,))
-    est, _ = integrate_polar(heis1, params, _panel_edges([phi]), lhs, 1, 8_000, 2, (7,))
+    est, _ = integrate_polar(heis1, params, _panel_edges([phi]), at_real_points(params, lhs), 1, 8_000, 2, (7,))
     assert res.lhs == pytest.approx(est.mean(axis=0)[0], rel=1e-10)
+
+
+# ------------------------------------------------- ray-form polar integrands
+
+#: (group, k, p): integer k, non-integer k and k = 2 on a larger group
+_RAY_CONFIGS = [("heisenberg:1", 1.0, 2.0), ("heisenberg:3", 1.5, 2.5), ("quaternionic:1", 2.0, 3.0)]
+
+
+def _directions(alg, params, n):
+    """n directions w on the unit gauge sphere, from points of the unit ball."""
+    Z, T, _ = Sampler(alg, params, 5).draw(n)
+    d = norm_d(params, (Z, T))
+    return Z / d[:, None], T / (d ** (2.0 * params.k))[:, None]
+
+
+def _at_each_node(ray_fn, Z, T, r):
+    """(nf, len(Z), len(r)): a ray-form integrand at each radial node alone."""
+    return np.stack([ray_fn(Z, T, r, e) for e in np.eye(len(r))], axis=-1)
+
+
+def _captured_integrands(monkeypatch, run):
+    """The (params, multi_fn) of every integrate_polar call that run() makes."""
+    seen = []
+    integrate = verify_mod.integrate_polar
+
+    def recorded(alg, params, edges, multi_fn, *rest):
+        seen.append((params, multi_fn))
+        return integrate(alg, params, edges, multi_fn, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "integrate_polar", recorded)
+        run()
+    return seen
+
+
+def _hardy_columns(alg, cases):
+    """The Rayleigh-quotient integrands d^alpha |grad_X Phi|^p and
+    d^{alpha-p} |grad_X d|^p |Phi|^p of each case, point-wise."""
+
+    def columns(Z, T):
+        out = []
+        for params, phi in cases:
+            fld = phi.as_scalar_field(alg, params)
+            d = norm_d(params, (Z, T))
+            gd = (np.sqrt(np.einsum("ni,ni->n", Z, Z)) / d) ** (2.0 * params.k - 1.0)
+            G = horizontal_gradient_batch(alg, params, fld, Z, T)
+            out += [d**params.alpha * np.einsum("nj,nj->n", G, G) ** (0.5 * params.p),
+                    d ** (params.alpha - params.p) * gd**params.p * np.abs(fld.eval(Z, T)) ** params.p]
+        return np.stack(out)
+
+    return columns
+
+
+@pytest.mark.parametrize("group,k,p", _RAY_CONFIGS)
+def test_ray_form_fields_match_point_values(group, k, p):
+    # |Phi| and |grad_X Phi| of _corpus_batch, from the geometry of each
+    # direction and the profile at each node, against the whole field at
+    # delta_r w: radial, both modulations and a power profile
+    alg = resolve_group(group)
+    params = OperatorParams.of(alg, k=k, p=p)
+    Z, T = _directions(alg, params, 48)
+    r = np.linspace(0.55, 1.95, 6)
+    phis = build_hardy_corpus()[:10] + [sharpness_test_function(params, 2)]
+    assert {phi.modulation.kind for phi in phis if phi.modulation} == {"z1", "t1"}
+    _, field = verify_mod._corpus_batch(alg, params, Z, T, r, phis)
+    z, t = real_points(params, Z, T, r)
+    for phi in phis:
+        fld = phi.as_scalar_field(alg, params)
+        G = horizontal_gradient_batch(alg, params, fld, z, t)
+        (A, B), (gA, gB) = (power(1.0) for power in field(phi))
+        np.testing.assert_allclose(A * B, np.abs(fld.eval(z, t)).reshape(len(Z), len(r)), rtol=1e-12)
+        np.testing.assert_allclose(gA * gB, np.sqrt(np.einsum("nj,nj->n", G, G)).reshape(len(Z), len(r)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("group,k,p", _RAY_CONFIGS)
+def test_ray_form_integrands_match_point_values(group, k, p, monkeypatch):
+    # every column of the hardy, uncertainty and density integrands, node by
+    # node, against the point-wise integrand at delta_r w: the quotient
+    # weights, the uncertainty weights (r |z_w|)^t, |z_w|^{2k} and
+    # |z_w|^{(2k-1)s} r^{-s}, and psi(w) psi_radial(r) with its eps sweep
+    alg = resolve_group(group)
+    cfg = SuiteConfig(group, k, p, n_samples=4_000, corpus_samples=4_000)
+    params = cfg.params(alg)
+    Z, T = _directions(alg, params, 48)
+    r = np.linspace(0.55, 1.95, 6)
+    corpus = build_hardy_corpus()
+    cases = [(params, phi) for phi in corpus[:10]] + [(cfg.params(alg, alpha=1.0), corpus[3])]
+    [(_, multi)] = _captured_integrands(monkeypatch, lambda: hardy_ratio(alg, cases, 4_000, seed=1))
+    np.testing.assert_allclose(_at_each_node(multi, Z, T, r),
+                               _at_each_node(at_real_points(params, _hardy_columns(alg, cases)), Z, T, r), rtol=1e-12)
+
+    phis = corpus[:10:3]
+    [(_, multi)] = _captured_integrands(
+        monkeypatch, lambda: verify_mod._uncertainty_quotients(alg, params, phis, 4_000, 1, (7, 0)))
+    reference = np.concatenate([_uncertainty_columns(alg, params, phi)(*real_points(params, Z, T, r)) for phi in phis])
+    np.testing.assert_allclose(_at_each_node(multi, Z, T, r), reference.reshape(-1, len(Z), len(r)), rtol=1e-12)
+
+    def density(Zs, Ts):
+        psi = cf.psi(params, (Zs, Ts))
+        zn2, tn2 = np.einsum("ni,ni->n", Zs, Zs), np.einsum("ni,ni->n", Ts, Ts)
+        sweep = [psi * np.exp(-(e**2) * zn2 - e ** (4.0 * k) * tn2) for e in cfg.eps_sweep]
+        return np.stack([psi, *sweep, np.where(norm_d(params, (Zs, Ts)) >= 2.0**11, psi, 0.0)])
+
+    [(_, multi)] = _captured_integrands(monkeypatch, lambda: verify_fundamental_solution(cfg))
+    r = 2.0 ** np.array([-29.5, -12.25, -3.5, -0.5, 0.25, 2.75, 7.5, 10.5, 11.25, 11.75])
+    # atol: the far sweep columns reach subnormal values, which have no relative precision
+    np.testing.assert_allclose(_at_each_node(multi, Z, T, r), _at_each_node(at_real_points(params, density), Z, T, r),
+                               rtol=1e-12, atol=1e-300)
+
+
+def _warns_near_singular(fn) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn()
+    return any(issubclass(w.category, NearSingularWarning) for w in caught)
+
+
+@pytest.mark.parametrize("r0", [0.09, 0.11])
+def test_near_singular_warning_on_rays_as_at_points(r0, heis1):
+    # k = 1.5: a direction with |z_w| = 1e-5 reaches |z| < DELTA_Z = 1e-6 at
+    # the node r0 = 0.09 and not at 0.11, on the ray path and the point path
+    params = params_for(heis1, k=1.5, p=2.5)
+    Z = np.array([[1e-5, 0.0], [0.0, 0.6]])
+    T = (np.sqrt(1.0 - np.einsum("ni,ni->n", Z, Z) ** (2.0 * params.k)) / 4.0)[:, None]
+    r = np.array([r0, 0.5, 1.5])
+    phi = annulus_bump(0.05, 2.0, "sin2", modulation=AngularModulation("z1", 0.5))
+    fld = phi.as_scalar_field(heis1, params)
+    ray = _warns_near_singular(lambda: verify_mod._corpus_batch(heis1, params, Z, T, r, [phi]))
+    point = _warns_near_singular(lambda: horizontal_gradient_batch(heis1, params, fld, *real_points(params, Z, T, r)))
+    assert ray == point == (r0 < 0.1)
+
+
+def test_near_singular_warning_in_a_quotient_as_at_points(heis1):
+    # a Rayleigh quotient whose support reaches to d = 2^-20 warns as its
+    # point-wise integrand on the same directions does; one that stays out
+    # at d >= 0.5 warns on neither path
+    for phi, expected in ((annulus_bump(2.0**-20, 2.0, "sin2"), True), (annulus_bump(0.5, 2.0, "sin2"), False)):
+        params = params_for(heis1, k=1.5, p=2.5)
+        pointwise = at_real_points(params, _hardy_columns(heis1, [(params, phi)]))
+        ray = _warns_near_singular(lambda: hardy_ratio(heis1, [(params, phi)], 8_000, seed=3))
+        point = _warns_near_singular(lambda: integrate_polar(heis1, params, _panel_edges([phi]), pointwise, 2, 8_000, 3))
+        assert ray == point == expected
 
 
 def test_hardy_ratio_rejects_mixed_cases(heis1):
@@ -462,6 +624,18 @@ def test_quadrature_term_needs_the_kink_edges(heis1, monkeypatch):
     monkeypatch.setattr(verify_mod, "_panel_edges", lambda phis: dyadic_edges(*phis[0].support))
     dyadic = _radial_errors(heis1, cases, 240_000, 20240, (9, 0))
     assert np.max(dyadic[:, 0]) >= 100.0 * np.max(kinked[:, 0])
+
+
+def test_panel_edges_place_known_kinks():
+    # the sign changes of F' of the corpus shapes on [0.5, 2] are known:
+    # the maximum of sin2 and poly3 and the ends of the plateaus of window
+    # and plateau; each is placed within 1e-10 relative and no other edge
+    # is added (the maximum of asym, 1.0, is a dyadic edge)
+    known = {"sin2": [1.25], "poly3": [1.25], "plateau": [0.8, 1.4], "window": [1.025, 1.475], "asym": []}
+    for kind, kinks in known.items():
+        inner = np.setdiff1d(_panel_edges([annulus_bump(0.5, 2.0, kind)]), dyadic_edges(0.5, 2.0))
+        assert len(inner) == len(kinks), kind
+        np.testing.assert_allclose(inner, kinks, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("group, k, p, n", [("heisenberg:1", 1.0, 2.0, 8_000), ("quaternionic:1", 2.0, 3.0, 32_000)])
@@ -617,6 +791,7 @@ def test_fundamental_solution_tail_guard(monkeypatch):
     # a non-decaying density leaves the outermost dyadic shell with more
     # than 1% of the total, so the truncated group integral is refused
     monkeypatch.setattr(cf, "psi", lambda params, g: np.ones(len(g[0])))
+    monkeypatch.setattr(cf, "psi_radial", lambda params, r: np.ones_like(r))
     with pytest.raises(RuntimeError, match="tail"):
         verify_fundamental_solution(SuiteConfig(n_samples=2000))
 
