@@ -74,8 +74,8 @@ POLAR_NODES = 16
 
 #: relative round-off level of a polar integral: its quadrature term is
 #: never below QUAD_FLOOR times its size, so it is never 0; radial
-#: quotients whose rule is exact agree with their 1-D reduction to about
-#: 1e-15 .. 1e-14 (heisenberg:1, quaternionic:1)
+#: quotients whose rule is exact agree with their 1-D reduction to within
+#: 4e-15 (the radial corpus over the hardy grid, heisenberg:1, quaternionic:1)
 QUAD_FLOOR = 1e-12
 
 _CHUNK = 1 << 17
@@ -359,22 +359,31 @@ def total_stderr(var, value, gain):
     return np.sqrt(np.maximum(var, 0.0) + quad * quad)
 
 
-def grid_integral_1d(profile: Callable, a: float, b: float, n: int = 2048):
-    """Composite Gauss-Legendre integral of a continuous profile on [a, b];
-    absolute error <= 1e-10 for smooth profiles at n = 2048 nodes.
+def _quintic(x: np.ndarray) -> tuple:
+    """(q, q') of the quintic step q(x) = x^3 (10 - 15 x + 6 x^2) on [0, 1],
+    continued by 0 below and 1 above."""
+    x = np.clip(x, 0.0, 1.0)
+    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2), 30.0 * x**2 * (1.0 - x) ** 2
 
-    A profile that returns (c, N) values at N nodes gives the c integrals
-    as an array, all on the same nodes; a scalar profile gives a float."""
-    if not a < b:
-        raise ValueError(f"grid_integral_1d requires a < b, got [{a}, {b}]")
-    deg = 32
-    panels = max(1, int(np.ceil(n / deg)))
-    x, w = _leggauss(deg)
-    edges = np.linspace(a, b, panels + 1)
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
-    # nodes for all panels at once: (panels, deg)
-    xs = lo[:, None] + half[:, None] * (x[None, :] + 1.0)
-    vals = np.asarray(profile(xs.ravel()))
-    out = np.sum(half[:, None] * w[None, :] * vals.reshape(vals.shape[:-1] + (panels, deg)), axis=(-2, -1))
+
+def grid_integral_1d(profile: Callable, edges):
+    """Integral of a profile over [edges[0], edges[-1]] by 32 Gauss-Legendre
+    nodes per panel [a, b] of the increasing edges, after the substitution
+    x = a + (b - a) q(t) by the quintic step q, weights (b - a) q'(t) w / 2.
+    q' has double zeros at both ends, so a factor |x - a|^g at a panel end
+    becomes t^{3g+2} times a smooth factor, which the rule integrates to
+    round-off: panels that end at every non-smooth point of a profile need
+    no refinement (Sidi, ISNM 112, 1993).
+
+    Every panel is evaluated in one profile call.  A profile that returns
+    (c, N) values at N nodes gives the c integrals as an array, all on the
+    same nodes; a scalar profile gives a float."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or not np.all(edges[1:] > edges[:-1]):
+        raise ValueError(f"grid_integral_1d requires increasing edges, got {edges}")
+    x, w = _leggauss(32)
+    q, dq = _quintic(0.5 * (x + 1.0))
+    width = np.diff(edges)[:, None]
+    vals = np.asarray(profile((edges[:-1, None] + width * q).ravel()))
+    out = np.sum(vals * (width * (0.5 * w * dq)).ravel(), axis=-1)
     return float(out) if out.ndim == 0 else out

@@ -79,6 +79,7 @@ from .fields import (
 from .quadrature import (
     REPLICATES,
     Sampler,
+    _quintic,
     dyadic_edges,
     grid_integral_1d,
     integrate_polar,
@@ -293,13 +294,6 @@ def verify_lemma1(config: SuiteConfig) -> VerificationReport:
 # Hardy test functions
 
 
-def _quintic(x: np.ndarray) -> tuple:
-    """(q, q') of the quintic step q(x) = x^3 (10 - 15 x + 6 x^2) on [0, 1],
-    continued by 0 below and 1 above."""
-    x = np.clip(x, 0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2), 30.0 * x**2 * (1.0 - x) ** 2
-
-
 def _transitions(a: float, wa: float, b: float, wb: float):
     """x -> (F(x), F'(x)) of F(x) = q((x - a)/wa) q((b - x)/wb): a quintic
     rise on [a, a + wa], a quintic fall on [b - wb, b], 0 outside [a, b]."""
@@ -494,9 +488,6 @@ _KINK_GRID = 64
 #: subintervals per step of the kink search of :func:`_panel_edges`
 _KINK_SPLIT = 32
 
-#: Gauss-Legendre nodes per panel of the 1-D reduction (32 panels of 32)
-_PANEL_NODES_1D = 1024
-
 
 def _panel_edges(phis) -> np.ndarray:
     """Radial panel edges for test functions that share a support: the
@@ -511,7 +502,7 @@ def _panel_edges(phis) -> np.ndarray:
     is dropped.  A kink that far inside a panel of width h adds an error
     of order (1e-9 r / h)^{p+1}."""
     dyadic = dyadic_edges(*phis[0].support)
-    grid = np.unique(np.concatenate([np.linspace(a, b, _KINK_GRID + 1) for a, b in zip(dyadic, dyadic[1:])]))
+    grid = np.append(np.linspace(dyadic[:-1], dyadic[1:], _KINK_GRID, endpoint=False, axis=1).ravel(), dyadic[-1])
     split = np.arange(_KINK_SPLIT + 1) / _KINK_SPLIT
     kinks = []
     for shape in dict.fromkeys(phi.shape for phi in phis):
@@ -531,10 +522,10 @@ def _panel_edges(phis) -> np.ndarray:
             rows = np.arange(len(x))
             lo, hi = x[rows, j], x[rows, j + 1]
         kinks.append(hi)
-    k = np.unique(np.concatenate(kinks)) if kinks else np.empty(0)
+    k = np.sort(np.concatenate(kinks)) if kinks else np.empty(0)
     k = k[(np.min(np.abs(k[:, None] - dyadic), axis=1, initial=np.inf) > 1e-9 * k)
           & (np.diff(k, prepend=-np.inf) > 1e-9 * k)]
-    return np.union1d(dyadic, k)
+    return np.sort(np.concatenate([dyadic, k]))
 
 
 def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
@@ -596,11 +587,11 @@ def _radial_1d_batch(cases, edges=None) -> np.ndarray:
         lhs = S * int r^{Q-1+alpha} |phi'(r)|^p dr
         rhs = S * int r^{Q-1+alpha-p} |phi(r)|^p dr.
 
-    One grid_integral_1d call of _PANEL_NODES_1D nodes per panel (edges,
-    default :func:`_panel_edges` of the cases) evaluates each distinct
-    shape once; returns the (lhs, rhs) rows.  With phi = r^{-a} F each
-    integrand is one p-th power, so a steep power profile near r = 0 does
-    not overflow a factor on its own.
+    One grid_integral_1d call on all panels of edges (default
+    :func:`_panel_edges`, ending at every non-smooth point of the
+    integrands) evaluates each distinct shape once; returns the (lhs, rhs)
+    rows.  With phi = r^{-a} F each integrand is one p-th power, so a
+    steep power profile near r = 0 does not overflow a factor on its own.
     """
     shapes = {phi.shape for _, phi in cases}
     S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
@@ -616,8 +607,7 @@ def _radial_1d_batch(cases, edges=None) -> np.ndarray:
         return out
 
     edges = _panel_edges([phi for _, phi in cases]) if edges is None else edges
-    sums = sum(grid_integral_1d(profile, a, b, _PANEL_NODES_1D) for a, b in zip(edges, edges[1:]))
-    return S[:, None] * sums.reshape(-1, 2)
+    return S[:, None] * grid_integral_1d(profile, edges).reshape(-1, 2)
 
 
 def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = ()) -> list[HardyRatioResult]:
@@ -644,9 +634,10 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     c.  A case's columns are the same products as in a call of its own on
     the same panels, so batching changes no bit of them.
 
-    For radial Phi the 1-D polar reduction (one batch for all radial cases)
-    must agree with the sampled values within 5 standard errors
-    (built-in self-check).  Returns one :class:`HardyRatioResult` per case.
+    For radial Phi the 1-D polar reduction (:func:`_radial_1d_batch`, one
+    grid_integral_1d call for all radial cases on the same panels) must
+    agree with the sampled values within 5 standard errors (built-in
+    self-check).  Returns one :class:`HardyRatioResult` per case.
     """
     if not cases:
         raise ValueError("hardy_ratio needs at least one (params, phi) case")
@@ -977,16 +968,12 @@ def _log_space_ratio(params: OperatorParams, y0: float, y1: float) -> float:
     a0 = (params.Q + params.alpha - p) / p
     L = y1 - y0
 
-    def num(y):
-        s = np.sin(np.pi * (y - y0) / L)
-        c = np.cos(np.pi * (y - y0) / L)
-        dphi = 2.0 * s * c * np.pi / L
-        return np.abs(dphi - a0 * s**2) ** p
+    def num_den(y):
+        s, c = np.sin(np.pi * (y - y0) / L), np.cos(np.pi * (y - y0) / L)
+        return np.stack([np.abs(2.0 * s * c * np.pi / L - a0 * s**2) ** p, np.abs(s) ** (2.0 * p)])
 
-    def den(y):
-        return np.abs(np.sin(np.pi * (y - y0) / L)) ** (2.0 * p)
-
-    return grid_integral_1d(num, y0, y1, 8192) / grid_integral_1d(den, y0, y1, 8192)
+    num, den = grid_integral_1d(num_den, np.linspace(y0, y1, 257))
+    return float(num / den)
 
 
 def verify_lemma2(config: SuiteConfig) -> VerificationReport:

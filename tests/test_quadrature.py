@@ -40,31 +40,41 @@ def dilated(params, f, lam):
 
 
 def test_grid_integral_polynomial():
-    assert grid_integral_1d(lambda x: x**2, 0.0, 1.0, 256) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert grid_integral_1d(lambda x: x**2, np.linspace(0.0, 1.0, 9)) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 def test_grid_integral_odd_function():
-    assert abs(grid_integral_1d(lambda x: x**3 - 4.0 * x, -1.0, 1.0, 512)) < 1e-14
+    assert abs(grid_integral_1d(lambda x: x**3 - 4.0 * x, np.linspace(-1.0, 1.0, 17))) < 1e-14
 
 
 def test_grid_integral_smooth_accuracy():
-    got = grid_integral_1d(lambda x: np.exp(-x) * np.sin(3.0 * x), 0.0, 5.0, 2048)
+    got = grid_integral_1d(lambda x: np.exp(-x) * np.sin(3.0 * x), np.linspace(0.0, 5.0, 65))
     want = (3.0 - math.exp(-5.0) * (math.sin(15.0) * 1.0 + 3.0 * math.cos(15.0))) / 10.0
     assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [1.3, 1.5, 2.5, 4.5])
+def test_grid_integral_endpoint_power_on_one_panel(gamma):
+    # the quintic substitution turns x^gamma at a panel end into
+    # t^{3 gamma + 2} times a smooth factor: one panel of 32 nodes is exact
+    # to round-off
+    assert grid_integral_1d(lambda x: x**gamma, [0.0, 1.0]) == pytest.approx(1.0 / (gamma + 1.0), rel=1e-14, abs=0.0)
 
 
 def test_grid_integral_batched_profile():
     # a (3, N) profile gives the three scalar integrals on the same nodes
     fs = [lambda x: x**2, lambda x: np.exp(-x) * np.sin(3.0 * x), lambda x: np.abs(x - 0.3) ** 1.5]
-    got = grid_integral_1d(lambda x: np.stack([f(x) for f in fs]), 0.0, 2.0, 512)
+    edges = np.linspace(0.0, 2.0, 17)
+    got = grid_integral_1d(lambda x: np.stack([f(x) for f in fs]), edges)
     assert got.shape == (3,)
     for g, f in zip(got, fs):
-        assert g == pytest.approx(grid_integral_1d(f, 0.0, 2.0, 512), rel=1e-15, abs=1e-15)
+        assert g == pytest.approx(grid_integral_1d(f, edges), rel=1e-15, abs=1e-15)
 
 
 def test_grid_integral_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        grid_integral_1d(lambda x: x, 1.0, 1.0)
+    for edges in ([1.0, 1.0], [0.0, 2.0, 1.0], [1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            grid_integral_1d(lambda x: x, edges)
 
 
 @pytest.mark.parametrize("k,p", [(1.0, 2.0), (1.5, 2.5), (2.0, 3.0)])
@@ -78,7 +88,7 @@ def test_radial_tail_integral_identity(k, p, heis1):
     def integrand(r):
         return r ** (-4.0 * k - 1.0) * (1.0 + r ** (-4.0 * k)) ** (-expo)
 
-    val = grid_integral_1d(integrand, 1e-6, 1.0, 4096) + grid_integral_1d(integrand, 1.0, 2000.0, 8192)
+    val = grid_integral_1d(integrand, np.concatenate([np.linspace(1e-6, 1.0, 129), np.linspace(1.0, 2000.0, 257)[1:]]))
     want = 1.0 / (4.0 * k * p - 4.0 * k + Q - p)
     assert val == pytest.approx(want, rel=1e-6)
 
@@ -153,7 +163,7 @@ def test_dilation_covariance(heis1):
         return zsq(Z, T) * np.exp(-norm_d(params, (Z, T)))
 
     a, se = ball_integral(heis1, params, dilated(params, f, lam), 400_000, seed=21)
-    want = (Q + 2.0) * cf.ball_moment(params, 2.0) * grid_integral_1d(lambda r: r ** (Q + 1.0) * np.exp(-r), 0.0, lam)
+    want = (Q + 2.0) * cf.ball_moment(params, 2.0) * grid_integral_1d(lambda r: r ** (Q + 1.0) * np.exp(-r), [0.0, lam])
     assert abs(lam**Q * a - want) <= 3.0 * lam**Q * se
 
 

@@ -225,9 +225,9 @@ def test_hardy_ratio_shared_cases_match_single_calls(heis1, monkeypatch):
 
 
 def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
-    # 8 cases on one shape: the shape runs once per field batch, once per
-    # 1-D panel and once per step of the kink search, which handles every
-    # power at once, not once per case
+    # 8 cases on one shape: the shape runs once per field batch, once for
+    # the 1-D reduction on all its panels and once per step of the kink
+    # search, which handles every power at once, not once per case
     calls = {"shape": 0, "batches": 0}
 
     def counted(name, fn):
@@ -254,7 +254,7 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
     calls["shape"] = 0
     hardy_ratio(heis1, cases, 8_000, seed=11)
     assert calls["batches"] >= 1
-    assert calls["shape"] == calls["batches"] + (len(edges) - 1) + searches[1]
+    assert calls["shape"] == calls["batches"] + 1 + searches[1]
 
 
 def _uncertainty_columns(alg, params, phi):
@@ -636,6 +636,50 @@ def test_panel_edges_place_known_kinks():
         inner = np.setdiff1d(_panel_edges([annulus_bump(0.5, 2.0, kind)]), dyadic_edges(0.5, 2.0))
         assert len(inner) == len(kinks), kind
         np.testing.assert_allclose(inner, kinks, rtol=1e-10, atol=0.0)
+
+
+def _graded_radial_reference(cases, edges):
+    """(lhs, rhs) rows of the 1-D reduction of radial cases, by plain
+    Gauss-Legendre on each panel of edges split into sub-panels graded
+    geometrically towards both ends (ratio 0.15, 14 levels each, 32 nodes
+    per sub-panel)."""
+    levels = 0.15 ** np.arange(1, 15)
+    t = np.concatenate([[0.0], levels[::-1], [0.5], 1.0 - levels, [1.0]])
+    x, w = np.polynomial.legendre.leggauss(32)
+    out = np.zeros((len(cases), 2))
+    for lo, hi in zip(edges, edges[1:]):
+        cuts = lo + (hi - lo) * t
+        half = 0.5 * np.diff(cuts)[:, None]
+        r = (cuts[:-1, None] + half * (x + 1.0)).ravel()
+        c = (half * w).ravel()
+        for i, (params, phi) in enumerate(cases):
+            p, e, a = params.p, params.Q - 1.0 + params.alpha, phi.power
+            F, dF = phi.shape(r)
+            # each integrand as one p-th power, which stays finite where r^{-ap} overflows
+            out[i] += [np.sum(c * (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p),
+                       np.sum(c * (r ** ((e - p) / p - a) * np.abs(F)) ** p)]
+    S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
+    return S[:, None] * out
+
+
+def test_radial_1d_batch_matches_a_graded_reference(heis1, quat1):
+    # the 1-D reduction on its kink-aware panels is within 1e-13 relative
+    # of a reference graded towards every panel end, on the sweep-heis
+    # rows, the radial corpus over the hardy (p, alpha) grid and u_j up to
+    # j = 512
+    batches = [_sweep_cases(heis1, k) for k in (1.0, 1.5, 2.0)]
+    assert sum(map(len, batches)) == 59
+    for alg, k in ((heis1, 1.0), (quat1, 2.0)):
+        grid = [OperatorParams.of(alg, k=k, p=p, alpha=a) for p in verify_mod._HARDY_P for a in verify_mod._HARDY_ALPHA]
+        grid = [params for params in grid if params.p < params.Q + params.alpha]
+        for _, phis in groupby([phi for phi in build_hardy_corpus() if phi.radial], key=lambda phi: phi.support):
+            batches.append([(params, phi) for phi in phis for params in grid])
+    params = params_for(heis1)
+    batches += [[(params, sharpness_test_function(params, j))] for j in (1, 8, 128, 512)]
+    for cases in batches:
+        edges = _panel_edges([phi for _, phi in cases])
+        np.testing.assert_allclose(_radial_1d_batch(cases, edges), _graded_radial_reference(cases, edges),
+                                   rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("group, k, p, n", [("heisenberg:1", 1.0, 2.0, 8_000), ("quaternionic:1", 2.0, 3.0, 32_000)])
