@@ -25,6 +25,14 @@ numbers).  The shifts come from Philox on the sampler's own substream of
 the base seed, so identical (seed, spawn key, n) reproduce bit-identical
 results.
 
+:func:`mc_region_multi` draws the points in chunks of whole replicates
+of at most _CHUNK = 2^16 coordinates, points x (m + q), so that each
+drawn array holds at most max(512 KB, one replicate): at the default
+budget, 2 replicates per chunk on heisenberg:1 and 6 on quaternionic:1.
+One replicate exceeds _CHUNK coordinates above about 1.4M points on
+heisenberg:1 (--samples above about 2.3e6); such chunks grow with the
+budget, since no chunk splits a replicate.
+
 :func:`integrate_polar` integrates over a shell r0 <= d < r1 by the
 polar formula: directions from the ball's points, the radius by
 Gauss-Legendre panels, with a quadrature error term beside the
@@ -78,7 +86,9 @@ POLAR_NODES = 16
 #: 4e-15 (the radial corpus over the hardy grid, heisenberg:1, quaternionic:1)
 QUAD_FLOOR = 1e-12
 
-_CHUNK = 1 << 17
+#: drawn coordinates, points x (m + q), of one chunk of mc_region_multi:
+#: 512 KB per float64 array, unless one replicate is larger
+_CHUNK = 1 << 16
 _SLICE = 1 << 17
 
 
@@ -231,22 +241,24 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     every integrand (common random numbers).
 
     multi_fn(Z, T) returns an (nf, len(Z)) array of integrand values.
-    Points are drawn in chunks of whole replicates, at most _CHUNK points
-    unless one replicate is larger, so they do not depend on nf; they are
-    evaluated in slices of at most step points (default _SLICE // nf)
-    that may span replicates.  Returns (values, covariance) where
-    values[i], the mean of the replicate estimates, estimates integral i,
-    and covariance is that of values: the two-pass sample covariance of
-    the replicate estimates divided by REPLICATES.  With replicates=True,
-    returns the (REPLICATES, nf) replicate estimates themselves instead,
-    whose column means are the values.
+    Points are drawn in chunks of whole replicates, at most _CHUNK
+    coordinates (points x (m + q)) unless one replicate is larger, so a
+    draw's working set is at most max(_CHUNK coordinates, one replicate)
+    per array, whatever nf is; they are evaluated in slices of at most
+    step points (default _SLICE // nf) that may span replicates.
+    Returns (values, covariance) where values[i], the mean of the
+    replicate estimates, estimates integral i, and covariance is that of
+    values: the two-pass sample covariance of the replicate estimates
+    divided by REPLICATES.  With replicates=True, returns the
+    (REPLICATES, nf) replicate estimates themselves instead, whose column
+    means are the values.
     """
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
     shifts = sampler.shifts()
     N = max(REPLICATES, math.ceil(_box_share(sampler.params) * n))
     sizes = N // REPLICATES + (np.arange(REPLICATES) < N % REPLICATES)
-    per = max(1, _CHUNK // int(sizes[0]))
+    per = max(1, _CHUNK // (int(sizes[0]) * (sampler.alg.m + sampler.alg.q)))
     step = max(1, _SLICE // nf) if step is None else step
     sums = np.zeros((REPLICATES, nf))
     for r0 in range(0, REPLICATES, per):

@@ -496,6 +496,20 @@ def test_configuration_error_is_printed_without_numpy_warnings(tmp_path):
     assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
 
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    # hardy's median and fundamental_solution's dedupe of the sweep's
+    # scales stay numpy-only: np.median and np.unique import numpy.ma
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HPLAP_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; from hplap.cli import main; "
+            "rc = main(['verify', '--suite', 'hardy', '--suite', 'fundamental_solution', '--samples', '40000', "
+            f"'--corpus-samples', '8000', '--out', {str(tmp_path)!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 def test_warnings_of_a_successful_run_are_shown(tmp_path, monkeypatch):
     def warning_suite(name, config):
         warnings.warn("overflow encountered in power", RuntimeWarning)

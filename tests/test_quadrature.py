@@ -182,10 +182,18 @@ def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
     # replicates equals the two-pass replicate estimate over one draw of
     # all N = max(64, ceil(rho n)) points, replicate r one contiguous block
     # of N // 64 + (r < N % 64) points; at the small budget each replicate
-    # holds only a few points; replicates=True returns those estimates
+    # holds only a few points; replicates=True returns those estimates.
+    # Every draw holds whole replicates, in order, and at most _CHUNK
+    # coordinates (points x (m + q)) unless it is one larger replicate
     params = params_for(heis1, k=1.0)
     nf = 40
-    slices = []
+    dim = heis1.m + heis1.q
+    slices, draws = [], []
+    draw, full = Sampler.draw, quadrature._CHUNK
+
+    def recorded_draw(self, n, shifts=None):
+        draws.append((n, len(shifts)))
+        return draw(self, n, shifts)
 
     def multi(Z, T):
         slices.append(len(Z))
@@ -203,12 +211,22 @@ def test_mc_region_multi_matches_one_draw_reference(heis1, monkeypatch):
         est = np.stack([b.mean(axis=1) for b in np.split(vals, np.cumsum(sizes)[:-1], axis=1)])
         ref_cov = np.cov(est.T) / REPLICATES
         # one chunk, then three replicates per chunk, then many chunks and slices of 8 points
-        for chunk, slice_ in ((quadrature._CHUNK, _SLICE), (3 * int(sizes[0]), _SLICE), (100, 8 * nf)):
+        for chunk, slice_, chunks in ((full, _SLICE, 1), (3 * int(sizes[0]) * dim, _SLICE, -(-REPLICATES // 3)),
+                                      (100 * dim, 8 * nf, None)):
             monkeypatch.setattr(quadrature, "_CHUNK", chunk)
             monkeypatch.setattr(quadrature, "_SLICE", slice_)
+            monkeypatch.setattr(Sampler, "draw", recorded_draw)
             slices.clear()
+            draws.clear()
             got, cov = mc_region_multi(sampler, multi, nf, n)
+            monkeypatch.setattr(Sampler, "draw", draw)
             assert max(slices) <= slice_ // nf and sum(slices) == N
+            counts = [R for _, R in draws]
+            assert sum(counts) == REPLICATES
+            assert len(draws) == chunks if chunks else len(draws) > 1
+            for (m, R), r0 in zip(draws, np.cumsum(counts) - counts):
+                assert m == sizes[r0 : r0 + R].sum()
+                assert m * dim <= chunk or R == 1
             assert len(slices) > 1 or (n < 1000 and slice_ == _SLICE)
             np.testing.assert_allclose(got, est.mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_cov)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from itertools import groupby
 from dataclasses import replace
@@ -882,6 +883,21 @@ def test_moments_columns_match_single_column_estimates(heis1):
         assert check.stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
 
+@pytest.mark.parametrize("group, k, p", [("heisenberg:1", 1.0, 2.0), ("quaternionic:1", 2.0, 3.0)])
+def test_moments_working_set_is_bounded(group, k, p):
+    # at the default budget (617k ball points on heisenberg:1, 95k on
+    # quaternionic:1) the moments pass draws in chunks of at most 2^16
+    # coordinates: its peak of traced allocations stays below 4 MB
+    cfg = SuiteConfig(group, k, p)
+    tracemalloc.start()
+    try:
+        assert run_suite("moments", cfg).overall_pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_moments_suite_has_consistency_checks():
     rep = verify_moments(SuiteConfig(group="heisenberg:1", k=2.0, p=2.0, beta=1.0, **FAST))
     ids = [c.check_id for c in rep.checks]
@@ -896,6 +912,35 @@ def test_sample_gauge_points_ranges(heis1, rng):
     assert np.all((d >= 0.2 * (1 - 1e-9)) & (d <= 5.0 * (1 + 1e-9)))
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     assert np.all(zn >= 0.3 * d * (1 - 1e-9))
+
+
+def test_median_and_unique_inverse_match_numpy(rng):
+    for n in (1, 2, 7, 8):
+        x = rng.integers(0, 4, n).astype(float)
+        assert verify_mod._median(x) == np.median(x)
+        s, at = verify_mod._unique_inverse(x)
+        s_np, at_np = np.unique(x, return_inverse=True)
+        assert np.array_equal(s, s_np) and np.array_equal(at, at_np.ravel())
+    assert math.isnan(verify_mod._median([1.0, math.nan, 2.0, 3.0]))
+
+
+def test_nan_radial_deviation_stops_the_hardy_suite(monkeypatch):
+    # one radial function whose 1-D reduction of the denominator is nan
+    # makes the median deviation nan, which stops the suite rather than
+    # being skipped
+    hardy_ratio_ = verify_mod.hardy_ratio
+    spoiled = []
+
+    def one_nan(alg, cases, *args):
+        results = hardy_ratio_(alg, cases, *args)
+        if not spoiled:
+            spoiled.append(next(i for i, (_, phi) in enumerate(cases) if phi.radial))
+            results[spoiled[0]] = replace(results[spoiled[0]], rhs_1d=math.nan)
+        return results
+
+    monkeypatch.setattr(verify_mod, "hardy_ratio", one_nan)
+    with pytest.raises(ValueError, match="hardy/radial-reduction-median-z evaluated to nan"):
+        run_suite("hardy", SuiteConfig(group="heisenberg:1", **FAST))
 
 
 def test_tightest_returns_a_nan_row():
