@@ -62,6 +62,7 @@ from .verify import (
     build_hardy_corpus,
     hardy_ratio,
     run_suite,
+    shared_kink_searches,
     sharp_hardy_constant,
     sharpness_test_function,
 )
@@ -203,7 +204,8 @@ def _validate(values: dict, command: str) -> list:
 
 def cmd_verify(config: SuiteConfig, suites: list, out: str, fmt: str, stamp: str) -> int:
     # all suites run before any file is written: a configuration error leaves no partial report set
-    reports = [run_suite(name, config) for name in suites]
+    with shared_kink_searches():
+        reports = [run_suite(name, config) for name in suites]
     os.makedirs(out, exist_ok=True)
     stamp = stamp or time.strftime("%Y%m%dT%H%M%S")
     group = config.group.translate(str.maketrans(":/\\", "___"))

@@ -36,13 +36,15 @@ budget, since no chunk splits a replicate.
 :func:`integrate_polar` integrates over a shell r0 <= d < r1 by the
 polar formula: directions from the ball's points, the radius by
 Gauss-Legendre panels, with a quadrature error term beside the
-replicates' covariance (:func:`total_stderr`).  Its integrands come in
-ray form: multi_fn(Z, T, r, c) gets directions on the unit gauge sphere,
-the radial nodes r and their weights c, and returns each column already
-contracted over the radius, so that a homogeneous integrand computes its
-geometry once per direction and its profiles once per node.  A call
-gets at most _SLICE // len(r) directions, so that no directions x nodes
-array exceeds _SLICE elements, whatever the number of columns.
+replicates' covariance (:func:`total_stderr`) from one pass of a rule
+with twice the nodes over the points of replicate 0.  Its integrands
+come in ray form: multi_fn(Z, T, r, c) gets directions on the unit gauge
+sphere, the radial nodes r and their weights c, and returns each column
+already contracted over the radius, so that a homogeneous integrand
+computes its geometry once per direction and its profiles once per
+node.  A call gets at most _SLICE // len(r) directions, so that no
+directions x nodes array exceeds _SLICE elements, whatever the number
+of columns.
 """
 from __future__ import annotations
 
@@ -145,7 +147,12 @@ def _pole(u: np.ndarray, n: int) -> np.ndarray:
     x = np.zeros_like(v)
     for _ in range(200):
         slope = coef[0] * (1.0 - x * x) ** (n - 1)
-        G = x * np.polynomial.polynomial.polyval(x * x, coef)
+        # Horner in x^2, highest coefficient first, as numpy's polyval
+        y = x * x
+        G = coef[-1] + y * 0
+        for a in coef[-2::-1]:
+            G = a + G * y
+        G = x * G
         step = np.divide(np.abs(v) - G, slope, out=np.zeros_like(x), where=slope > 0.0)
         x += step
         if not np.max(step, initial=0.0) > 1e-15:
@@ -233,8 +240,14 @@ def _box_share(params: OperatorParams, inner: float = 0.0) -> float:
     return ball_moment(params, 0.0) * (1.0 - inner**params.Q) / 2.0 ** (params.m - params.q)
 
 
+def _replicate_sizes(params: OperatorParams, n: int) -> np.ndarray:
+    """The points of each replicate that a budget of n candidates buys."""
+    N = max(REPLICATES, math.ceil(_box_share(params) * n))
+    return N // REPLICATES + (np.arange(REPLICATES) < N % REPLICATES)
+
+
 def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, replicates: bool = False,
-                    step: Optional[int] = None):
+                    step: Optional[int] = None, shifts: Optional[np.ndarray] = None):
     """Unbiased estimates of several integrands over the unit ball from a
     budget of n candidates (N points, see the module docstring), REPLICATES
     randomly shifted Halton sets (see :meth:`Sampler.draw`), shared by
@@ -251,13 +264,13 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     values: the two-pass sample covariance of the replicate estimates
     divided by REPLICATES.  With replicates=True, returns the
     (REPLICATES, nf) replicate estimates themselves instead, whose column
-    means are the values.
+    means are the values.  shifts, if given, are sampler.shifts() as the
+    caller already holds them.
     """
     if n < REPLICATES:
         raise ValueError(f"{n} candidates cannot fill the {REPLICATES} replicates of an estimate")
-    shifts = sampler.shifts()
-    N = max(REPLICATES, math.ceil(_box_share(sampler.params) * n))
-    sizes = N // REPLICATES + (np.arange(REPLICATES) < N % REPLICATES)
+    shifts = sampler.shifts() if shifts is None else shifts
+    sizes = _replicate_sizes(sampler.params, n)
     per = max(1, _CHUNK // (int(sizes[0]) * (sampler.alg.m + sampler.alg.q)))
     step = max(1, _SLICE // nf) if step is None else step
     sums = np.zeros((REPLICATES, nf))
@@ -279,8 +292,44 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     return mean, dev.T @ dev / (REPLICATES * (REPLICATES - 1))
 
 
-# a lambda, so that np.polynomial loads on first use and not with every command's imports
-_leggauss = functools.lru_cache(lambda deg: np.polynomial.legendre.leggauss(deg))
+def _legval(x: np.ndarray, c) -> np.ndarray:
+    """sum_i c[i] P_i(x) over the Legendre polynomials P_i, by Clenshaw's
+    recursion in the order of numpy.polynomial.legendre.legval."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+@functools.lru_cache
+def _leggauss(deg: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit as
+    numpy.polynomial.legendre.leggauss(deg) computes them: the eigenvalues
+    of the symmetric companion matrix of P_deg, one Newton step, weights
+    1 / (P_{deg-1} P_deg') at the nodes, symmetrised and scaled to sum 2.
+    numpy's companion matrix also subtracts c[:-1] / c[-1] * ... from its
+    last column, which is 0 for P_deg and changes no entry."""
+    scl = 1.0 / np.sqrt(2 * np.arange(deg) + 1)
+    mat = np.zeros((deg, deg))
+    top = np.arange(1, deg) * scl[: deg - 1] * scl[1:deg]
+    mat.reshape(-1)[1 :: deg + 1] = top
+    mat.reshape(-1)[deg :: deg + 1] = top
+    x = np.linalg.eigvalsh(mat)
+    c = [0.0] * deg + [1.0]
+    # P_deg' = sum of (2j + 1) P_j over j = deg - 1, deg - 3, ...
+    dy, df = _legval(x, c), _legval(x, [2.0 * j + 1.0 if (deg - 1 - j) % 2 == 0 else 0.0 for j in range(deg)])
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def dyadic_edges(r0: float, r1: float) -> np.ndarray:
@@ -320,8 +369,10 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     Returns (estimates, gain): the (REPLICATES, nf) replicate estimates
     of mc_region_multi, whose column means are the integrals, and column
     by column the ratio of a 2 POLAR_NODES-node to the POLAR_NODES-node
-    estimate along the first directions of replicate 0 (about 3/64 more
-    evaluations).  An integral, or a ratio of two (gain_L / gain_R), then
+    estimate on the points of replicate 0: the coarse one is est[0], and
+    the finer rule costs one more pass over those points (1/64 of the
+    directions at twice the nodes), drawn from the shift that the main
+    pass holds.  An integral, or a ratio of two (gain_L / gain_R), then
     has the quadrature term of :func:`total_stderr`.
     """
     edges = np.asarray(edges, dtype=float)
@@ -349,12 +400,14 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
         return h, per
 
     sampler = Sampler(alg, params, seed, spawn_key)
+    shifts = sampler.shifts()
     h, per = along_rays(POLAR_NODES)
-    est = mc_region_multi(sampler, h, nf, math.ceil(directions / _box_share(params)), replicates=True, step=per)
-    Z, T, _ = sampler.draw(-(-directions // REPLICATES), sampler.shifts()[:1])
-    w = sampler.weights(Z)
-    coarse, fine = (along_rays(deg)[0](Z, T) @ w for deg in (POLAR_NODES, 2 * POLAR_NODES))
-    return est, np.divide(fine, coarse, out=np.ones(nf), where=coarse != 0.0)
+    n_main = math.ceil(directions / _box_share(params))
+    est = mc_region_multi(sampler, h, nf, n_main, replicates=True, step=per, shifts=shifts)
+    size = int(_replicate_sizes(params, n_main)[0])
+    Z, T, _ = sampler.draw(size, shifts[:1])
+    fine = along_rays(2 * POLAR_NODES)[0](Z, T) @ sampler.weights(Z) / size
+    return est, np.divide(fine, est[0], out=np.ones(nf), where=est[0] != 0.0)
 
 
 def total_stderr(var, value, gain):

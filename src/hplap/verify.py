@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import groupby
@@ -489,6 +490,48 @@ _KINK_GRID = 64
 _KINK_SPLIT = 32
 
 
+#: the kinks of each (shape, powers, dyadic edges) that :func:`_panel_edges`
+#: has searched inside a :func:`shared_kink_searches` block; None outside one
+_kink_memo: Optional[dict] = None
+
+
+@contextmanager
+def shared_kink_searches():
+    """Within the block :func:`_panel_edges` searches each shape once per
+    set of powers and support, and reuses the kinks after that: the hardy,
+    lemma2 and uncertainty suites of one command search the same corpus
+    shapes, at power 0, on the same supports.  The kinks are dropped when
+    the block ends, so they pin no shape beyond it."""
+    global _kink_memo
+    _kink_memo = {}
+    try:
+        yield
+    finally:
+        _kink_memo = None
+
+
+def _shape_kinks(shape, powers: tuple, grid: np.ndarray) -> np.ndarray:
+    """The kinks of :func:`_panel_edges` for one shape and its powers, the
+    sign changes of r^{-a} (F' - a F / r) on grid, narrowed to 1e-10."""
+    split = np.arange(_KINK_SPLIT + 1) / _KINK_SPLIT
+    powers = np.array(powers)[:, None]
+    F, dF = shape(grid)
+    sign = np.sign(dF - powers * F / grid)
+    ia, ig = np.nonzero(sign[:, 1:] != sign[:, :-1])
+    lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia], sign[ia, ig][:, None]
+    while np.any(hi - lo > 1e-10 * hi):
+        x = lo[:, None] + (hi - lo)[:, None] * split  # each bracket's ends and the points between them
+        x[:, -1] = hi
+        inner = x[:, 1:-1]
+        F, dF = (v.reshape(inner.shape) for v in shape(inner.ravel()))
+        changed = np.sign(dF - a * F / inner) != side
+        # the piece that ends at the first changed point, or the last piece
+        j = np.where(changed.any(axis=1), changed.argmax(axis=1), _KINK_SPLIT - 1)
+        rows = np.arange(len(x))
+        lo, hi = x[rows, j], x[rows, j + 1]
+    return hi
+
+
 def _panel_edges(phis) -> np.ndarray:
     """Radial panel edges for test functions that share a support: the
     dyadic pieces of the support, split wherever the sign of a phi's
@@ -500,28 +543,17 @@ def _panel_edges(phis) -> np.ndarray:
     evaluation for every power and bracket that shares the shape (about 6
     steps); a kink within 1e-9 (relative) of an edge or of a smaller kink
     is dropped.  A kink that far inside a panel of width h adds an error
-    of order (1e-9 r / h)^{p+1}."""
+    of order (1e-9 r / h)^{p+1}.  Inside :func:`shared_kink_searches` a
+    shape's search is reused for the same powers and support."""
     dyadic = dyadic_edges(*phis[0].support)
     grid = np.append(np.linspace(dyadic[:-1], dyadic[1:], _KINK_GRID, endpoint=False, axis=1).ravel(), dyadic[-1])
-    split = np.arange(_KINK_SPLIT + 1) / _KINK_SPLIT
     kinks = []
     for shape in dict.fromkeys(phi.shape for phi in phis):
-        powers = np.array(sorted({phi.power for phi in phis if phi.shape is shape}))[:, None]
-        F, dF = shape(grid)
-        sign = np.sign(dF - powers * F / grid)
-        ia, ig = np.nonzero(sign[:, 1:] != sign[:, :-1])
-        lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia], sign[ia, ig][:, None]
-        while np.any(hi - lo > 1e-10 * hi):
-            x = lo[:, None] + (hi - lo)[:, None] * split  # each bracket's ends and the points between them
-            x[:, -1] = hi
-            inner = x[:, 1:-1]
-            F, dF = (v.reshape(inner.shape) for v in shape(inner.ravel()))
-            changed = np.sign(dF - a * F / inner) != side
-            # the piece that ends at the first changed point, or the last piece
-            j = np.where(changed.any(axis=1), changed.argmax(axis=1), _KINK_SPLIT - 1)
-            rows = np.arange(len(x))
-            lo, hi = x[rows, j], x[rows, j + 1]
-        kinks.append(hi)
+        powers = tuple(sorted({phi.power for phi in phis if phi.shape is shape}))
+        key, memo = (shape, powers, tuple(dyadic)), {} if _kink_memo is None else _kink_memo
+        if key not in memo:
+            memo[key] = _shape_kinks(shape, powers, grid)
+        kinks.append(memo[key])
     k = np.sort(np.concatenate(kinks)) if kinks else np.empty(0)
     k = k[(np.min(np.abs(k[:, None] - dyadic), axis=1, initial=np.inf) > 1e-9 * k)
           & (np.diff(k, prepend=-np.inf) > 1e-9 * k)]
@@ -529,7 +561,8 @@ def _panel_edges(phis) -> np.ndarray:
 
 
 def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
-    """(|z_w|, field) on directions w = (Z, T) of the unit gauge sphere and radial nodes r: field(phi) =
+    """((|z_w|, |X d(w)|, profiles), field) on directions w = (Z, T) of the unit gauge sphere and radial nodes r:
+    profiles(some) -> (phi(r), phi'(r)) of each phi of some as (len(some), len(r)) rows, and field(phi) =
     (|Phi|, |grad_X Phi|) at the points delta_r w for phi in phis, each a function p -> its p-th power in the ray
     form of :func:`_ray_sum`, computed once per p.
     Under delta_r, X_j and d have degree 1 and X_j d and a modulation m degree 0, so |Phi| = |phi(r)| |m(w)| and
@@ -544,6 +577,17 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
     Xd2 = np.einsum("nj,nj->n", Xd, Xd)
     Xd_norm, ones = np.sqrt(Xd2)[:, None], np.ones((len(Z), 1))
     shape_values = cache(lambda shape: shape(r))
+
+    def profiles(some):
+        """r^{-a} F and r^{-a} (F' - a F / r) of phis of one support, r clamped at r0 as in
+        HardyTestFunction.profile; at a = 0 they equal F and F' up to the sign of a zero."""
+        F, dF = (np.array(v) for v in zip(*(shape_values(phi.shape) for phi in some)))
+        x = np.maximum(r, some[0].support[0])
+        dF -= np.array([[phi.power] for phi in some]) * F / x
+        rp = _powers(x, [-phi.power for phi in some])
+        F *= rp
+        dF *= rp
+        return F, dF
 
     def modulation(mod):
         """m and the coefficients of |grad_X Phi|^2 = m^2 |X d|^2 phi'^2 + 2 m <X d, X m> phi' phi / r
@@ -560,7 +604,7 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
         return cache(lambda p: (A**p, B**p))
 
     def field(phi):
-        f, df = phi.profile(r, *shape_values(phi.shape))
+        (f,), (df,) = profiles([phi])
         if phi.modulation is None:
             return powers(ones, np.abs(f)), powers(Xd_norm, np.abs(df))
         mv, a, b, cc = modulations[phi.modulation]
@@ -568,7 +612,22 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
         gn = np.sqrt(np.maximum(a * df**2 + b * (df * fr) + cc * fr**2, 0.0))
         return powers(np.abs(mv)[:, None], np.abs(f)), powers(gn, 1.0)
 
-    return zn, field
+    return (zn, Xd_norm[:, 0], profiles), field
+
+
+def _powers(x: np.ndarray, exps) -> np.ndarray:
+    """Rows x^e for the exponents e of exps: x is one row shared by every
+    exponent or one row per exponent.  Each distinct e is one numpy power
+    with e a Python float, because numpy computes x ** 2.0, x ** 0.5 and
+    x ** -1.0 as square, sqrt and reciprocal, whose last bit can differ
+    from a power by an array of exponents."""
+    rows = {}
+    for i, e in enumerate(exps):
+        rows.setdefault(e, []).append(i)
+    out = np.empty((len(exps), np.shape(x)[-1]))
+    for e, at in rows.items():
+        out[at] = (x[at] if np.ndim(x) == 2 else x) ** e
+    return out
 
 
 def _ray_sum(f, ang, rad, c) -> np.ndarray:
@@ -589,22 +648,28 @@ def _radial_1d_batch(cases, edges=None) -> np.ndarray:
 
     One grid_integral_1d call on all panels of edges (default
     :func:`_panel_edges`, ending at every non-smooth point of the
-    integrands) evaluates each distinct shape once; returns the (lhs, rhs)
-    rows.  With phi = r^{-a} F each integrand is one p-th power, so a
-    steep power profile near r = 0 does not overflow a factor on its own.
+    integrands) evaluates each distinct shape once and every case as one
+    row of (cases, nodes) arrays; returns the (lhs, rhs) rows.  With
+    phi = r^{-a} F each integrand is one p-th power, so a steep power
+    profile near r = 0 does not overflow a factor on its own.
     """
-    shapes = {phi.shape for _, phi in cases}
+    shapes = list(dict.fromkeys(phi.shape for _, phi in cases))
+    at = [shapes.index(phi.shape) for _, phi in cases]
     S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
+    p, a = [params.p for params, _ in cases], np.array([[phi.power] for _, phi in cases])
+    # the powers of r in r^{e/p - a} |F' - a F / r| and r^{(e-p)/p - a} |F|, e = Q - 1 + alpha
+    lhs_exp = [(params.Q - 1.0 + params.alpha) / params.p - phi.power for params, phi in cases]
+    rhs_exp = [(params.Q - 1.0 + params.alpha - params.p) / params.p - phi.power for params, phi in cases]
 
     def profile(r):
-        vals = {shape: shape(r) for shape in shapes}
-        out = np.empty((2 * len(cases), len(r)))
-        for i, (params, phi) in enumerate(cases):
-            p, e, a = params.p, params.Q - 1.0 + params.alpha, phi.power
-            F, dF = vals[phi.shape]
-            out[2 * i] = (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p
-            out[2 * i + 1] = (r ** ((e - p) / p - a) * np.abs(F)) ** p
-        return out
+        F, dF = (np.array(v)[at] for v in zip(*(shape(r) for shape in shapes)))
+        out = np.empty((len(cases), 2, len(r)))
+        dF -= a * F / r
+        for i, (g, exps) in enumerate(((dF, lhs_exp), (F, rhs_exp))):
+            g = np.abs(g, out=g)
+            g *= _powers(r, exps)
+            out[:, i] = _powers(g, p)
+        return out.reshape(2 * len(cases), -1)
 
     edges = _panel_edges([phi for _, phi in cases]) if edges is None else edges
     return S[:, None] * grid_integral_1d(profile, edges).reshape(-1, 2)
@@ -626,13 +691,17 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
 
     All cases share one set of directions and panels (common random
     numbers), so they must share k and the support of phi.  On each batch
-    of directions :func:`_corpus_batch` gives |Phi| and |grad_X Phi| along
-    the rays once per distinct phi, with d = r and |grad_X d| = |z_w|^{2k-1}
-    of degree 0; each power r^a, |grad_X d|^p and (|Phi|^p, |grad_X Phi|^p)
-    is computed once, for every case that uses it, and a separable column
-    contracts as its angular factor times its radial factor summed against
-    c.  A case's columns are the same products as in a call of its own on
-    the same panels, so batching changes no bit of them.
+    of directions :func:`_corpus_batch` evaluates each distinct shape once
+    on the radial nodes, with d = r and |grad_X d| = |z_w|^{2k-1} of degree
+    0.  The radial cases are evaluated together: their profiles are the
+    rows of (cases, nodes) arrays, and each column is an angular factor
+    |X d|^p or |grad_X d|^p (one row per distinct p) times the case's
+    radial integrand summed against c.  A modulated Phi does not factor,
+    so each of its cases keeps a ray sum (:func:`_ray_sum`) of the
+    (|Phi|^p, |grad_X Phi|^p) of its phi, computed once per p.  Every
+    power is taken once per distinct exponent (:func:`_powers`), so a
+    case's columns are the same products as in a call of its own on the
+    same panels and batching changes no bit of them.
 
     For radial Phi the 1-D polar reduction (:func:`_radial_1d_batch`, one
     grid_integral_1d call for all radial cases on the same panels) must
@@ -649,19 +718,36 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         if not params.p < params.Q + params.alpha:
             raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + params.alpha}, got p={params.p}")
         by_phi.setdefault(id(phi), (phi, []))[1].append((i, params.p, params.alpha))
+    ps = sorted({params.p for params, _ in cases})
+    radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
+    # the p, alpha and alpha - p of each radial case, and the radial cases of each p of ps
+    p_rad, a_rad = [cases[i][0].p for i in radial], [cases[i][0].alpha for i in radial]
+    ap_rad = [a - p for a, p in zip(a_rad, p_rad)]
+    by_p = [(j, [k for k, q in enumerate(p_rad) if q == p]) for j, p in enumerate(ps) if p in p_rad]
+    rows = 2 * np.array(radial, dtype=int)
 
     def multi(Z, T, r, c):
-        zn, field = _corpus_batch(alg, base, Z, T, r, [phi for phi, _ in by_phi.values()])
-        gd = zn ** (2.0 * base.k - 1.0)  # |grad_X d| at d = 1, of degree 0
-        # each power once per batch, however many cases use it; one phi's powers at a time
-        r_pow = cache(lambda a: r**a)
-        gd_pow = cache(lambda p: gd**p)
+        (zn, xd, profiles), field = _corpus_batch(alg, base, Z, T, r, [phi for phi, _ in by_phi.values()])
+        # |grad_X d| at d = 1 (of degree 0) and |X d| to each p, one row per p
+        gd_p, xd_p = _powers(zn ** (2.0 * base.k - 1.0), ps), _powers(xd, ps)
         out = np.empty((2 * len(cases), len(Z)))
+        if radial:
+            # separable: the angular factor of the case's p times its radial sum, one p at a time, so that no
+            # temporary spans every radial case and direction
+            f, df = profiles([cases[i][1] for i in radial])
+            lhs = np.sum(_powers(np.abs(df), p_rad) * _powers(r, a_rad) * c, axis=1)[:, None]
+            rhs = np.sum(_powers(np.abs(f), p_rad) * _powers(r, ap_rad) * c, axis=1)[:, None]
+            for j, at in by_p:
+                out[rows[at]] = xd_p[j] * lhs[at]
+                out[rows[at] + 1] = gd_p[j] * rhs[at]
+        r_pow = cache(lambda a: r**a)
         for phi, idx in by_phi.values():
-            u, gu = field(phi)
-            for i, p, a in idx:
-                out[2 * i] = _ray_sum(gu(p), 1.0, r_pow(a), c)
-                out[2 * i + 1] = _ray_sum(u(p), gd_pow(p), r_pow(a - p), c)
+            if not phi.radial:
+                u, gu = field(phi)
+                for i, p, a in idx:
+                    out[2 * i] = _ray_sum(gu(p), 1.0, r_pow(a), c)
+                    out[2 * i + 1] = _ray_sum(u(p), gd_p[ps.index(p)], r_pow(a - p), c)
+                del u, gu  # this phi's directions x nodes powers, before the next phi builds its own
         return out
 
     edges = _panel_edges([phi for phi, _ in by_phi.values()])
@@ -1058,7 +1144,7 @@ def _uncertainty_quotients(alg: HTypeAlgebra, params: OperatorParams, phis, n: i
 
     def multi(Z, T, r, c):
         # at delta_r w: w1 = (r |z_w|)^t, w3 = |z_w|^{2k} and wb = |z_w|^{(2k-1)s} r^{-s}
-        zn, field = _corpus_batch(alg, params, Z, T, r, phis)
+        (zn, _, _), field = _corpus_batch(alg, params, Z, T, r, phis)
         w1, w3, wb, rt, rs = zn**t_exp, zn ** (2.0 * k), zn ** ((2.0 * k - 1.0) * s), r**t_exp, r ** (-s)
         return np.concatenate([[_ray_sum(u(t_exp), w1, rt, c), _ray_sum(gu(s), 1.0, 1.0, c),
                                 _ray_sum(u(2.0), w3, 1.0, c), _ray_sum(u(s), wb, rs, c)] for u, gu in map(field, phis)])

@@ -510,6 +510,21 @@ def test_verify_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
+def test_commands_do_not_import_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rules and the pole coordinate of S^2 (reached
+    # through the t-sphere of quaternionic:1) use no numpy.polynomial
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HPLAP_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (["verify", "--suite", "all", "--group", "heisenberg:1", "--out", str(tmp_path)] + FAST_SAMPLES,
+                 ["verify", "--suite", "all", "--group", "quaternionic:1", "--k", "2", "--p", "3",
+                  "--samples", "20000", "--corpus-samples", "2000", "--out", str(tmp_path)],
+                 ["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "8000", "--out", "-"]):
+        code = f"import sys; from hplap.cli import main; main({argv!r}); print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.stdout.splitlines()[-1] == "False", (argv, proc.stderr)
+
+
 def test_warnings_of_a_successful_run_are_shown(tmp_path, monkeypatch):
     def warning_suite(name, config):
         warnings.warn("overflow encountered in power", RuntimeWarning)

@@ -406,3 +406,31 @@ def test_quaternionic_ball_moment_z_calibrated():
     for zs in z.values():
         assert 0.8 <= np.std(zs, ddof=1) <= 1.25
         assert np.sum(np.abs(zs) > 3.0) <= 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 32, 64])
+def test_leggauss_is_numpys_bit_for_bit(n):
+    # the library's Gauss-Legendre rule repeats numpy's computation, so
+    # every polar integral and 1-D reduction keeps its nodes and weights
+    x, w = quadrature._leggauss(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pole_is_its_polyval_form_bit_for_bit(n):
+    # Newton's method on G(x) = x polyval(x^2, coef), with numpy's polyval,
+    # on a grid of u that reaches both poles and the equator
+    u = np.linspace(0.0, 1.0, 4001)
+    v = 2.0 * u - 1.0
+    coef = np.array([math.comb(n - 1, j) * (-1.0) ** j / (2 * j + 1) for j in range(n)])
+    coef /= coef.sum()
+    x = np.zeros_like(v)
+    for _ in range(200):
+        slope = coef[0] * (1.0 - x * x) ** (n - 1)
+        step = np.divide(np.abs(v) - x * np.polynomial.polynomial.polyval(x * x, coef), slope,
+                         out=np.zeros_like(x), where=slope > 0.0)
+        x += step
+        if not np.max(step, initial=0.0) > 1e-15:
+            break
+    assert np.array_equal(quadrature._pole(u, n), np.copysign(np.minimum(x, 1.0), v))

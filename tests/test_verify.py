@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
+from functools import cache
 from itertools import groupby
 from dataclasses import replace
 
@@ -9,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hplap import cli
 from hplap import closedform as cf
 from hplap.algebra import OperatorParams, make_heisenberg, norm_d, resolve_group
 from hplap.fields import NearSingularWarning, euclid_gradient, horizontal_gradient_batch
+from hplap import quadrature
 from hplap import verify as verify_mod
-from hplap.quadrature import Sampler, dyadic_edges, integrate_polar, mc_region_multi
+from hplap.quadrature import REPLICATES, Sampler, dyadic_edges, integrate_polar, mc_region_multi
 from hplap.report import CheckRecord, VerificationReport, from_kv, to_kv
 from hplap.verify import (
     _panel_edges,
@@ -625,6 +629,119 @@ def test_quadrature_term_needs_the_kink_edges(heis1, monkeypatch):
     monkeypatch.setattr(verify_mod, "_panel_edges", lambda phis: dyadic_edges(*phis[0].support))
     dyadic = _radial_errors(heis1, cases, 240_000, 20240, (9, 0))
     assert np.max(dyadic[:, 0]) >= 100.0 * np.max(kinked[:, 0])
+
+
+def _ray_rule(params, edges, multi_fn, nf, deg):
+    """(h, per): h(Z, T), the ray-form multi_fn along the directions of Z,
+    T with deg Gauss-Legendre nodes per panel of edges, in calls of at most
+    per directions."""
+    x, w = np.polynomial.legendre.leggauss(deg)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    r = (lo + half * (x + 1.0)).ravel()
+    c = params.Q * (half * w).ravel() * r ** (params.Q - 1.0)
+    per = quadrature._SLICE // len(r)
+
+    def h(Z, T):
+        d = norm_d(params, (Z, T))
+        Z, T = Z / d[:, None], T / (d ** (2.0 * params.k))[:, None]
+        return np.hstack([np.reshape(multi_fn(Z[i : i + per], T[i : i + per], r, c), (nf, -1))
+                          for i in range(0, len(Z), per)])
+
+    return h, per
+
+
+def test_quadrature_term_comes_from_replicate_zero(heis1, monkeypatch):
+    # for a modulated Rayleigh-quotient batch and the psi integral of the
+    # density total: est is mc_region_multi's estimate with the 16-node
+    # rule, gain is the 32-node over the 16-node estimate on the points of
+    # replicate 0, and integrate_polar calls multi_fn only once outside
+    # mc_region_multi, for the 32-node pass over those points
+    calls, budgets, inside = [], [], [False]
+    region = quadrature.mc_region_multi
+
+    def spied_region(sampler, multi_fn, nf, n, **kwargs):
+        budgets.append(n)
+        inside[0] = True
+        try:
+            return region(sampler, multi_fn, nf, n, **kwargs)
+        finally:
+            inside[0] = False
+
+    def recorded(alg, params, edges, multi_fn, nf, n, seed, spawn_key=()):
+        outside = []
+
+        def counted(*args):
+            if not inside[0]:
+                outside.append(len(args[0]))
+            return multi_fn(*args)
+
+        est, gain = integrate_polar(alg, params, edges, counted, nf, n, seed, spawn_key)
+        calls.append((alg, params, np.asarray(edges, dtype=float), multi_fn, nf, seed, spawn_key, est, gain, outside))
+        return est, gain
+
+    monkeypatch.setattr(quadrature, "mc_region_multi", spied_region)
+    monkeypatch.setattr(verify_mod, "integrate_polar", recorded)
+    params = params_for(heis1, k=1.5, p=2.5, alpha=0.5)
+    hardy_ratio(heis1, [(params, phi) for phi in build_hardy_corpus()[:10] if not phi.radial], 8_000, seed=3)
+    verify_fundamental_solution(SuiteConfig(group="heisenberg:1", **FAST))
+    assert len(calls) == len(budgets) == 2
+    for (alg, params, edges, multi_fn, nf, seed, spawn_key, est, gain, outside), n in zip(calls, budgets):
+        sampler = Sampler(alg, params, seed, spawn_key)
+        coarse, per = _ray_rule(params, edges, multi_fn, nf, 16)
+        assert np.array_equal(est, region(sampler, coarse, nf, n, replicates=True, step=per))
+        N = max(REPLICATES, math.ceil(quadrature._box_share(params) * n))
+        size = N // REPLICATES + (N % REPLICATES > 0)
+        Z, T, _ = sampler.draw(size, sampler.shifts()[:1])
+        w = sampler.weights(Z) / size
+        fine = _ray_rule(params, edges, multi_fn, nf, 32)[0](Z, T) @ w
+        np.testing.assert_allclose(est[0], coarse(Z, T) @ w, rtol=1e-12)
+        np.testing.assert_allclose(gain, fine / (coarse(Z, T) @ w), rtol=1e-12)
+        assert np.any(gain != 1.0) and outside == [size]
+
+
+def test_kink_searches_run_once_per_shape_in_a_command(monkeypatch, tmp_path):
+    # lemma2 and uncertainty search the corpus shapes that hardy searched,
+    # at power 0 on the same supports: in one verify command they reuse
+    # hardy's kinks and evaluate no shape on a search grid, and the reused
+    # edges equal a search of their own
+    searching, counts = [False], Counter()
+    annulus_shape, panel_edges = verify_mod._annulus_shape, verify_mod._panel_edges
+
+    @cache
+    def counted_shape(r0, r1, kind):
+        shape = annulus_shape(r0, r1, kind)
+
+        def counted(x):
+            if searching[0]:
+                counts[r0, r1, kind] += 1
+            return shape(x)
+
+        return counted
+
+    edges = []
+
+    def flagged(phis):
+        searching[0] = True
+        try:
+            out = panel_edges(phis)
+        finally:
+            searching[0] = False
+        edges.append((phis, out))
+        return out
+
+    monkeypatch.setattr(verify_mod, "_annulus_shape", counted_shape)
+    monkeypatch.setattr(verify_mod, "_panel_edges", flagged)
+    cli_args = ["verify", "--group", "heisenberg:1", "--samples", "40000", "--corpus-samples", "8000",
+                "--out", str(tmp_path)]
+    cli.main(cli_args + ["--suite", "hardy"])
+    hardy = dict(counts)
+    assert len(hardy) == 25 and min(hardy.values()) > 0
+    counts.clear()
+    edges.clear()
+    cli.main(cli_args + ["--suite", "hardy", "--suite", "lemma2", "--suite", "uncertainty"])
+    assert dict(counts) == hardy and len(edges) == 5 + 1 + 5
+    for phis, reused in edges[5:]:
+        assert np.array_equal(reused, panel_edges(phis))
 
 
 def test_panel_edges_place_known_kinks():
