@@ -28,8 +28,10 @@ integral is polar: its budget, split over the dyadic pieces of the
 support at 2048 or more each, buys the points of those pieces, spent on
 sampled directions with a radial quadrature along each.  density-total
 spends 10/3 of --samples over 2^-30 <= d < 2^12; each support of a
-Rayleigh or uncertainty quotient spends --corpus-samples.  The
-uncertainty suite checks i1^{1/t} i2^{1/s} / i3 against (Q - s)/s.
+modulated Rayleigh quotient or of an uncertainty quotient spends
+--corpus-samples; radial Rayleigh quotients, every sweep row among them,
+draw nothing.  The uncertainty suite checks i1^{1/t} i2^{1/s} / i3
+against (Q - s)/s.
 ``sweep --mode sharpness`` refuses a ``--j`` at which d^{4k} underflows
 on the support of u_j, i.e. 4k(j + 1) >= 1022 for some k of the grid.
 
@@ -100,13 +102,14 @@ _SWEEP_OUT = "sweep.csv"
 _HELP = {
     "group": "group id: heisenberg:n, quaternionic:n, custom:<file>", "k": "field parameter k >= 1",
     "p": "p-Laplacian exponent p > 1", "alpha": "norm-power weight exponent", "beta": "gradient-weight exponent",
-    "seed": "base seed for all random streams (a non-negative integer)",
+    "seed": "base seed for all random streams (a non-negative integer); no sweep row draws from them",
     "samples": "Monte Carlo budget in bounding-box candidates: the moments evaluate the share of n that lands in "
                "the unit gauge ball; density-total spends 10n/3 over the dyadic pieces of 2^-30 <= d < 2^12, at "
                f"least {MIN_REGION_CANDIDATES} each, as sampled directions times radial Gauss-Legendre nodes",
     "corpus_samples": f"sample budget per test-function support: split over its dyadic pieces, at least "
                       f"{MIN_REGION_CANDIDATES} each, it buys the share of each piece's bounding box that the "
-                      "piece fills, spent as sampled directions times radial Gauss-Legendre nodes",
+                      "piece fills, spent as sampled directions times radial Gauss-Legendre nodes; radial "
+                      "quotients, among them every sweep row, draw nothing and spend none of it",
     "out": f"output directory (verify, default {_DEFAULTS['out']}) or file (sweep, default {_SWEEP_OUT}; - for stdout)",
     "format": "report format: kv or csv", "stamp": "fixed timestamp string for output filenames",
     "suite": "suite name (repeatable) or 'all'", "mode": "hardy (corpus function) or sharpness (u_j)",
@@ -255,8 +258,8 @@ def cmd_sweep(configs: list, mode: str, j: int, out_path: str) -> int:
     corpus_phi = build_hardy_corpus()[0]
     fieldnames = ["k", "p", "alpha", "ratio", "stderr", "sharp_constant", "margin"]
     rows = []
-    for ki, k_configs in enumerate(configs):
-        # one hardy_ratio call per k: every row of that k shares its shells;
+    for k_configs in configs:
+        # one hardy_ratio call per k: every row of that k shares its panels;
         # the quotient carries no gradient weight, so beta keeps its default 0
         cases = []
         for config in k_configs:
@@ -266,7 +269,7 @@ def cmd_sweep(configs: list, mode: str, j: int, out_path: str) -> int:
                 cases.append((params, phi))
         if not cases:
             continue
-        results = hardy_ratio(alg, cases, first.corpus_samples, first.seed, spawn_key=(9, ki))
+        results = hardy_ratio(alg, cases, first.corpus_samples, first.seed)
         for (params, _), res in zip(cases, results):
             sharp = sharp_hardy_constant(params)
             row = (params.k, params.p, params.alpha, res.ratio, res.stderr, sharp, res.ratio - sharp)

@@ -1,5 +1,6 @@
 """Deterministic-seeded randomized quasi-Monte Carlo over the unit gauge
-ball, polar integrals over gauge shells, and 1-D quadrature.
+ball, polar integrals over gauge shells, the meridian rule on the unit
+gauge sphere, and 1-D quadrature.
 
 The one sampled region is the unit gauge ball d < 1.  A point u of
 [0, 1)^{m+q} maps into it without rejection: z uniform in the unit
@@ -25,26 +26,12 @@ numbers).  The shifts come from Philox on the sampler's own substream of
 the base seed, so identical (seed, spawn key, n) reproduce bit-identical
 results.
 
-:func:`mc_region_multi` draws the points in chunks of whole replicates
-of at most _CHUNK = 2^16 coordinates, points x (m + q), so that each
-drawn array holds at most max(512 KB, one replicate): at the default
-budget, 2 replicates per chunk on heisenberg:1 and 6 on quaternionic:1.
-One replicate exceeds _CHUNK coordinates above about 1.4M points on
-heisenberg:1 (--samples above about 2.3e6); such chunks grow with the
-budget, since no chunk splits a replicate.
-
-:func:`integrate_polar` integrates over a shell r0 <= d < r1 by the
-polar formula: directions from the ball's points, the radius by
-Gauss-Legendre panels, with a quadrature error term beside the
-replicates' covariance (:func:`total_stderr`) from one pass of a rule
-with twice the nodes over the points of replicate 0.  Its integrands
-come in ray form: multi_fn(Z, T, r, c) gets directions on the unit gauge
-sphere, the radial nodes r and their weights c, and returns each column
-already contracted over the radius, so that a homogeneous integrand
-computes its geometry once per direction and its profiles once per
-node.  A call gets at most _SLICE // len(r) directions, so that no
-directions x nodes array exceeds _SLICE elements, whatever the number
-of columns.
+:func:`mc_region_multi` estimates integrals over the ball, drawing its
+points in chunks of whole replicates.  :func:`integrate_polar`
+integrates over a shell r0 <= d < r1 by the polar formula, directions
+from the ball's points and the radius by Gauss-Legendre panels.
+:func:`meridian_integral` integrates functions of |z_w| over the unit
+gauge sphere without sampling, along one meridian.
 """
 from __future__ import annotations
 
@@ -64,6 +51,7 @@ __all__ = [
     "integrate_polar",
     "total_stderr",
     "grid_integral_1d",
+    "meridian_integral",
 ]
 
 #: floor of the radius |z| of a point of the unit ball (the center tube
@@ -82,10 +70,9 @@ REPLICATES = 64
 #: Gauss-Legendre nodes per radial panel of :func:`integrate_polar`
 POLAR_NODES = 16
 
-#: relative round-off level of a polar integral: its quadrature term is
-#: never below QUAD_FLOOR times its size, so it is never 0; radial
-#: quotients whose rule is exact agree with their 1-D reduction to within
-#: 4e-15 (the radial corpus over the hardy grid, heisenberg:1, quaternionic:1)
+#: relative round-off floor of every quadrature term, which is never 0: the
+#: 1-D radial rule meets a graded reference to 2.3e-15, the meridian rule
+#: the closed-form sphere moments to 1.9e-15
 QUAD_FLOOR = 1e-12
 
 #: drawn coordinates, points x (m + q), of one chunk of mc_region_multi:
@@ -412,7 +399,7 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
 
 def total_stderr(var, value, gain):
     """sqrt(var + quad^2): the replicates' variance var of an estimate
-    value of :func:`integrate_polar` and its quadrature term
+    value (0 for a rule that samples nothing) and its quadrature term
     quad = 2 |value| |gain - 1|, twice the change of value under the
     finer rule, floored at QUAD_FLOOR |value|.  Doubling the change bounds
     the error of the coarser rule wherever doubling its nodes at least
@@ -452,3 +439,32 @@ def grid_integral_1d(profile: Callable, edges):
     vals = np.asarray(profile((edges[:-1, None] + width * q).ravel()))
     out = np.sum(vals * (width * (0.5 * w * dq)).ravel(), axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def _halved(edges) -> np.ndarray:
+    """The edges (an array) with the midpoint of every panel added between them."""
+    return np.append(np.column_stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:])]).ravel(), edges[-1])
+
+
+def meridian_integral(alg: HTypeAlgebra, params: OperatorParams, g: Callable):
+    """Integrals over the unit gauge sphere (the measure of
+    :func:`integrate_polar`) of functions g of |z_w|: with X = |z|^{2k} =
+    cos theta, Y = 4|t| = sin theta and |S^0| = 2, int_S g dsigma =
+    |S^{m-1}| |S^{q-1}| 4^{-q} int_0^{pi/2} g(w_theta) cos^{m/(2k)-1} theta
+    sin^{q-1} theta dtheta, g(Z, T) -> (c, n) evaluated at the meridian
+    points z = cos^{1/(2k)} theta e_1, t = (sin theta / 4) f_1.  The theta
+    integral is :func:`grid_integral_1d` on 6 panels graded dyadically
+    toward theta = pi/2, where |z| -> 0.  Returns (values,
+    gain) as :func:`integrate_polar` does, gain from halved panels."""
+    m, q, k = alg.m, alg.q, params.k
+    scale = 4.0**-q * math.prod(2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) for n in (m, q))
+
+    def profile(theta):
+        cos, sin = np.cos(theta), np.sin(theta)
+        Z, T = np.zeros((len(theta), m)), np.zeros((len(theta), q))
+        Z[:, 0], T[:, 0] = cos ** (0.5 / k), 0.25 * sin
+        return np.asarray(g(Z, T)) * (cos ** (0.5 * m / k - 1.0) * sin ** (q - 1.0))
+
+    edges = 0.5 * math.pi * np.append(1.0 - 0.5 ** np.arange(6), 1.0)
+    values, fine = (scale * grid_integral_1d(profile, e) for e in (edges, _halved(edges)))
+    return values, np.divide(fine, values, out=np.ones_like(values), where=values != 0.0)

@@ -33,7 +33,8 @@ uncertainty
 
 Determinism: every random stream is derived from the suite seed with a
 distinct spawn key, so re-running a suite with the same configuration
-reproduces its report bit-identically.
+reproduces its report bit-identically; radial Rayleigh quotients draw
+nothing.
 
 Sampling note: pointwise identity checks draw points with d log-uniform
 in a range and direction bounded away from the center tube {z = 0}
@@ -80,11 +81,13 @@ from .fields import (
 from .quadrature import (
     REPLICATES,
     Sampler,
+    _halved,
     _quintic,
     dyadic_edges,
     grid_integral_1d,
     integrate_polar,
     mc_region_multi,
+    meridian_integral,
     total_stderr,
 )
 from .report import VerificationReport
@@ -561,8 +564,7 @@ def _panel_edges(phis) -> np.ndarray:
 
 
 def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
-    """((|z_w|, |X d(w)|, profiles), field) on directions w = (Z, T) of the unit gauge sphere and radial nodes r:
-    profiles(some) -> (phi(r), phi'(r)) of each phi of some as (len(some), len(r)) rows, and field(phi) =
+    """(|z_w|, field) on directions w = (Z, T) of the unit gauge sphere and radial nodes r: field(phi) =
     (|Phi|, |grad_X Phi|) at the points delta_r w for phi in phis, each a function p -> its p-th power in the ray
     form of :func:`_ray_sum`, computed once per p.
     Under delta_r, X_j and d have degree 1 and X_j d and a modulation m degree 0, so |Phi| = |phi(r)| |m(w)| and
@@ -577,17 +579,6 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
     Xd2 = np.einsum("nj,nj->n", Xd, Xd)
     Xd_norm, ones = np.sqrt(Xd2)[:, None], np.ones((len(Z), 1))
     shape_values = cache(lambda shape: shape(r))
-
-    def profiles(some):
-        """r^{-a} F and r^{-a} (F' - a F / r) of phis of one support, r clamped at r0 as in
-        HardyTestFunction.profile; at a = 0 they equal F and F' up to the sign of a zero."""
-        F, dF = (np.array(v) for v in zip(*(shape_values(phi.shape) for phi in some)))
-        x = np.maximum(r, some[0].support[0])
-        dF -= np.array([[phi.power] for phi in some]) * F / x
-        rp = _powers(x, [-phi.power for phi in some])
-        F *= rp
-        dF *= rp
-        return F, dF
 
     def modulation(mod):
         """m and the coefficients of |grad_X Phi|^2 = m^2 |X d|^2 phi'^2 + 2 m <X d, X m> phi' phi / r
@@ -604,7 +595,7 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
         return cache(lambda p: (A**p, B**p))
 
     def field(phi):
-        (f,), (df,) = profiles([phi])
+        f, df = phi.profile(r, *shape_values(phi.shape))
         if phi.modulation is None:
             return powers(ones, np.abs(f)), powers(Xd_norm, np.abs(df))
         mv, a, b, cc = modulations[phi.modulation]
@@ -612,7 +603,7 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
         gn = np.sqrt(np.maximum(a * df**2 + b * (df * fr) + cc * fr**2, 0.0))
         return powers(np.abs(mv)[:, None], np.abs(f)), powers(gn, 1.0)
 
-    return (zn, Xd_norm[:, 0], profiles), field
+    return zn, field
 
 
 def _powers(x: np.ndarray, exps) -> np.ndarray:
@@ -640,22 +631,17 @@ def _ray_sum(f, ang, rad, c) -> np.ndarray:
 
 
 def _radial_1d_batch(cases, edges=None) -> np.ndarray:
-    """Polar reduction for radial Phi: both sides factor through the
-    sphere moment of |z|^{(2k-1)p}:
-
-        lhs = S * int r^{Q-1+alpha} |phi'(r)|^p dr
-        rhs = S * int r^{Q-1+alpha-p} |phi(r)|^p dr.
-
-    One grid_integral_1d call on all panels of edges (default
-    :func:`_panel_edges`, ending at every non-smooth point of the
-    integrands) evaluates each distinct shape once and every case as one
-    row of (cases, nodes) arrays; returns the (lhs, rhs) rows.  With
-    phi = r^{-a} F each integrand is one p-th power, so a steep power
-    profile near r = 0 does not overflow a factor on its own.
-    """
+    """The (I_L, I_R) rows of radial cases, I_L = int r^{Q-1+alpha}
+    |phi'|^p dr and I_R = int r^{Q-1+alpha-p} |phi|^p dr, which times the
+    angular factor int_S |X d|^p = int_S |z_w|^{(2k-1)p} (Lemma 1) are the
+    two integrals of the quotient.  One grid_integral_1d call on all panels
+    of edges (default :func:`_panel_edges`, ending at every non-smooth
+    point of the integrands) evaluates each shape once and every case as
+    one row of (cases, nodes) arrays.  With phi = r^{-a} F each integrand
+    is one p-th power, so a steep power profile near r = 0 does not
+    overflow a factor on its own."""
     shapes = list(dict.fromkeys(phi.shape for _, phi in cases))
     at = [shapes.index(phi.shape) for _, phi in cases]
-    S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
     p, a = [params.p for params, _ in cases], np.array([[phi.power] for _, phi in cases])
     # the powers of r in r^{e/p - a} |F' - a F / r| and r^{(e-p)/p - a} |F|, e = Q - 1 + alpha
     lhs_exp = [(params.Q - 1.0 + params.alpha) / params.p - phi.power for params, phi in cases]
@@ -672,7 +658,7 @@ def _radial_1d_batch(cases, edges=None) -> np.ndarray:
         return out.reshape(2 * len(cases), -1)
 
     edges = _panel_edges([phi for _, phi in cases]) if edges is None else edges
-    return S[:, None] * grid_integral_1d(profile, edges).reshape(-1, 2)
+    return grid_integral_1d(profile, edges).reshape(-1, 2)
 
 
 def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = ()) -> list[HardyRatioResult]:
@@ -680,33 +666,26 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
 
         ratio = int d^alpha |grad_X Phi|^p  /  int d^{alpha-p} |grad_X d|^p |Phi|^p
 
-    for each (params, phi) in cases, by :func:`integrate_polar` over the
-    support: sampled directions, and Gauss-Legendre in the radius on the
-    panels of :func:`_panel_edges`, which end at every kink of a case's
-    |phi'|^p.  L, R and the ratio L / R, with their standard errors, come
-    from :func:`_power_quotients`.  For radial Phi both integrals carry the
-    same angular factor int_S |grad_X d|^p, so L_r / R_r is the quotient of
-    the two radial integrals in every replicate, the ratio's replicate
-    variance is round-off, and the quadrature term is its whole error.
+    for each (params, phi) in cases, on the radial panels of
+    :func:`_panel_edges`, which end at every kink of a case's |phi'|^p; the
+    cases must share k and the support of phi.  Returns one
+    :class:`HardyRatioResult` per case.
 
-    All cases share one set of directions and panels (common random
-    numbers), so they must share k and the support of phi.  On each batch
-    of directions :func:`_corpus_batch` evaluates each distinct shape once
-    on the radial nodes, with d = r and |grad_X d| = |z_w|^{2k-1} of degree
-    0.  The radial cases are evaluated together: their profiles are the
-    rows of (cases, nodes) arrays, and each column is an angular factor
-    |X d|^p or |grad_X d|^p (one row per distinct p) times the case's
-    radial integrand summed against c.  A modulated Phi does not factor,
-    so each of its cases keeps a ray sum (:func:`_ray_sum`) of the
-    (|Phi|^p, |grad_X Phi|^p) of its phi, computed once per p.  Every
-    power is taken once per distinct exponent (:func:`_powers`), so a
-    case's columns are the same products as in a call of its own on the
-    same panels and batching changes no bit of them.
+    A radial Phi draws nothing: L = int_S |X d|^p I_L and R =
+    int_S |z_w|^{(2k-1)p} I_R, the radial integrals I of
+    :func:`_radial_1d_batch` times angular factors from
+    :func:`meridian_integral`, equal by Lemma 1.  So ratio = I_L / I_R,
+    with the 1-D rule's quadrature term (gain under halved panels) as its
+    stderr.  lhs_1d and rhs_1d are sphere_moment((2k-1)p) I, and
+    radial_consistent says that L and R lie within their quadrature terms
+    of them.  Non-finite 1-D integrals raise ValueError.
 
-    For radial Phi the 1-D polar reduction (:func:`_radial_1d_batch`, one
-    grid_integral_1d call for all radial cases on the same panels) must
-    agree with the sampled values within 5 standard errors (built-in
-    self-check).  Returns one :class:`HardyRatioResult` per case.
+    A modulated Phi is integrated by :func:`integrate_polar` (substream
+    spawn_key, budget n), L, R and L / R with their stderrs from
+    :func:`_power_quotients`; a case is a ray sum (:func:`_ray_sum`) of the
+    (|Phi|^p, |grad_X Phi|^p) of :func:`_corpus_batch`, each power taken
+    once per distinct exponent (:func:`_powers`), so batching changes no
+    bit of a case's columns.
     """
     if not cases:
         raise ValueError("hardy_ratio needs at least one (params, phi) case")
@@ -718,58 +697,62 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         if not params.p < params.Q + params.alpha:
             raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + params.alpha}, got p={params.p}")
         by_phi.setdefault(id(phi), (phi, []))[1].append((i, params.p, params.alpha))
+    edges = _panel_edges([phi for phi, _ in by_phi.values()])
     ps = sorted({params.p for params, _ in cases})
-    radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
-    # the p, alpha and alpha - p of each radial case, and the radial cases of each p of ps
-    p_rad, a_rad = [cases[i][0].p for i in radial], [cases[i][0].alpha for i in radial]
-    ap_rad = [a - p for a, p in zip(a_rad, p_rad)]
-    by_p = [(j, [k for k, q in enumerate(p_rad) if q == p]) for j, p in enumerate(ps) if p in p_rad]
-    rows = 2 * np.array(radial, dtype=int)
+    out = [None] * len(cases)
 
-    def multi(Z, T, r, c):
-        (zn, xd, profiles), field = _corpus_batch(alg, base, Z, T, r, [phi for phi, _ in by_phi.values()])
-        # |grad_X d| at d = 1 (of degree 0) and |X d| to each p, one row per p
-        gd_p, xd_p = _powers(zn ** (2.0 * base.k - 1.0), ps), _powers(xd, ps)
-        out = np.empty((2 * len(cases), len(Z)))
-        if radial:
-            # separable: the angular factor of the case's p times its radial sum, one p at a time, so that no
-            # temporary spans every radial case and direction
-            f, df = profiles([cases[i][1] for i in radial])
-            lhs = np.sum(_powers(np.abs(df), p_rad) * _powers(r, a_rad) * c, axis=1)[:, None]
-            rhs = np.sum(_powers(np.abs(f), p_rad) * _powers(r, ap_rad) * c, axis=1)[:, None]
-            for j, at in by_p:
-                out[rows[at]] = xd_p[j] * lhs[at]
-                out[rows[at] + 1] = gd_p[j] * rhs[at]
-        r_pow = cache(lambda a: r**a)
-        for phi, idx in by_phi.values():
-            if not phi.radial:
+    modulated = [(phi, idx) for phi, idx in by_phi.values() if not phi.radial]
+    if modulated:
+        # modulated case -> its pair of columns, in the order of cases
+        col = {i: j for j, i in enumerate(i for i, (_, phi) in enumerate(cases) if not phi.radial)}
+
+        def multi(Z, T, r, c):
+            zn, field = _corpus_batch(alg, base, Z, T, r, [phi for phi, _ in modulated])
+            gd_p = _powers(zn ** (2.0 * base.k - 1.0), ps)  # |grad_X d| at d = 1 (of degree 0) to each p
+            out = np.empty((2 * len(col), len(Z)))
+            r_pow = cache(lambda a: r**a)
+            for phi, idx in modulated:
                 u, gu = field(phi)
                 for i, p, a in idx:
-                    out[2 * i] = _ray_sum(gu(p), 1.0, r_pow(a), c)
-                    out[2 * i + 1] = _ray_sum(u(p), gd_p[ps.index(p)], r_pow(a - p), c)
+                    out[2 * col[i]] = _ray_sum(gu(p), 1.0, r_pow(a), c)
+                    out[2 * col[i] + 1] = _ray_sum(u(p), gd_p[ps.index(p)], r_pow(a - p), c)
                 del u, gu  # this phi's directions x nodes powers, before the next phi builds its own
-        return out
+            return out
 
-    edges = _panel_edges([phi for phi, _ in by_phi.values()])
-    est, gain = integrate_polar(alg, base, edges, multi, 2 * len(cases), n, seed, spawn_key)
+        est, gain = integrate_polar(alg, base, edges, multi, 2 * len(col), n, seed, spawn_key)
+        # L, R and L / R of every modulated case
+        values, stderrs = _power_quotients(est, gain, [e for j in range(0, 2 * len(col), 2)
+                                                       for e in ({j: 1.0}, {j + 1: 1.0}, {j: 1.0, j + 1: -1.0})])
+        for i, j in col.items():
+            (L, R, ratio), (se_L, se_R, se) = values[3 * j : 3 * j + 3], stderrs[3 * j : 3 * j + 3]
+            out[i] = HardyRatioResult(L, R, ratio, se, se_L, se_R)
+
     radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
-    one_d = dict(zip(radial, _radial_1d_batch([cases[i] for i in radial], edges))) if radial else {}
-    out = []
-    # L, R and L / R of every case
-    values, stderrs = _power_quotients(est, gain, [e for i in range(0, 2 * len(cases), 2)
-                                                   for e in ({i: 1.0}, {i + 1: 1.0}, {i: 1.0, i + 1: -1.0})])
-    for i, (params, phi) in enumerate(cases):
-        (L, R, ratio), (se_L, se_R, se) = values[3 * i : 3 * i + 3], stderrs[3 * i : 3 * i + 3]
-        res = HardyRatioResult(L, R, ratio, se, se_L, se_R)
-        if phi.radial:
-            lhs1, rhs1 = one_d[i]
-            # 5 sigma: this self-check runs hundreds of times per suite, so a
-            # 3 sigma band would trip on sampling noise alone (family-wise),
-            # while genuine factor errors sit at z >> 100
-            ok = (abs(L - lhs1) <= 5.0 * res.lhs_stderr + 1e-9 * abs(lhs1)
-                  and abs(R - rhs1) <= 5.0 * res.rhs_stderr + 1e-9 * abs(rhs1))
-            res = replace(res, lhs_1d=float(lhs1), rhs_1d=float(rhs1), radial_consistent=bool(ok))
-        out.append(res)
+    if not radial:
+        return out
+    I = _radial_1d_batch([cases[i] for i in radial], edges)
+    gain = _radial_1d_batch([cases[i] for i in radial], _halved(edges)) / I
+    for i, ok in zip(radial, np.all(np.isfinite(gain), axis=1)):  # gain = fine / I is finite only if both are
+        if not ok:
+            raise ValueError(f"hardy_ratio: radial case {i} (p={cases[i][0].p:g}, alpha={cases[i][0].alpha:g}, "
+                             f"support {cases[i][1].support}) has non-finite 1-D integrals")
+
+    def angular(Z, T):
+        # |X d| and |grad_X d| = |z_w|^{2k-1} on the unit gauge sphere, each to every p
+        Xd = _x_from_euclid(alg, _drift(alg, base, Z), _d_and_grad(base, Z, T)[1])
+        zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
+        return np.vstack([_powers(np.sqrt(np.einsum("nj,nj->n", Xd, Xd)), ps), _powers(zn ** (2.0 * base.k - 1.0), ps)])
+
+    A, A_gain = meridian_integral(alg, base, angular)  # rows |X d|^p, then |grad_X d|^p
+    for j, i in enumerate(radial):
+        params = cases[i][0]
+        at, S = ps.index(params.p), cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p)
+        (I_L, I_R), (g_L, g_R) = I[j], gain[j]
+        L, R, ratio = A[at] * I_L, A[len(ps) + at] * I_R, I_L / I_R
+        se_L, se_R = total_stderr(0.0, L, g_L * A_gain[at]), total_stderr(0.0, R, g_R * A_gain[len(ps) + at])
+        res = L, R, ratio, total_stderr(0.0, ratio, g_L / g_R), se_L, se_R, S * I_L, S * I_R
+        out[i] = HardyRatioResult(*map(float, res), radial_consistent=bool(abs(L - S * I_L) <= se_L
+                                                                            and abs(R - S * I_R) <= se_R))
     return out
 
 
@@ -946,9 +929,9 @@ def _median(x) -> float:
 def verify_hardy(config: SuiteConfig) -> VerificationReport:
     """Every corpus Rayleigh quotient must sit above the sharp constant
     minus 3 standard errors, for each admissible (p, alpha); radial
-    quotients must also agree with their 1-D polar reduction.  One
+    quotients' angular factors must also agree with the sphere moment.  One
     hardy_ratio call per corpus annulus covers its ten functions and the
-    whole (p, alpha) grid on one set of shells (spawn key (4, annulus index))."""
+    (p, alpha) grid (modulated ones on spawn key (4, annulus index))."""
     report = _new_report("hardy", config)
     alg = config.algebra()
     corpus = build_hardy_corpus()
@@ -971,12 +954,9 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
     for params, fn_rows in zip(grid, rows):
         ratio, sharp, se = _tightest(fn_rows, ns)
         report.add_bound(f"hardy-p{params.p:g}-a{params.alpha:g}", ratio, sharp, "above", stderr=se, nsigma=ns)
-    # self-check of the 1-D polar reduction, aggregated robustly: a wrong
-    # moment factor or weight power shifts every radial quotient by the
-    # same systematic amount (the median z explodes and every flag
-    # fails), whereas the angularly concentrated |z|-power integrands
-    # occasionally defeat the small-sample variance estimate on a single
-    # function; honest sampling noise keeps the median z near 1
+    # self-check of the 1-D polar reduction: meridian angular factors against
+    # the sphere moment in quadrature terms, z at round-off (below 1e-2); a
+    # wrong moment, Jacobian or X d shifts every radial case alike
     report.add_deterministic("radial-reduction-median-z", _median(radial_devs), 3.0)
     report.add_bound(
         "radial-reduction-consistent-fraction", float(np.mean(radial_flags)), 0.9, "above"
@@ -1144,7 +1124,7 @@ def _uncertainty_quotients(alg: HTypeAlgebra, params: OperatorParams, phis, n: i
 
     def multi(Z, T, r, c):
         # at delta_r w: w1 = (r |z_w|)^t, w3 = |z_w|^{2k} and wb = |z_w|^{(2k-1)s} r^{-s}
-        (zn, _, _), field = _corpus_batch(alg, params, Z, T, r, phis)
+        zn, field = _corpus_batch(alg, params, Z, T, r, phis)
         w1, w3, wb, rt, rs = zn**t_exp, zn ** (2.0 * k), zn ** ((2.0 * k - 1.0) * s), r**t_exp, r ** (-s)
         return np.concatenate([[_ray_sum(u(t_exp), w1, rt, c), _ray_sum(gu(s), 1.0, 1.0, c),
                                 _ray_sum(u(2.0), w3, 1.0, c), _ray_sum(u(s), wb, rs, c)] for u, gu in map(field, phis)])

@@ -398,14 +398,17 @@ def test_sweep_j_defaults_to_j_max(capsys):
     assert len(default.splitlines()) == 3
 
 
-def test_sweep_spawn_key_follows_k_position(capsys):
-    # each entry of the k grid draws on its own stream (9, k index), also a repeated value
+def test_sweep_repeated_k_gives_identical_rows(capsys):
+    # a sweep row is a radial quotient, which draws nothing: a repeated k
+    # gives the same row twice, and another seed or budget gives it again
     args = ["sweep", "--group", "heisenberg:1", "--p", "2", "--alpha", "0", "--corpus-samples", "2000", "--out", "-"]
     assert run_cli(args + ["--k", "1"]) == 0
     [single] = capsys.readouterr().out.splitlines()[1:]
     assert run_cli(args + ["--k", "1,1"]) == 0
     first, second = capsys.readouterr().out.splitlines()[1:]
-    assert first == single and second != first
+    assert first == second == single
+    assert run_cli(args + ["--k", "1", "--seed", "7", "--corpus-samples", "9000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [single]
 
 
 # the options each command reads: its flags, and the only HPLAP_* variables
@@ -512,17 +515,25 @@ def test_verify_does_not_import_numpy_ma(tmp_path):
 
 def test_commands_do_not_import_numpy_polynomial(tmp_path):
     # the Gauss-Legendre rules and the pole coordinate of S^2 (reached
-    # through the t-sphere of quaternionic:1) use no numpy.polynomial
+    # through the t-sphere of quaternionic:1) use no numpy.polynomial; a
+    # sweep and the sharpness suite compute only radial quotients, which
+    # draw nothing, so they do not import numpy.random either
     env = {k: v for k, v in os.environ.items() if not k.startswith("HPLAP_")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    for argv in (["verify", "--suite", "all", "--group", "heisenberg:1", "--out", str(tmp_path)] + FAST_SAMPLES,
-                 ["verify", "--suite", "all", "--group", "quaternionic:1", "--k", "2", "--p", "3",
-                  "--samples", "20000", "--corpus-samples", "2000", "--out", str(tmp_path)],
-                 ["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "8000", "--out", "-"]):
-        code = f"import sys; from hplap.cli import main; main({argv!r}); print('numpy.polynomial' in sys.modules)"
+    for argv, drawn in (
+            (["verify", "--suite", "all", "--group", "heisenberg:1", "--out", str(tmp_path)] + FAST_SAMPLES, True),
+            (["verify", "--suite", "all", "--group", "quaternionic:1", "--k", "2", "--p", "3",
+              "--samples", "20000", "--corpus-samples", "2000", "--out", str(tmp_path)], True),
+            (["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "8000", "--out", "-"], False),
+            (["sweep", "--k", "1,1.5,2", "--p", "1.5,2,2.5,3", "--alpha", "-1,-0.5,0,0.5,1", "--mode", "sharpness",
+              "--out", "-"], False),
+            (["verify", "--suite", "sharpness", "--group", "quaternionic:1", "--k", "2", "--p", "3",
+              "--out", str(tmp_path)], False)):
+        code = (f"import sys; from hplap.cli import main; main({argv!r}); "
+                "print('numpy.polynomial' in sys.modules, 'numpy.random' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
                               timeout=120)
-        assert proc.stdout.splitlines()[-1] == "False", (argv, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == f"False {drawn}", (argv, proc.stderr)
 
 
 def test_warnings_of_a_successful_run_are_shown(tmp_path, monkeypatch):

@@ -26,15 +26,22 @@ def _trace_spans(tmp_path, hplap_args):
 
 
 def test_trace_hooks_record_hardy_ratio_and_1d_quadrature(tmp_path):
+    # a sweep row is a radial quotient: hardy_ratio integrates it in 1-D
+    # and draws nothing
     sweep = ["sweep", "--group", "heisenberg:1", "--k", "1", "--p", "2", "--alpha", "0", "--mode", "sharpness",
              "--corpus-samples", "4000", "--out", str(tmp_path / "sweep.csv")]
-    spans = _trace_spans(tmp_path, sweep)
-    assert {"verify.hardy_ratio", "quadrature.grid_integral_1d", "quadrature.mc_region_multi", "quadrature.draw",
-            "verify.evaluate"} <= {span[0] for span in spans}
-    # the directions of the polar integral are drawn and evaluated inside mc_region_multi
-    names = [span[0] for span in spans]
-    inside = {names[span[3]] for span in spans if span[0] in ("quadrature.draw", "verify.evaluate") and span[3] >= 0}
-    assert "quadrature.mc_region_multi" in inside
+    names = {span[0] for span in _trace_spans(tmp_path, sweep)}
+    assert {"verify.hardy_ratio", "quadrature.grid_integral_1d"} <= names
+    assert not names & {"quadrature.mc_region_multi", "quadrature.draw", "verify.evaluate"}
+    # the modulated quotients of lemma2 draw their directions under
+    # hardy_ratio, and draw and evaluate them inside mc_region_multi
+    spans = _trace_spans(tmp_path, ["verify", "--suite", "lemma2", "--corpus-samples", "4000",
+                                    "--out", str(tmp_path / "reports"), "--stamp", "T"])
+    up = {name: [_ancestors(spans, i) for i, span in enumerate(spans) if span[0] == name]
+          for name in ("quadrature.draw", "verify.evaluate")}
+    assert up["quadrature.draw"] and all("verify.hardy_ratio" in names for names in up["quadrature.draw"])
+    assert any("quadrature.mc_region_multi" in names for names in up["quadrature.draw"])
+    assert up["verify.evaluate"] and all("quadrature.mc_region_multi" in names for names in up["verify.evaluate"])
 
 
 def test_traced_draws_accept_at_most_their_candidates(tmp_path):

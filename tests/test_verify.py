@@ -230,9 +230,11 @@ def test_hardy_ratio_shared_cases_match_single_calls(heis1, monkeypatch):
 
 
 def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
-    # 8 cases on one shape: the shape runs once per field batch, once for
-    # the 1-D reduction on all its panels and once per step of the kink
-    # search, which handles every power at once, not once per case
+    # 8 radial cases on one shape: the shape runs twice for the 1-D
+    # reduction on all its panels (the rule and its halved-panel pass) and
+    # once per step of the kink search, which handles every power at once,
+    # not once per case, and no polar batch runs.  With 8 modulated twins
+    # on the same shape it also runs once per field batch
     calls = {"shape": 0, "batches": 0}
 
     def counted(name, fn):
@@ -258,8 +260,12 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
                                                                               counted("batches", multi_fn), *rest))
     calls["shape"] = 0
     hardy_ratio(heis1, cases, 8_000, seed=11)
+    assert calls["batches"] == 0 and calls["shape"] == 2 + searches[1]
+    twins = [(params, replace(phi, modulation=AngularModulation("z1", 0.5))) for params, phi in cases]
+    calls["shape"] = 0
+    hardy_ratio(heis1, cases + twins, 8_000, seed=11)
     assert calls["batches"] >= 1
-    assert calls["shape"] == calls["batches"] + 1 + searches[1]
+    assert calls["shape"] == calls["batches"] + 2 + searches[1]
 
 
 def _uncertainty_columns(alg, params, phi):
@@ -496,8 +502,11 @@ def test_ray_form_integrands_match_point_values(group, k, p, monkeypatch):
     corpus = build_hardy_corpus()
     cases = [(params, phi) for phi in corpus[:10]] + [(cfg.params(alg, alpha=1.0), corpus[3])]
     [(_, multi)] = _captured_integrands(monkeypatch, lambda: hardy_ratio(alg, cases, 4_000, seed=1))
+    # the polar columns are those of the modulated cases; radial cases draw nothing
+    modulated = [case for case in cases if not case[1].radial]
     np.testing.assert_allclose(_at_each_node(multi, Z, T, r),
-                               _at_each_node(at_real_points(params, _hardy_columns(alg, cases)), Z, T, r), rtol=1e-12)
+                               _at_each_node(at_real_points(params, _hardy_columns(alg, modulated)), Z, T, r),
+                               rtol=1e-12)
 
     phis = corpus[:10:3]
     [(_, multi)] = _captured_integrands(
@@ -541,15 +550,18 @@ def test_near_singular_warning_on_rays_as_at_points(r0, heis1):
 
 
 def test_near_singular_warning_in_a_quotient_as_at_points(heis1):
-    # a Rayleigh quotient whose support reaches to d = 2^-20 warns as its
-    # point-wise integrand on the same directions does; one that stays out
-    # at d >= 0.5 warns on neither path
-    for phi, expected in ((annulus_bump(2.0**-20, 2.0, "sin2"), True), (annulus_bump(0.5, 2.0, "sin2"), False)):
-        params = params_for(heis1, k=1.5, p=2.5)
+    # a modulated Rayleigh quotient whose support reaches to d = 2^-20
+    # warns as its point-wise integrand on the same directions does; one
+    # that stays out at d >= 0.5 warns on neither path.  Its radial twin
+    # evaluates no field at sampled points, so it warns at neither support
+    params = params_for(heis1, k=1.5, p=2.5)
+    for r0, expected in ((2.0**-20, True), (0.5, False)):
+        phi = annulus_bump(r0, 2.0, "sin2", modulation=AngularModulation("z1", 0.5))
         pointwise = at_real_points(params, _hardy_columns(heis1, [(params, phi)]))
         ray = _warns_near_singular(lambda: hardy_ratio(heis1, [(params, phi)], 8_000, seed=3))
         point = _warns_near_singular(lambda: integrate_polar(heis1, params, _panel_edges([phi]), pointwise, 2, 8_000, 3))
         assert ray == point == expected
+        assert not _warns_near_singular(lambda: hardy_ratio(heis1, [(params, annulus_bump(r0, 2.0, "sin2"))], 8_000, 3))
 
 
 def test_hardy_ratio_rejects_mixed_cases(heis1):
@@ -596,18 +608,19 @@ def _sweep_cases(alg, k):
 
 
 def _radial_errors(alg, cases, n, seed, spawn_key):
-    """(|ratio - exact 1-D ratio| / exact, stderr / ratio) of each case."""
-    out = []
-    for res in hardy_ratio(alg, cases, n, seed, spawn_key):
-        exact = res.lhs_1d / res.rhs_1d
-        out.append((abs(res.ratio - exact) / exact, res.stderr / res.ratio))
-    return np.array(out)
+    """(|ratio - reference| / reference, stderr / ratio) of each radial case,
+    against the quotient of :func:`_graded_radial_reference` on the
+    kink-aware panels of the batch."""
+    lhs, rhs = _graded_radial_reference(cases, _panel_edges([phi for _, phi in cases])).T
+    return np.array([(abs(res.ratio - ref) / ref, res.stderr / res.ratio)
+                     for res, ref in zip(hardy_ratio(alg, cases, n, seed, spawn_key), lhs / rhs)])
 
 
 def test_radial_quotients_carry_an_honest_quadrature_term(heis1, quat1):
     # a radial quotient is exact up to its radial quadrature: its stderr,
-    # the quadrature term, covers the distance to the 1-D reduction on
-    # every row of the sweep-heis grid and on the radial corpus
+    # the quadrature term of the 1-D rule, covers the distance to a
+    # reference graded towards every panel end on every row of the
+    # sweep-heis grid and on the radial corpus
     rows = [_radial_errors(heis1, _sweep_cases(heis1, k), 240_000, 20240, (9, ki)) for ki, k in enumerate((1.0, 1.5, 2.0))]
     assert sum(map(len, rows)) == 59
     for alg, k in ((heis1, 1.0), (quat1, 2.0)):
@@ -623,12 +636,14 @@ def test_radial_quotients_carry_an_honest_quadrature_term(heis1, quat1):
 def test_quadrature_term_needs_the_kink_edges(heis1, monkeypatch):
     # planted fault: panels on the dyadic pieces alone put the kink of
     # |phi'|^{3/2} inside a panel, and the p = 1.5 quotients of the sweep
-    # grid lose at least 100x in accuracy
+    # grid lose at least 100x in accuracy against the graded reference
     cases = [case for case in _sweep_cases(heis1, 1.0) if case[0].p == 1.5]
     kinked = _radial_errors(heis1, cases, 240_000, 20240, (9, 0))
+    reference = _graded_radial_reference(cases, _panel_edges([phi for _, phi in cases]))
     monkeypatch.setattr(verify_mod, "_panel_edges", lambda phis: dyadic_edges(*phis[0].support))
-    dyadic = _radial_errors(heis1, cases, 240_000, 20240, (9, 0))
-    assert np.max(dyadic[:, 0]) >= 100.0 * np.max(kinked[:, 0])
+    dyadic = [abs(res.ratio - lhs / rhs) / (lhs / rhs)
+              for res, (lhs, rhs) in zip(hardy_ratio(heis1, cases, 240_000, 20240, (9, 0)), reference)]
+    assert np.max(dyadic) >= 100.0 * np.max(kinked[:, 0])
 
 
 def _ray_rule(params, edges, multi_fn, nf, deg):
@@ -757,7 +772,7 @@ def test_panel_edges_place_known_kinks():
 
 
 def _graded_radial_reference(cases, edges):
-    """(lhs, rhs) rows of the 1-D reduction of radial cases, by plain
+    """(I_L, I_R) rows of the radial integrals of radial cases, by plain
     Gauss-Legendre on each panel of edges split into sub-panels graded
     geometrically towards both ends (ratio 0.15, 14 levels each, 32 nodes
     per sub-panel)."""
@@ -776,8 +791,7 @@ def _graded_radial_reference(cases, edges):
             # each integrand as one p-th power, which stays finite where r^{-ap} overflows
             out[i] += [np.sum(c * (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p),
                        np.sum(c * (r ** ((e - p) / p - a) * np.abs(F)) ** p)]
-    S = np.array([cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p) for params, _ in cases])
-    return S[:, None] * out
+    return out
 
 
 def test_radial_1d_batch_matches_a_graded_reference(heis1, quat1):
@@ -843,6 +857,71 @@ def test_radial_reduction_self_check(heis1):
     [res] = hardy_ratio(heis1, [(params, annulus_bump(0.5, 2.0, "poly3"))], 40_000, seed=6)
     assert res.radial_consistent
     assert res.ratio >= sharp_hardy_constant(params) - 3.0 * res.stderr
+
+
+def _radial_median_z(group, k, p):
+    [check] = [c for c in run_suite("hardy", SuiteConfig(group, k, p, corpus_samples=2_000)).checks
+               if c.check_id == "radial-reduction-median-z"]
+    return check.observed
+
+
+_RADIAL_GROUPS = [("heisenberg:1", 1.0, 2.0), ("quaternionic:1", 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("group, k, p", _RADIAL_GROUPS)
+def test_radial_reduction_sees_planted_faults(group, k, p, monkeypatch):
+    # the meridian rule's angular factors agree with the closed-form sphere
+    # moment at round-off, far below their quadrature terms; each planted
+    # fault pushes the median z of the hardy suite above 3
+    assert _radial_median_z(group, k, p) < 1e-2
+    grid_integral, drift, sphere_moment = quadrature.grid_integral_1d, verify_mod._drift, cf.sphere_moment
+    faults = {
+        # sin^q in place of sin^{q-1} in the meridian rule's Jacobian
+        "jacobian": (quadrature, "grid_integral_1d",
+                     lambda profile, edges: grid_integral(lambda th: profile(th) * np.sin(th), edges)),
+        # X d at the meridian points without the drift of X
+        "drift": (verify_mod, "_drift", lambda alg, params, Z: (0.0 * drift(alg, params, Z)[0], drift(alg, params, Z)[1])),
+        # sphere_moment((2k+1)p) as the moment of the 1-D reduction
+        "moment": (cf, "sphere_moment", lambda params, gamma: sphere_moment(params, gamma + 2.0 * params.p)),
+    }
+    for name, (module, attr, fault) in faults.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attr, fault)
+            assert _radial_median_z(group, k, p) > 3.0, name
+
+
+@pytest.mark.parametrize("group, k, p", _RADIAL_GROUPS)
+def test_radial_integrals_match_a_sampled_whole_field(group, k, p):
+    # independent oracle: L, R and L / R of the radial corpus on [0.5, 2]
+    # against integrate_polar of the point-wise integrands of the whole
+    # field (as_scalar_field and horizontal_gradient_batch at real points),
+    # within 3 sigma.  The sampled ratio has no replicate noise, since
+    # |grad_X Phi| = |phi'| |z_w|^{2k-1} at every point, so it is checked
+    # to its quadrature term
+    alg = resolve_group(group)
+    params = OperatorParams.of(alg, k=k, p=p)
+    cases = [(params, phi) for phi in build_hardy_corpus()[:10] if phi.radial]
+    est, gain = integrate_polar(alg, params, _panel_edges([phi for _, phi in cases]),
+                                at_real_points(params, _hardy_columns(alg, cases)), 2 * len(cases), 60_000, 17, (4, 0))
+    values, stderrs = verify_mod._power_quotients(est, gain, [e for i in range(0, 2 * len(cases), 2)
+                                                              for e in ({i: 1.0}, {i + 1: 1.0}, {i: 1.0, i + 1: -1.0})])
+    for j, res in enumerate(hardy_ratio(alg, cases, 60_000, 17, (4, 0))):
+        for exact, se, sampled, sampled_se in zip((res.lhs, res.rhs, res.ratio), (res.lhs_stderr, res.rhs_stderr, res.stderr),
+                                                  values[3 * j : 3 * j + 3], stderrs[3 * j : 3 * j + 3]):
+            assert abs(exact - sampled) <= 3.0 * math.hypot(se, sampled_se)
+
+
+def test_non_finite_radial_integrals_raise(heis1):
+    # u_1024 on heisenberg:1 reaches d = 2^-1025, whose quintic transition
+    # divides by a subnormal width: its 1-D integrals are nan and inf, and
+    # hardy_ratio names the case instead of returning them; u_512 stays finite
+    params = params_for(heis1)
+    [res] = hardy_ratio(heis1, [(params, sharpness_test_function(params, 512))], 8_000, 1)
+    assert all(map(math.isfinite, (res.lhs, res.rhs, res.ratio, res.stderr)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=r"radial case 0 \(p=2, alpha=0, support .*\) has non-finite 1-D integrals"):
+            hardy_ratio(heis1, [(params, sharpness_test_function(params, 1024))], 8_000, 1)
 
 
 # --------------------------------------------------------------- sharpness
