@@ -22,18 +22,15 @@ that names no option is an error.
 
 Defaults are SuiteConfig's (``--j``: ``j_max``); ``--out`` is
 ``reports`` for verify and ``sweep.csv`` for sweep.  Sample counts are
-budgets of bounding-box candidates, of which the unit gauge ball
-evaluates only the share that lands in it (the moments).  Every other
-integral is polar: its budget, split over the dyadic pieces of the
-support at 2048 or more each, buys the points of those pieces, spent on
-sampled directions with a radial quadrature along each.  density-total
-spends 10/3 of --samples over 2^-30 <= d < 2^12; each support of a
-modulated Rayleigh quotient or of an uncertainty quotient spends
---corpus-samples; radial Rayleigh quotients, every sweep row among them,
-draw nothing.  The uncertainty suite checks i1^{1/t} i2^{1/s} / i3
-against (Q - s)/s.
-``sweep --mode sharpness`` refuses a ``--j`` at which d^{4k} underflows
-on the support of u_j, i.e. 4k(j + 1) >= 1022 for some k of the grid.
+budgets of bounding-box candidates.  --samples is spent only by the ball
+moments, which evaluate the share of it that lands in the unit gauge
+ball.  Each support of a modulated Rayleigh quotient or of an uncertainty
+quotient spends --corpus-samples on a polar integral: its budget, split
+over the dyadic pieces of the support at 2048 or more each, buys the
+points of those pieces, spent on sampled directions with a radial
+quadrature along each.  Radial Rayleigh quotients, every sweep row among
+them, and the density total with its mollifier sweep draw nothing.  The
+uncertainty suite checks i1^{1/t} i2^{1/s} / i3 against (Q - s)/s.
 
 ``verify`` writes one report document per suite to
 ``<out>/<suite>-<group>-<stamp>.kv`` (colons and path separators in the
@@ -103,9 +100,8 @@ _HELP = {
     "group": "group id: heisenberg:n, quaternionic:n, custom:<file>", "k": "field parameter k >= 1",
     "p": "p-Laplacian exponent p > 1", "alpha": "norm-power weight exponent", "beta": "gradient-weight exponent",
     "seed": "base seed for all random streams (a non-negative integer); no sweep row draws from them",
-    "samples": "Monte Carlo budget in bounding-box candidates: the moments evaluate the share of n that lands in "
-               "the unit gauge ball; density-total spends 10n/3 over the dyadic pieces of 2^-30 <= d < 2^12, at "
-               f"least {MIN_REGION_CANDIDATES} each, as sampled directions times radial Gauss-Legendre nodes",
+    "samples": "Monte Carlo budget in bounding-box candidates of the ball moments, which evaluate the share of n "
+               "that lands in the unit gauge ball",
     "corpus_samples": f"sample budget per test-function support: split over its dyadic pieces, at least "
                       f"{MIN_REGION_CANDIDATES} each, it buys the share of each piece's bounding box that the "
                       "piece fills, spent as sampled directions times radial Gauss-Legendre nodes; radial "
@@ -190,12 +186,6 @@ def _validate(values: dict, command: str) -> list:
             raise ValueError(f"--{key.replace('_', '-')} must be {rule}, got {parsed[key]}")
     if command == "sweep" and not (values["j"].strip().isdecimal() and int(values["j"]) >= 1):
         raise ValueError(f"--j must be an integer of at least 1, got {values['j']!r}")
-    if command == "sweep" and values["mode"] == "sharpness":
-        # u_j reaches down to d = 2^-(j+1), where d^{4k} must stay a normal float
-        j, k = int(values["j"]), max(k_grid)
-        if 4.0 * k * (j + 1) >= 1022:
-            raise ValueError(f"--j {j}: the support of u_j reaches d = 2^-{j + 1}, where d^(4k) underflows at "
-                             f"k = {k:g}; 4k(j + 1) must be below 1022")
     fields = {_SUITE_FIELDS[key][0]: value for key, value in parsed.items()}
     configs = [[SuiteConfig(**fields, **combo) for combo in row] for row in combos]
     for config in itertools.chain.from_iterable(configs):

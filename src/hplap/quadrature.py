@@ -418,6 +418,18 @@ def _quintic(x: np.ndarray) -> tuple:
     return x**3 * (10.0 - 15.0 * x + 6.0 * x**2), 30.0 * x**2 * (1.0 - x) ** 2
 
 
+def _grid_rule(edges) -> tuple:
+    """The nodes and weights of :func:`grid_integral_1d` on the increasing
+    edges, panel after panel."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or not np.all(edges[1:] > edges[:-1]):
+        raise ValueError(f"grid_integral_1d requires increasing edges, got {edges}")
+    x, w = _leggauss(32)
+    q, dq = _quintic(0.5 * (x + 1.0))
+    width = np.diff(edges)[:, None]
+    return (edges[:-1, None] + width * q).ravel(), (width * (0.5 * w * dq)).ravel()
+
+
 def grid_integral_1d(profile: Callable, edges):
     """Integral of a profile over [edges[0], edges[-1]] by 32 Gauss-Legendre
     nodes per panel [a, b] of the increasing edges, after the substitution
@@ -430,20 +442,53 @@ def grid_integral_1d(profile: Callable, edges):
     Every panel is evaluated in one profile call.  A profile that returns
     (c, N) values at N nodes gives the c integrals as an array, all on the
     same nodes; a scalar profile gives a float."""
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or not np.all(edges[1:] > edges[:-1]):
-        raise ValueError(f"grid_integral_1d requires increasing edges, got {edges}")
-    x, w = _leggauss(32)
-    q, dq = _quintic(0.5 * (x + 1.0))
-    width = np.diff(edges)[:, None]
-    vals = np.asarray(profile((edges[:-1, None] + width * q).ravel()))
-    out = np.sum(vals * (width * (0.5 * w * dq)).ravel(), axis=-1)
+    x, w = _grid_rule(edges)
+    out = np.sum(np.asarray(profile(x)) * w, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
 def _halved(edges) -> np.ndarray:
     """The edges (an array) with the midpoint of every panel added between them."""
     return np.append(np.column_stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:])]).ravel(), edges[-1])
+
+
+#: theta panels of the meridian rule, graded dyadically toward theta = pi/2,
+#: where |z_w| -> 0
+_MERIDIAN_EDGES = 0.5 * math.pi * np.append(1.0 - 0.5 ** np.arange(6), 1.0)
+
+
+def _meridian_rule(alg: HTypeAlgebra, params: OperatorParams, g: Callable, halved: bool = False):
+    """The theta integral of :func:`meridian_integral`, its Jacobian and
+    scale, by :func:`grid_integral_1d` on the meridian's panels (halved, if
+    halved): the values alone, g evaluated once at all nodes.  Where m < 2k
+    the Jacobian cos^{m/(2k)-1} theta is singular at theta = pi/2, so the
+    rule integrates in v, theta = (pi/2)(1 - v^{2k}): the Jacobian becomes
+    v^{m-1} times a smooth factor, and |z_w| ~ v."""
+    m, q, k = alg.m, alg.q, params.k
+    scale = 4.0**-q * math.prod(2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) for n in (m, q))
+
+    def at_meridian(cos, sin):
+        Z, T = np.zeros((len(cos), m)), np.zeros((len(cos), q))
+        Z[:, 0], T[:, 0] = cos ** (0.5 / k), 0.25 * sin
+        return np.asarray(g(Z, T))
+
+    if m >= 2.0 * k:
+        def profile(theta):
+            cos, sin = np.cos(theta), np.sin(theta)
+            return at_meridian(cos, sin) * (cos ** (0.5 * m / k - 1.0) * sin ** (q - 1.0))
+
+        edges = _MERIDIAN_EDGES
+    else:
+        a = 0.5 * m / k
+
+        def profile(v):
+            u = 0.5 * math.pi * v ** (2.0 * k)  # pi/2 - theta; sin u = u sinc(u)
+            cos, sin = np.sin(u), np.cos(u)
+            jacobian = 2.0 * k * (0.5 * math.pi) ** a * v ** (m - 1.0) * np.sinc(u / math.pi) ** (a - 1.0)
+            return at_meridian(cos, sin) * (jacobian * sin ** (q - 1.0))
+
+        edges = _MERIDIAN_EDGES / (0.5 * math.pi)
+    return scale * grid_integral_1d(profile, _halved(edges) if halved else edges)
 
 
 def meridian_integral(alg: HTypeAlgebra, params: OperatorParams, g: Callable):
@@ -454,17 +499,8 @@ def meridian_integral(alg: HTypeAlgebra, params: OperatorParams, g: Callable):
     sin^{q-1} theta dtheta, g(Z, T) -> (c, n) evaluated at the meridian
     points z = cos^{1/(2k)} theta e_1, t = (sin theta / 4) f_1.  The theta
     integral is :func:`grid_integral_1d` on 6 panels graded dyadically
-    toward theta = pi/2, where |z| -> 0.  Returns (values,
-    gain) as :func:`integrate_polar` does, gain from halved panels."""
-    m, q, k = alg.m, alg.q, params.k
-    scale = 4.0**-q * math.prod(2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) for n in (m, q))
-
-    def profile(theta):
-        cos, sin = np.cos(theta), np.sin(theta)
-        Z, T = np.zeros((len(theta), m)), np.zeros((len(theta), q))
-        Z[:, 0], T[:, 0] = cos ** (0.5 / k), 0.25 * sin
-        return np.asarray(g(Z, T)) * (cos ** (0.5 * m / k - 1.0) * sin ** (q - 1.0))
-
-    edges = 0.5 * math.pi * np.append(1.0 - 0.5 ** np.arange(6), 1.0)
-    values, fine = (scale * grid_integral_1d(profile, e) for e in (edges, _halved(edges)))
+    toward theta = pi/2, where |z| -> 0 (in v where m < 2k, see
+    :func:`_meridian_rule`).  Returns (values, gain) as
+    :func:`integrate_polar` does, gain from halved panels."""
+    values, fine = (_meridian_rule(alg, params, g, halved) for halved in (False, True))
     return values, np.divide(fine, values, out=np.ones_like(values), where=values != 0.0)

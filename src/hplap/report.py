@@ -39,7 +39,8 @@ __all__ = ["CheckRecord", "VerificationReport", "to_kv", "to_csv", "from_kv"]
 class CheckRecord:
     """Outcome of one verification check.
 
-    kind is "deterministic" (tolerance on a max error), "stochastic"
+    kind is "deterministic" (tolerance on |observed - target|, target 0
+    for a max error), "stochastic"
     (|observed - target| judged against nsigma * stderr) or "bound"
     (observed compared one-sidedly against target).  margin is the signed
     distance to the pass boundary in the check's natural units (positive
@@ -74,18 +75,21 @@ class VerificationReport:
         self.overall_pass = bool(self.overall_pass and rec.passed)
         return rec
 
-    def add_deterministic(self, check_id: str, observed: float, tolerance: float) -> CheckRecord:
-        """Max-error style check: passes iff observed <= tolerance."""
+    def add_deterministic(self, check_id: str, observed: float, tolerance: float, target: float = 0.0) -> CheckRecord:
+        """Deterministic check: passes iff |observed - target| <= tolerance,
+        a max error against the default target 0 or a value against its
+        closed form."""
+        dev = abs(observed - target)
         return self.add(
             CheckRecord(
                 check_id=check_id,
                 kind="deterministic",
                 observed=float(observed),
-                target=0.0,
+                target=float(target),
                 tolerance=float(tolerance),
                 stderr=0.0,
-                margin=float(tolerance - observed),
-                passed=bool(observed <= tolerance),
+                margin=float(tolerance - dev),
+                passed=bool(dev <= tolerance),
             )
         )
 

@@ -9,12 +9,13 @@ lemma1
     against pure finite-difference evaluation of the fields.
 fundamental_solution
     Off-singularity harmonicity of the fundamental solution, the total
-    integral of the scaling density (Monte Carlo vs Gamma-function
-    constant), and the mollifier sweep showing the scaling identity
-    concentrates to a point mass.
+    integral of the scaling density (meridian and radial rules vs
+    Gamma-function constant), and the mollifier sweep showing the scaling
+    identity concentrates to a point mass.
 moments
-    Gauge ball/sphere moments: Monte Carlo vs closed forms, and the
-    arithmetic consistency chain between the moment constants.
+    Gauge ball moments: Monte Carlo vs closed forms; sphere moments: the
+    meridian rule vs closed forms; and the arithmetic consistency chain
+    between the moment constants.
 hardy
     Rayleigh quotients of a frozen 50-function corpus against the sharp
     constant ((Q + alpha - p)/p)^p over a (p, alpha) grid.
@@ -33,8 +34,8 @@ uncertainty
 
 Determinism: every random stream is derived from the suite seed with a
 distinct spawn key, so re-running a suite with the same configuration
-reproduces its report bit-identically; radial Rayleigh quotients draw
-nothing.
+reproduces its report bit-identically; radial Rayleigh quotients, the
+density total and its mollifier sweep draw nothing.
 
 Sampling note: pointwise identity checks draw points with d log-uniform
 in a range and direction bounded away from the center tube {z = 0}
@@ -80,8 +81,11 @@ from .fields import (
 )
 from .quadrature import (
     REPLICATES,
+    QUAD_FLOOR,
     Sampler,
+    _grid_rule,
     _halved,
+    _meridian_rule,
     _quintic,
     dyadic_edges,
     grid_integral_1d,
@@ -156,9 +160,6 @@ class SuiteConfig:
         before their variance estimates are trustworthy."""
         alg = self.algebra()
         return self.corpus_samples * (4 if alg.m + alg.q >= 7 else 1)
-
-    def sweep_tol(self) -> float:
-        return 0.02 if self.mc_nsigma() > 3.0 else 0.01
 
     def echo(self) -> dict:
         return {
@@ -802,11 +803,19 @@ def _unique_inverse(x: np.ndarray) -> tuple:
     return srt[first], at
 
 
+#: exponentials in one block of the mollifier sweep of
+#: :func:`verify_fundamental_solution` (512 KB)
+_SWEEP_BLOCK = 1 << 16
+
+
 def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
     """(a) off-singularity harmonicity of the fundamental solution;
-    (b) total integral of the scaling density vs its closed form;
-    (c) mollifier sweep of the scaled pairing, with common random numbers
-    across the sweep so the limit is isolated from sampling noise."""
+    (b) total integral of the scaling density vs its closed form, to the
+    quadrature terms of its two rules;
+    (c) mollifier sweep of the scaled pairing.
+    psi and the sweep see a direction w only through |z_w|, so (b) and (c)
+    are the meridian rule of :func:`meridian_integral` times 1-D radial
+    rules: they draw no point."""
     report = _new_report("fundamental_solution", config)
     alg = config.algebra()
     params = config.params(alg)
@@ -827,44 +836,49 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
         # the scaling density and its sweep are defined for p != Q only
         return report
 
-    # (b) + (c): one polar integral over 2^-30 <= d < 2^12 on dyadic
-    # panels, every column on the same directions; the last column is the
-    # outermost panel's share, a tail diagnostic.  10/3 n_samples candidates
-    # evaluate about 2e6 points on heisenberg:1 at the defaults
-    eps_list = tuple(config.eps_sweep)
-    pref = cf.psi_prefactor(params)
-    target = (pref / (4.0 * k * p - 4.0 * k + Q - p)) * cf.sigma_p(params)
-
-    def multi(Zs, Ts, r, c):
-        # psi(delta_r w) = psi(w) psi_radial(r), and |z|^2, |t|^2 scale by r^2, r^{4k}
-        psi_w = cf.psi(params, (Zs, Ts))
-        zn2 = np.einsum("ni,ni->n", Zs, Zs)
-        tn2 = np.einsum("ni,ni->n", Ts, Ts)
-        rad = cf.psi_radial(params, r) * c
-        # the sweep's Gaussian at delta_r w is exp(-|z_w|^2 s^2 - |t_w|^2 s^{4k}) at s = eps r: one exponential per
-        # distinct s (dyadic eps and panels share most of them), each column's weights rad at its own s
-        s, at = _unique_inverse(np.multiply.outer(eps_list, r).ravel())
-        weights = np.zeros((len(s), len(eps_list)))
-        weights[at.reshape(len(eps_list), -1), np.arange(len(eps_list))[:, None]] = rad
-        sweep = np.exp(-zn2[:, None] * s**2 - tn2[:, None] * s ** (4.0 * k)) @ weights
-        total, tail = np.full_like(psi_w, np.sum(rad)), np.full_like(psi_w, np.sum(rad[r >= 2.0**11]))
-        return psi_w * np.vstack([total, sweep.T, tail])
-
-    est, gain = integrate_polar(alg, params, dyadic_edges(2.0**-30, 2.0**12), multi, len(eps_list) + 2,
-                                10 * config.n_samples // 3, config.seed, (2,))
-    vals = est.mean(axis=0)
-    if abs(vals[-1]) > 0.01 * abs(vals[0]):
+    # (b) psi(delta_r w) = psi(w) psi_radial(r), so its integral is the
+    # meridian rule of psi times the 1-D integral of psi_radial r^{Q-1} over
+    # 2^-30 <= d < 2^12, whose outermost dyadic panel is a tail diagnostic
+    edges = dyadic_edges(2.0**-30, 2.0**12)
+    target = cf.psi_prefactor(params) / (4.0 * k * p - 4.0 * k + Q - p) * cf.sigma_p(params)
+    radial = lambda r: cf.psi_radial(params, r) * r ** (Q - 1.0)
+    I, I_fine = grid_integral_1d(radial, edges), grid_integral_1d(radial, _halved(edges))
+    if abs(grid_integral_1d(radial, edges[-2:])) > 0.01 * abs(I):
         raise RuntimeError("scaling-density integral: non-decaying tail at the outermost shell")
-    (est0,), (se,) = _power_quotients(est, gain, [{0: 1.0}])
-    report.add_stochastic("density-total", est0, target, se, nsigma=config.mc_nsigma())
+    (A,), (A_gain,) = meridian_integral(alg, params, lambda Zs, Ts: [cf.psi(params, (Zs, Ts))])
+    total = A * I
+    report.add_deterministic("density-total", total, total_stderr(0.0, total, A_gain * I_fine / I), target=target)
 
     # (c) observed pairing error |int psi * phi(delta_eps .) - phi(0) int psi|
-    # on the same samples; per-sample monotone for this bump, so the
-    # sequence must decrease up to float jitter
-    errs = np.abs(vals[1:-1] - est0)
+    # of the Gaussian phi = exp(-|z|^2 - |t|^2): at delta_r w it is
+    # exp(-|z_w|^2 s^2 - |t_w|^2 s^{4k}) at s = eps r, so each eps is the
+    # meridian rule crossed with the radial nodes, one exponential per
+    # meridian point and distinct s (dyadic eps and panels share most of
+    # them), in blocks of at most _SWEEP_BLOCK
+    eps_list = tuple(config.eps_sweep)
+    r, c = _grid_rule(edges)
+    s, at = _unique_inverse(np.multiply.outer(eps_list, r).ravel())
+    weights = np.zeros((len(s), len(eps_list)))  # each column's radial weights at its own s
+    weights[at.reshape(len(eps_list), -1), np.arange(len(eps_list))[:, None]] = radial(r) * c
+    s2, s4k = s * s, s ** (4.0 * k)
+
+    def sweep(Zs, Ts):
+        zn2, tn2 = np.einsum("ni,ni->n", Zs, Zs), np.einsum("ni,ni->n", Ts, Ts)
+        rows = max(1, _SWEEP_BLOCK // len(s))
+        gauss, out = np.empty((min(rows, len(Zs)), len(s))), np.empty((len(eps_list), len(Zs)))
+        for i in range(0, len(Zs), rows):
+            g = gauss[: min(rows, len(Zs) - i)]
+            np.multiply.outer(zn2[i : i + rows], -s2, out=g)
+            g -= np.multiply.outer(tn2[i : i + rows], s4k)
+            out[:, i : i + rows] = (np.exp(g, out=g) @ weights).T
+        return cf.psi(params, (Zs, Ts)) * out
+
+    # psi (1 - phi(delta_eps .)) has one sign and grows with eps at every
+    # node, so the errors must decrease with eps up to float jitter
+    errs = np.abs(_meridian_rule(alg, params, sweep) - total)
     mono_slack = float(np.max(errs[1:] - errs[:-1])) if len(errs) > 1 else -1.0
-    report.add_bound("sweep-monotone", mono_slack, 1e-9 * abs(est0), "below")
-    report.add_deterministic("sweep-final", float(errs[-1] / abs(est0)), config.sweep_tol())
+    report.add_bound("sweep-monotone", mono_slack, 1e-9 * abs(total), "below")
+    report.add_deterministic("sweep-final", float(errs[-1] / abs(total)), 0.01)
     return report
 
 
@@ -873,9 +887,10 @@ def verify_fundamental_solution(config: SuiteConfig) -> VerificationReport:
 
 
 def verify_moments(config: SuiteConfig) -> VerificationReport:
-    """Monte Carlo gauge-ball moments vs Gamma closed forms (3 sigma) and
-    the arithmetic consistency chain between the constants (1e-12).  All
-    moments are columns of one sample of the unit ball."""
+    """Monte Carlo gauge-ball moments vs Gamma closed forms (3 sigma), the
+    arithmetic consistency chain between the constants (1e-12), and the
+    meridian rule's sphere moments vs their closed forms, to its quadrature
+    term.  All ball moments are columns of one sample of the unit ball."""
     report = _new_report("moments", config)
     alg = config.algebra()
     params = config.params(alg)
@@ -904,6 +919,15 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
         abs(spb - cf.sphere_moment(params, (2.0 * k - 1.0) * (p + beta))) / spb,
         1e-12,
     )
+    # the meridian rule integrates |z_w|^gamma over the unit gauge sphere
+    # in coordinates, independently of the Gamma algebra of sphere_moment;
+    # the gamma with the least margin is reported
+    sphere_gammas = list(dict.fromkeys((0.0, 1.0, (2.0 * k - 1.0) * (p + beta))))
+    A, gain = meridian_integral(alg, params, lambda Z, T: _powers(np.sqrt(np.einsum("ni,ni->n", Z, Z)), sphere_gammas))
+    S = np.array([cf.sphere_moment(params, gamma) for gamma in sphere_gammas])
+    err, tol = np.abs(A - S) / S, np.maximum(2.0 * np.abs(gain - 1.0), QUAD_FLOOR)
+    at = int(np.argmin(tol - err))
+    report.add_deterministic("sphere-rule", err[at], tol[at])
     return report
 
 

@@ -3,7 +3,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from hplap.algebra import OperatorParams, bracket, make_heisenberg, make_quaternionic
+from hplap.algebra import OperatorParams, bracket, from_j_matrices, make_heisenberg, make_quaternionic
 from hplap.fields import ScalarField
 
 
@@ -53,6 +53,50 @@ def group_product(alg, g, h):
     """The group law (z, t)(w, s) = (z + w, t + s + [z, w]/2) on (z, t) pairs."""
     (z, t), (w, s) = g, h
     return z + w, t + s + 0.5 * bracket(alg, z, w)
+
+
+def graded_radial_reference(cases, edges):
+    """(I_L, I_R) rows of the radial integrals of radial cases, by plain
+    Gauss-Legendre on each panel of edges split into sub-panels graded
+    geometrically towards both ends (ratio 0.15, 14 levels each, 32 nodes
+    per sub-panel)."""
+    levels = 0.15 ** np.arange(1, 15)
+    t = np.concatenate([[0.0], levels[::-1], [0.5], 1.0 - levels, [1.0]])
+    x, w = np.polynomial.legendre.leggauss(32)
+    out = np.zeros((len(cases), 2))
+    for lo, hi in zip(edges, edges[1:]):
+        cuts = lo + (hi - lo) * t
+        half = 0.5 * np.diff(cuts)[:, None]
+        r = (cuts[:-1, None] + half * (x + 1.0)).ravel()
+        c = (half * w).ravel()
+        for i, (params, phi) in enumerate(cases):
+            p, e, a = params.p, params.Q - 1.0 + params.alpha, phi.power
+            F, dF = phi.shape(r)
+            # each integrand as one p-th power, which stays finite where r^{-ap} overflows
+            out[i] += [np.sum(c * (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p),
+                       np.sum(c * (r ** ((e - p) / p - a) * np.abs(F)) ** p)]
+    return out
+
+
+def _cayley_dickson(a, b):
+    """The product of two elements of the Cayley-Dickson algebra of
+    dimension len(a) (reals, complexes, quaternions, octonions, ...):
+    (p, q)(r, s) = (p r - s* q, s p + q r*)."""
+    if len(a) == 1:
+        return a * b
+    h = len(a) // 2
+    conj = lambda x: np.concatenate([x[:1], -x[1:]])
+    (p, q), (r, s) = (a[:h], a[h:]), (b[:h], b[h:])
+    return np.concatenate([_cayley_dickson(p, r) - _cayley_dickson(conj(s), q),
+                           _cayley_dickson(s, p) + _cayley_dickson(q, conj(r))])
+
+
+def octonion_units(q: int):
+    """The H-type algebra with m = 8 and center dimension q <= 7 whose J_i
+    are the left multiplications by the first q imaginary octonion units,
+    validated by from_j_matrices."""
+    E = np.eye(8)
+    return from_j_matrices([np.column_stack([_cayley_dickson(E[i], E[j]) for j in range(8)]) for i in range(1, q + 1)])
 
 
 _GL_CACHE = {}

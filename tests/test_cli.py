@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from hplap import cli
 from hplap.cli import _DEFAULTS, _build_parser, main
 from hplap.report import _CHECK_FIELDS, VerificationReport, from_kv
-from hplap.verify import SuiteConfig
+from hplap.algebra import OperatorParams, resolve_group
+from hplap.verify import SuiteConfig, _panel_edges, sharpness_test_function
+from conftest import graded_radial_reference
 
 FAST_SAMPLES = ["--samples", "40000", "--corpus-samples", "8000"]
 
@@ -251,16 +253,39 @@ def test_sweep_rejects_bad_j(j, monkeypatch, capsys):
     assert "configuration error: --j" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k, j, largest", [("1", "300", None), ("1", "255", "254"), ("1,2", "127", "126")])
-def test_sweep_rejects_j_whose_support_underflows_the_gauge(k, j, largest, tmp_path, capsys):
-    # u_j reaches d = 2^-(j+1), and d^{4k} underflows once 4k(j + 1) >= 1022, for any k of the grid
-    args = ["sweep", "--k", k, "--p", "2", "--alpha", "0", "--mode", "sharpness", "--corpus-samples", "2000",
-            "--out", str(tmp_path / "s.csv")]
-    assert run_cli(args + ["--j", j]) == 2
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("configuration error: --j") and not (tmp_path / "s.csv").exists()
-    if largest is not None:
-        assert run_cli(args + ["--j", largest]) == 0
+def test_sweep_computes_u_j_far_inside_the_unit_ball(capsys):
+    # u_600 reaches d = 2^-601, where d^{4k} underflows; no row evaluates
+    # it, and each row is the exact 1-D quotient, with no warning
+    args = ["sweep", "--group", "heisenberg:1", "--k", "1,1.5,2", "--p", "2", "--alpha", "0", "--mode", "sharpness",
+            "--j", "600", "--out", "-"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "sweep: 3 configurations -> -\n"
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    alg = resolve_group("heisenberg:1")
+    for row, k in zip(rows, (1.0, 1.5, 2.0)):
+        params = OperatorParams.of(alg, k=k, p=2.0)
+        phi = sharpness_test_function(params, 600)
+        [(lhs, rhs)] = graded_radial_reference([(params, phi)], _panel_edges([phi]))
+        assert float(row["k"]) == k and abs(float(row["ratio"]) / (lhs / rhs) - 1.0) <= 1e-13
+
+
+def test_sweep_names_a_case_whose_1d_integrals_are_not_finite(tmp_path, capsys):
+    # u_1024 reaches d = 2^-1025, whose quintic transition divides by a
+    # subnormal width: the case is named in a configuration error, with no
+    # traceback, no warning and no output file
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--mode", "sharpness", "--j", "1024", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert not caught and captured.out == "" and not out.exists()
+    [line] = captured.err.splitlines()
+    assert line.startswith("configuration error: hardy_ratio: radial case 0 (p=2, alpha=0, support ")
+    assert line.endswith(") has non-finite 1-D integrals")
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):

@@ -65,17 +65,20 @@ def _ancestors(spans, i):
 
 
 def test_trace_hooks_see_the_polar_density_and_uncertainty_integrals(tmp_path):
-    # both suites integrate through integrate_polar: psi and the suites'
-    # integrands are evaluated inside mc_region_multi, and every draw
-    # there still accepts at most its candidates
+    # the uncertainty suite integrates through integrate_polar: its
+    # integrands are evaluated inside mc_region_multi, and every draw there
+    # still accepts at most its candidates.  fundamental_solution integrates
+    # psi by the meridian and radial rules: psi is evaluated under the 1-D
+    # rule, and nothing is drawn
     spans = _trace_spans(tmp_path, ["verify", "--suite", "fundamental_solution", "--suite", "uncertainty",
                                     "--samples", "20000", "--corpus-samples", "8000",
                                     "--out", str(tmp_path / "reports"), "--stamp", "T"])
-    for suite in ("fundamental_solution", "uncertainty"):
-        evaluate = [i for i, span in enumerate(spans)
-                    if span[0] == "verify.evaluate" and f"verify.suite.{suite}" in _ancestors(spans, i)]
-        assert evaluate and all("quadrature.mc_region_multi" in _ancestors(spans, i) for i in evaluate)
-    psi = [_ancestors(spans, i) for i, span in enumerate(spans) if span[0] == "closedform.psi"]
-    assert any("quadrature.mc_region_multi" in up and "verify.evaluate" in up for up in psi)
+    evaluate = [i for i, span in enumerate(spans)
+                if span[0] == "verify.evaluate" and "verify.suite.uncertainty" in _ancestors(spans, i)]
+    assert evaluate and all("quadrature.mc_region_multi" in _ancestors(spans, i) for i in evaluate)
     draws = [span[4] for span in spans if span[0] == "quadrature.draw"]
     assert draws and all(0 < attrs["accepted"] <= attrs["candidates"] for attrs in draws)
+    density = [(span[0], _ancestors(spans, i)) for i, span in enumerate(spans)
+               if "verify.suite.fundamental_solution" in _ancestors(spans, i)]
+    assert any(name == "closedform.psi" and "quadrature.grid_integral_1d" in up for name, up in density)
+    assert not {name for name, _ in density} & {"quadrature.draw", "quadrature.mc_region_multi", "verify.evaluate"}

@@ -434,3 +434,18 @@ def test_pole_is_its_polyval_form_bit_for_bit(n):
         if not np.max(step, initial=0.0) > 1e-15:
             break
     assert np.array_equal(quadrature._pole(u, n), np.copysign(np.minimum(x, 1.0), v))
+
+
+@pytest.mark.parametrize("group, k", [("heisenberg:1", 1.5), ("heisenberg:1", 2.0), ("heisenberg:1", 10.0),
+                                      ("heisenberg:2", 2.5), ("quaternionic:1", 3.0), ("quaternionic:2", 7.0)])
+def test_meridian_rule_where_its_jacobian_is_singular(group, k):
+    # m < 2k: cos^{m/(2k)-1} theta is singular at theta = pi/2, so the
+    # rule integrates in v, theta = (pi/2)(1 - v^{2k}).  The sphere moments
+    # of |z_w|^gamma, weak powers of |z_w| among them, are met to 1e-14
+    alg = resolve_group(group)
+    params = params_for(alg, k=k)
+    gammas = (0.0, 0.05, 0.37, 1.0, 3.0)
+    values, gain = quadrature.meridian_integral(alg, params, lambda Z, T: [np.sqrt(zsq(Z, T)) ** g for g in gammas])
+    exact = np.array([cf.sphere_moment(params, g) for g in gammas])
+    assert alg.m < 2.0 * k and np.all(np.abs(values / exact - 1.0) <= 1e-14)
+    assert np.all(np.abs(gain - 1.0) <= 1e-14)

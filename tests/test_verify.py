@@ -37,7 +37,7 @@ from hplap.verify import (
     verify_moments,
     verify_uncertainty,
 )
-from conftest import at_real_points, params_for, real_points
+from conftest import at_real_points, graded_radial_reference, octonion_units, params_for, real_points
 
 FAST = dict(n_samples=40_000, corpus_samples=8_000)
 
@@ -490,10 +490,10 @@ def test_ray_form_fields_match_point_values(group, k, p):
 
 @pytest.mark.parametrize("group,k,p", _RAY_CONFIGS)
 def test_ray_form_integrands_match_point_values(group, k, p, monkeypatch):
-    # every column of the hardy, uncertainty and density integrands, node by
-    # node, against the point-wise integrand at delta_r w: the quotient
-    # weights, the uncertainty weights (r |z_w|)^t, |z_w|^{2k} and
-    # |z_w|^{(2k-1)s} r^{-s}, and psi(w) psi_radial(r) with its eps sweep
+    # every column of the hardy and uncertainty integrands, node by node,
+    # against the point-wise integrand at delta_r w: the quotient weights
+    # and the uncertainty weights (r |z_w|)^t, |z_w|^{2k} and
+    # |z_w|^{(2k-1)s} r^{-s}; and the density's eps sweep
     alg = resolve_group(group)
     cfg = SuiteConfig(group, k, p, n_samples=4_000, corpus_samples=4_000)
     params = cfg.params(alg)
@@ -514,17 +514,39 @@ def test_ray_form_integrands_match_point_values(group, k, p, monkeypatch):
     reference = np.concatenate([_uncertainty_columns(alg, params, phi)(*real_points(params, Z, T, r)) for phi in phis])
     np.testing.assert_allclose(_at_each_node(multi, Z, T, r), reference.reshape(-1, len(Z), len(r)), rtol=1e-12)
 
-    def density(Zs, Ts):
-        psi = cf.psi(params, (Zs, Ts))
-        zn2, tn2 = np.einsum("ni,ni->n", Zs, Zs), np.einsum("ni,ni->n", Ts, Ts)
-        sweep = [psi * np.exp(-(e**2) * zn2 - e ** (4.0 * k) * tn2) for e in cfg.eps_sweep]
-        return np.stack([psi, *sweep, np.where(norm_d(params, (Zs, Ts)) >= 2.0**11, psi, 0.0)])
+    # the sweep tensor of the density's mollifier sweep at meridian points
+    # (z = cos^{1/(2k)} theta e_1, t = (sin theta / 4) f_1), in more than one
+    # block, against psi and the mollifier at the real points delta_r w of
+    # the radial nodes, contracted with the radial weights r^{Q-1} c
+    [sweep] = _captured_sweeps(monkeypatch, lambda: verify_fundamental_solution(cfg))
+    theta = np.linspace(0.0, 0.5 * np.pi, 102)[1:-1]
+    Zm, Tm = np.zeros((len(theta), alg.m)), np.zeros((len(theta), alg.q))
+    Zm[:, 0], Tm[:, 0] = np.cos(theta) ** (0.5 / k), 0.25 * np.sin(theta)
+    r, c = quadrature._grid_rule(dyadic_edges(2.0**-30, 2.0**12))
+    assert len(theta) > verify_mod._SWEEP_BLOCK // len(np.unique(np.multiply.outer(cfg.eps_sweep, r)))
 
-    [(_, multi)] = _captured_integrands(monkeypatch, lambda: verify_fundamental_solution(cfg))
-    r = 2.0 ** np.array([-29.5, -12.25, -3.5, -0.5, 0.25, 2.75, 7.5, 10.5, 11.25, 11.75])
-    # atol: the far sweep columns reach subnormal values, which have no relative precision
-    np.testing.assert_allclose(_at_each_node(multi, Z, T, r), _at_each_node(at_real_points(params, density), Z, T, r),
-                               rtol=1e-12, atol=1e-300)
+    def density(Zs, Ts):
+        zn2, tn2 = np.einsum("ni,ni->n", Zs, Zs), np.einsum("ni,ni->n", Ts, Ts)
+        return cf.psi(params, (Zs, Ts)) * np.stack([np.exp(-(e**2) * zn2 - e ** (4.0 * k) * tn2) for e in cfg.eps_sweep])
+
+    np.testing.assert_allclose(sweep(Zm, Tm), at_real_points(params, density)(Zm, Tm, r, r ** (params.Q - 1.0) * c),
+                               rtol=1e-12)
+
+
+def _captured_sweeps(monkeypatch, run):
+    """The integrand of every meridian rule that verify calls directly
+    (the mollifier sweep of fundamental_solution) while run() runs."""
+    seen = []
+    rule = verify_mod._meridian_rule
+
+    def recorded(alg, params, g, *rest):
+        seen.append(g)
+        return rule(alg, params, g, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "_meridian_rule", recorded)
+        run()
+    return seen
 
 
 def _warns_near_singular(fn) -> bool:
@@ -609,9 +631,9 @@ def _sweep_cases(alg, k):
 
 def _radial_errors(alg, cases, n, seed, spawn_key):
     """(|ratio - reference| / reference, stderr / ratio) of each radial case,
-    against the quotient of :func:`_graded_radial_reference` on the
+    against the quotient of :func:`graded_radial_reference` on the
     kink-aware panels of the batch."""
-    lhs, rhs = _graded_radial_reference(cases, _panel_edges([phi for _, phi in cases])).T
+    lhs, rhs = graded_radial_reference(cases, _panel_edges([phi for _, phi in cases])).T
     return np.array([(abs(res.ratio - ref) / ref, res.stderr / res.ratio)
                      for res, ref in zip(hardy_ratio(alg, cases, n, seed, spawn_key), lhs / rhs)])
 
@@ -639,7 +661,7 @@ def test_quadrature_term_needs_the_kink_edges(heis1, monkeypatch):
     # grid lose at least 100x in accuracy against the graded reference
     cases = [case for case in _sweep_cases(heis1, 1.0) if case[0].p == 1.5]
     kinked = _radial_errors(heis1, cases, 240_000, 20240, (9, 0))
-    reference = _graded_radial_reference(cases, _panel_edges([phi for _, phi in cases]))
+    reference = graded_radial_reference(cases, _panel_edges([phi for _, phi in cases]))
     monkeypatch.setattr(verify_mod, "_panel_edges", lambda phis: dyadic_edges(*phis[0].support))
     dyadic = [abs(res.ratio - lhs / rhs) / (lhs / rhs)
               for res, (lhs, rhs) in zip(hardy_ratio(heis1, cases, 240_000, 20240, (9, 0)), reference)]
@@ -666,8 +688,8 @@ def _ray_rule(params, edges, multi_fn, nf, deg):
 
 
 def test_quadrature_term_comes_from_replicate_zero(heis1, monkeypatch):
-    # for a modulated Rayleigh-quotient batch and the psi integral of the
-    # density total: est is mc_region_multi's estimate with the 16-node
+    # for a modulated Rayleigh-quotient batch and an uncertainty batch:
+    # est is mc_region_multi's estimate with the 16-node
     # rule, gain is the 32-node over the 16-node estimate on the points of
     # replicate 0, and integrate_polar calls multi_fn only once outside
     # mc_region_multi, for the 32-node pass over those points
@@ -698,7 +720,8 @@ def test_quadrature_term_comes_from_replicate_zero(heis1, monkeypatch):
     monkeypatch.setattr(verify_mod, "integrate_polar", recorded)
     params = params_for(heis1, k=1.5, p=2.5, alpha=0.5)
     hardy_ratio(heis1, [(params, phi) for phi in build_hardy_corpus()[:10] if not phi.radial], 8_000, seed=3)
-    verify_fundamental_solution(SuiteConfig(group="heisenberg:1", **FAST))
+    verify_mod._uncertainty_quotients(heis1, params_for(heis1, k=1.5, p=2.5), build_hardy_corpus()[:10:3], 8_000, 5,
+                                      (7, 0))
     assert len(calls) == len(budgets) == 2
     for (alg, params, edges, multi_fn, nf, seed, spawn_key, est, gain, outside), n in zip(calls, budgets):
         sampler = Sampler(alg, params, seed, spawn_key)
@@ -771,29 +794,6 @@ def test_panel_edges_place_known_kinks():
         np.testing.assert_allclose(inner, kinks, rtol=1e-10, atol=0.0)
 
 
-def _graded_radial_reference(cases, edges):
-    """(I_L, I_R) rows of the radial integrals of radial cases, by plain
-    Gauss-Legendre on each panel of edges split into sub-panels graded
-    geometrically towards both ends (ratio 0.15, 14 levels each, 32 nodes
-    per sub-panel)."""
-    levels = 0.15 ** np.arange(1, 15)
-    t = np.concatenate([[0.0], levels[::-1], [0.5], 1.0 - levels, [1.0]])
-    x, w = np.polynomial.legendre.leggauss(32)
-    out = np.zeros((len(cases), 2))
-    for lo, hi in zip(edges, edges[1:]):
-        cuts = lo + (hi - lo) * t
-        half = 0.5 * np.diff(cuts)[:, None]
-        r = (cuts[:-1, None] + half * (x + 1.0)).ravel()
-        c = (half * w).ravel()
-        for i, (params, phi) in enumerate(cases):
-            p, e, a = params.p, params.Q - 1.0 + params.alpha, phi.power
-            F, dF = phi.shape(r)
-            # each integrand as one p-th power, which stays finite where r^{-ap} overflows
-            out[i] += [np.sum(c * (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p),
-                       np.sum(c * (r ** ((e - p) / p - a) * np.abs(F)) ** p)]
-    return out
-
-
 def test_radial_1d_batch_matches_a_graded_reference(heis1, quat1):
     # the 1-D reduction on its kink-aware panels is within 1e-13 relative
     # of a reference graded towards every panel end, on the sweep-heis
@@ -810,7 +810,7 @@ def test_radial_1d_batch_matches_a_graded_reference(heis1, quat1):
     batches += [[(params, sharpness_test_function(params, j))] for j in (1, 8, 128, 512)]
     for cases in batches:
         edges = _panel_edges([phi for _, phi in cases])
-        np.testing.assert_allclose(_radial_1d_batch(cases, edges), _graded_radial_reference(cases, edges),
+        np.testing.assert_allclose(_radial_1d_batch(cases, edges), graded_radial_reference(cases, edges),
                                    rtol=1e-13, atol=0.0)
 
 
@@ -1042,17 +1042,82 @@ def _density_total(report):
     return check
 
 
-def test_fundamental_solution_density_total_calibrated():
-    # z = (observed - target) / stderr over 20 fixed seeds: the error bar
-    # is neither too narrow nor too wide, also where psi concentrates at
-    # d^{-33} (quaternionic:1) and where a budget buys few points
-    # (quaternionic:2)
-    for group, k, p in (("heisenberg:1", 1.0, 2.0), ("quaternionic:1", 2.0, 3.0), ("quaternionic:2", 1.0, 2.0)):
-        z = []
-        for seed in range(1000, 1020):
-            check = _density_total(verify_fundamental_solution(SuiteConfig(group, k, p, n_samples=60_000, seed=seed)))
-            z.append((check.observed - check.target) / check.stderr)
-        assert abs(np.mean(z)) <= 0.7 and 0.6 <= np.std(z, ddof=1) <= 1.5, group
+@pytest.fixture(scope="module")
+def density_groups(tmp_path_factory):
+    """(group, k, p) of the catalog groups of the density checks and of
+    m = 8, q = 7, a custom group of the octonion units."""
+    path = tmp_path_factory.mktemp("octonionic") / "J.txt"
+    path.write_text("\n\n".join("\n".join(" ".join(map(repr, row)) for row in J) for J in octonion_units(7).J.tolist()))
+    assert (resolve_group(f"custom:{path}").m, resolve_group(f"custom:{path}").q) == (8, 7)
+    return [("heisenberg:1", 1.0, 2.0), ("heisenberg:3", 1.5, 2.5), ("quaternionic:1", 2.0, 3.0),
+            ("quaternionic:2", 1.0, 2.0), (f"custom:{path}", 1.0, 2.0)]
+
+
+def test_fundamental_solution_density_total_is_exact(density_groups):
+    # the meridian rule of psi times the 1-D radial rule meets
+    # nu |nu|^{p-2} sigma_p within its quadrature tolerance, and that
+    # tolerance is at most 1e-10 relative, on every group
+    for group, k, p in density_groups:
+        check = _density_total(verify_fundamental_solution(SuiteConfig(group, k, p)))
+        assert check.kind == "deterministic" and check.stderr == 0.0 and check.passed, group
+        assert abs(check.observed - check.target) <= check.tolerance <= 1e-10 * abs(check.target), group
+
+
+def test_density_total_sees_planted_faults(density_groups, monkeypatch):
+    # sigma_p off by 1e-8, and sin^q in place of sin^{q-1} in the meridian
+    # rule's Jacobian, each fail density-total on every group
+    sigma_p, grid_integral = cf.sigma_p, quadrature.grid_integral_1d
+    faults = {
+        "sigma": (cf, "sigma_p", lambda params: sigma_p(params) * (1.0 + 1e-8)),
+        "jacobian": (quadrature, "grid_integral_1d",
+                     lambda profile, edges: grid_integral(lambda th: profile(th) * np.sin(th), edges)),
+    }
+    for group, k, p in density_groups:
+        for name, (module, attr, fault) in faults.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(module, attr, fault)
+                assert not _density_total(verify_fundamental_solution(SuiteConfig(group, k, p))).passed, (group, name)
+
+
+def _sampled_density(alg, params, eps_list, n, seed):
+    """(values, stderrs) of the density total and of each eps column of its
+    mollifier sweep, by integrate_polar over 2^-30 <= d < 2^12 with every
+    column on the same sampled directions."""
+
+    def multi(Zs, Ts, r, c):
+        zn2, tn2 = np.einsum("ni,ni->n", Zs, Zs), np.einsum("ni,ni->n", Ts, Ts)
+        rad = cf.psi_radial(params, r) * c
+        sweep = [np.exp(-zn2[:, None] * (e * r) ** 2 - tn2[:, None] * (e * r) ** (4.0 * params.k)) @ rad for e in eps_list]
+        return cf.psi(params, (Zs, Ts)) * np.vstack([np.full(len(Zs), np.sum(rad)), *sweep])
+
+    nf = len(eps_list) + 1
+    est, gain = integrate_polar(alg, params, dyadic_edges(2.0**-30, 2.0**12), multi, nf, n, seed, (2,))
+    return verify_mod._power_quotients(est, gain, [{i: 1.0} for i in range(nf)])
+
+
+@pytest.mark.parametrize("group, k, p", [("heisenberg:1", 1.0, 2.0), ("quaternionic:1", 2.0, 3.0)])
+def test_density_total_and_sweep_match_a_sampled_oracle(group, k, p, monkeypatch):
+    # independent oracle: the total and every sweep column sampled over
+    # the whole group, as the suite did before the meridian rule, agree
+    # with the suite's exact values within 3 sigma
+    cfg = SuiteConfig(group, k, p)
+    alg = cfg.algebra()
+    params = cfg.params(alg)
+    reports = []
+    [sweep] = _captured_sweeps(monkeypatch, lambda: reports.append(verify_fundamental_solution(cfg)))
+    exact = [_density_total(reports[0]).observed, *verify_mod._meridian_rule(alg, params, sweep)]
+    values, stderrs = _sampled_density(alg, params, cfg.eps_sweep, 10 * cfg.n_samples // 3, cfg.seed)
+    for value, sampled, se in zip(exact, values, stderrs):
+        assert abs(value - sampled) <= 3.0 * se
+
+
+def test_fundamental_solution_draws_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fundamental_solution drew a point")
+
+    monkeypatch.setattr(Sampler, "draw", refuse)
+    monkeypatch.setattr(verify_mod, "integrate_polar", refuse)
+    assert verify_fundamental_solution(SuiteConfig()).overall_pass
 
 
 def test_lemma1_rejects_invalid_k():
@@ -1092,6 +1157,25 @@ def test_moments_working_set_is_bounded(group, k, p):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("group, k, p, beta", [("heisenberg:1", 1.0, 2.0, 0.0), ("heisenberg:3", 1.5, 2.5, 0.0),
+                                               ("quaternionic:1", 2.0, 3.0, 1.0), ("heisenberg:1", 2.0, 2.0, 1.0)])
+def test_sphere_rule_check(group, k, p, beta, monkeypatch):
+    # the meridian rule against sphere_moment at gamma = 0, 1 and
+    # (2k-1)(p+beta), reported after the other checks; where the
+    # rule integrates in theta (m >= 2k), sin^q in place of sin^{q-1} in
+    # its Jacobian fails it
+    cfg = SuiteConfig(group, k, p, beta=beta, n_samples=20_000)
+    rep = verify_moments(cfg)
+    assert [c.check_id for c in rep.checks][-3:] == ["sigma-vs-sphere", "sigma-beta-vs-sphere", "sphere-rule"]
+    rule = rep.checks[-1]
+    assert rule.kind == "deterministic" and rule.passed and quadrature.QUAD_FLOOR <= rule.tolerance <= 1e-10
+    grid_integral = quadrature.grid_integral_1d
+    monkeypatch.setattr(quadrature, "grid_integral_1d",
+                        lambda profile, edges: grid_integral(lambda th: profile(th) * np.sin(th), edges))
+    alg = cfg.algebra()
+    assert alg.m < 2.0 * k or not verify_moments(cfg).checks[-1].passed
 
 
 def test_moments_suite_has_consistency_checks():
