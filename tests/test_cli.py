@@ -253,23 +253,27 @@ def test_sweep_rejects_bad_j(j, monkeypatch, capsys):
     assert "configuration error: --j" in capsys.readouterr().err
 
 
-def test_sweep_computes_u_j_far_inside_the_unit_ball(capsys):
-    # u_600 reaches d = 2^-601, where d^{4k} underflows; no row evaluates
-    # it, and each row is the exact 1-D quotient, with no warning
-    args = ["sweep", "--group", "heisenberg:1", "--k", "1,1.5,2", "--p", "2", "--alpha", "0", "--mode", "sharpness",
-            "--j", "600", "--out", "-"]
+@pytest.mark.parametrize("k, j", [("1,1.5,2", "600"), ("1", "255"), ("1,2", "127")])
+def test_sweep_computes_u_j_far_inside_the_unit_ball(k, j, capsys):
+    # u_j reaches d = 2^-(j+1), and d^{4k} underflows once 4k(j + 1) >= 1022,
+    # as at u_600, u_255 (k = 1) and u_127 (k = 2); no row evaluates it, and
+    # each row is the exact 1-D quotient, with no warning
+    args = ["sweep", "--group", "heisenberg:1", "--k", k, "--p", "2", "--alpha", "0", "--mode", "sharpness",
+            "--j", j, "--out", "-"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(args) == 0
     captured = capsys.readouterr()
-    assert captured.err == "sweep: 3 configurations -> -\n"
+    ks = [float(x) for x in k.split(",")]
+    assert captured.err == f"sweep: {len(ks)} configurations -> -\n"
     rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert len(rows) == len(ks)
     alg = resolve_group("heisenberg:1")
-    for row, k in zip(rows, (1.0, 1.5, 2.0)):
-        params = OperatorParams.of(alg, k=k, p=2.0)
-        phi = sharpness_test_function(params, 600)
+    for row, kk in zip(rows, ks):
+        params = OperatorParams.of(alg, k=kk, p=2.0)
+        phi = sharpness_test_function(params, int(j))
         [(lhs, rhs)] = graded_radial_reference([(params, phi)], _panel_edges([phi]))
-        assert float(row["k"]) == k and abs(float(row["ratio"]) / (lhs / rhs) - 1.0) <= 1e-13
+        assert float(row["k"]) == kk and abs(float(row["ratio"]) / (lhs / rhs) - 1.0) <= 1e-13
 
 
 def test_sweep_names_a_case_whose_1d_integrals_are_not_finite(tmp_path, capsys):
