@@ -10,7 +10,9 @@ b = sqrt(1 - |z|^{4k})/4 the half-height of the ball above z; directions
 use the remaining coordinates (:func:`_sphere`).  The point's weight is
 the slice volume |B^m| |B^q| b^q, so weight * f has mean the integral of
 f over the ball, with no jump at its boundary (conditioning on z; Owen,
-*Monte Carlo theory, methods and examples*).
+*Monte Carlo theory, methods and examples*).  The weight depends on |z|
+alone, so an integrand of |z| alone needs only u_1, the base-2 Halton
+column, and draws nothing else (:meth:`Sampler.radii`).
 
 A sample count n is a budget of bounding-box candidates: the ball draws
 N = max(REPLICATES, ceil(rho n)) points, rho = |B_1| / 2^{m-q} the share
@@ -27,11 +29,11 @@ the base seed, so identical (seed, spawn key, n) reproduce bit-identical
 results.
 
 :func:`mc_region_multi` estimates integrals over the ball, drawing its
-points in chunks of whole replicates.  :func:`integrate_polar`
-integrates over a shell r0 <= d < r1 by the polar formula, directions
-from the ball's points and the radius by Gauss-Legendre panels.
-:func:`meridian_integral` integrates functions of |z_w| over the unit
-gauge sphere without sampling, along one meridian.
+points (or their radii alone) in chunks of whole replicates.
+:func:`integrate_polar` integrates over a shell r0 <= d < r1 by the
+polar formula, directions from the ball's points and the radius by
+Gauss-Legendre panels.  :func:`meridian_integral` integrates functions
+of |z_w| over the unit gauge sphere without sampling, along one meridian.
 """
 from __future__ import annotations
 
@@ -194,16 +196,20 @@ class Sampler:
         """b^q for the t-slice |t| < b of the ball above |z|^{4k} = z4k."""
         return (np.maximum(1.0 - z4k, 0.0) / 16.0) ** (0.5 * self.alg.q)
 
-    def draw(self, n: int, shifts: Optional[np.ndarray] = None):
-        """n points of the ball and their in-region mask (all True): one
-        replicate per row of shifts (default the sampler's), replicate r
-        holding the first n // R + (r < n % R) Halton points shifted by
-        shifts[r] mod 1 and mapped into the ball, replicate after
-        replicate."""
+    def radii(self, n: int, shifts: Optional[np.ndarray] = None, dim: int = 1) -> tuple:
+        """(U, |z|): the first dim coordinates U of n shifted Halton points,
+        replicate r holding the first n // R + (r < n % R) points shifted by
+        shifts[r] mod 1, replicate after replicate (R = len(shifts), default
+        the sampler's), and their radii |z| = max(u_1^{1/m}, SINGULAR_Z_FLOOR)."""
         shifts = self.shifts() if shifts is None else shifts
-        m, q, R = self.alg.m, self.alg.q, len(shifts)
-        U = _shifted(_halton(n // R + (n % R > 0), m + q), shifts, n)
-        rz = np.maximum(U[:, 0] ** (1.0 / m), SINGULAR_Z_FLOOR)
+        U = _shifted(_halton(n // len(shifts) + (n % len(shifts) > 0), dim), shifts[:, :dim], n)
+        return U, np.maximum(U[:, 0] ** (1.0 / self.alg.m), SINGULAR_Z_FLOOR)
+
+    def draw(self, n: int, shifts: Optional[np.ndarray] = None):
+        """n points of the ball and their in-region mask (all True): those
+        of :meth:`radii` in all m + q coordinates, mapped into the ball."""
+        m, q = self.alg.m, self.alg.q
+        U, rz = self.radii(n, shifts, m + q)
         Z = _sphere(U[:, 1:m], m)
         Z *= rz[:, None]
         tq = self._slice(rz ** (4.0 * self.params.k))
@@ -215,7 +221,8 @@ class Sampler:
 
     def weights(self, Z: np.ndarray) -> np.ndarray:
         """Each point's weight, the volume |B^m| |B^q| b^q of the unit
-        z-ball times the t-slice above z."""
+        z-ball times the t-slice above z.  It depends on |z| alone, so the
+        column rz[:, None] of the radii gives the same weights as Z."""
         m, q = self.alg.m, self.alg.q
         return self._slice(np.einsum("ni,ni->n", Z, Z) ** (2.0 * self.params.k)) * (
             math.pi ** (0.5 * (m + q)) / (math.gamma(0.5 * m + 1.0) * math.gamma(0.5 * q + 1.0)))
@@ -234,18 +241,21 @@ def _replicate_sizes(params: OperatorParams, n: int) -> np.ndarray:
 
 
 def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, replicates: bool = False,
-                    step: Optional[int] = None, shifts: Optional[np.ndarray] = None):
+                    step: Optional[int] = None, shifts: Optional[np.ndarray] = None, radial: bool = False):
     """Unbiased estimates of several integrands over the unit ball from a
     budget of n candidates (N points, see the module docstring), REPLICATES
     randomly shifted Halton sets (see :meth:`Sampler.draw`), shared by
     every integrand (common random numbers).
 
-    multi_fn(Z, T) returns an (nf, len(Z)) array of integrand values.
-    Points are drawn in chunks of whole replicates, at most _CHUNK
-    coordinates (points x (m + q)) unless one replicate is larger, so a
-    draw's working set is at most max(_CHUNK coordinates, one replicate)
-    per array, whatever nf is; they are evaluated in slices of at most
-    step points (default _SLICE // nf) that may span replicates.
+    multi_fn(Z, T) returns an (nf, len(Z)) array of integrand values, or
+    with radial=True multi_fn(rz) those of functions of |z| alone from the
+    radii of the same points, drawing only their first coordinate
+    (:meth:`Sampler.radii`).  Points are drawn in chunks of whole
+    replicates, at most _CHUNK coordinates (points x (m + q)) unless one
+    replicate is larger, so a draw's working set is at most max(_CHUNK
+    values, one replicate) per array, whatever nf is; they are evaluated
+    in slices of at most step points (default _SLICE // nf) that may span
+    replicates, radial or not, so both ways sum in the same order.
     Returns (values, covariance) where values[i], the mean of the
     replicate estimates, estimates integral i, and covariance is that of
     values: the two-pass sample covariance of the replicate estimates
@@ -263,11 +273,15 @@ def mc_region_multi(sampler: Sampler, multi_fn: Callable, nf: int, n: int, repli
     sums = np.zeros((REPLICATES, nf))
     for r0 in range(0, REPLICATES, per):
         reps = slice(r0, r0 + per)
-        Z, T, _ = sampler.draw(int(sizes[reps].sum()), shifts[reps])
-        w = sampler.weights(Z)
+        if radial:
+            rz = sampler.radii(int(sizes[reps].sum()), shifts[reps])[1]
+            points, w = (rz,), sampler.weights(rz[:, None])
+        else:
+            Z, T, _ = sampler.draw(int(sizes[reps].sum()), shifts[reps])
+            points, w = (Z, T), sampler.weights(Z)
         starts = np.cumsum(sizes[reps]) - sizes[reps]  # each replicate is one run of points
-        for i in range(0, len(Z), step):
-            vals = np.asarray(multi_fn(Z[i : i + step], T[i : i + step]), dtype=float).reshape(nf, -1)
+        for i in range(0, len(w), step):
+            vals = np.asarray(multi_fn(*(x[i : i + step] for x in points)), dtype=float).reshape(nf, -1)
             a = np.searchsorted(starts, i, side="right") - 1
             b = np.searchsorted(starts, i + vals.shape[1])
             sums[r0 + a : r0 + b] += np.add.reduceat(vals * w[i : i + step], np.maximum(starts[a:b] - i, 0), axis=1).T
@@ -452,43 +466,31 @@ def _halved(edges) -> np.ndarray:
     return np.append(np.column_stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:])]).ravel(), edges[-1])
 
 
-#: theta panels of the meridian rule, graded dyadically toward theta = pi/2,
-#: where |z_w| -> 0
-_MERIDIAN_EDGES = 0.5 * math.pi * np.append(1.0 - 0.5 ** np.arange(6), 1.0)
+#: v panels of the meridian rule, graded dyadically toward v = 1 (theta = 0)
+_MERIDIAN_EDGES = np.append(1.0 - 0.5 ** np.arange(6), 1.0)
 
 
 def _meridian_rule(alg: HTypeAlgebra, params: OperatorParams, g: Callable, halved: bool = False):
     """The theta integral of :func:`meridian_integral`, its Jacobian and
     scale, by :func:`grid_integral_1d` on the meridian's panels (halved, if
-    halved): the values alone, g evaluated once at all nodes.  Where m < 2k
-    the Jacobian cos^{m/(2k)-1} theta is singular at theta = pi/2, so the
-    rule integrates in v, theta = (pi/2)(1 - v^{2k}): the Jacobian becomes
-    v^{m-1} times a smooth factor, and |z_w| ~ v."""
+    halved): the values alone, g evaluated once at all nodes.  It
+    integrates in v, theta = (pi/2)(1 - v^{2k}): the Jacobian
+    cos^{m/(2k)-1} theta (singular at pi/2 where m < 2k) becomes v^{m-1}
+    times a smooth factor and |z_w| ~ v, so weak powers of |z_w| are met
+    at round-off."""
     m, q, k = alg.m, alg.q, params.k
     scale = 4.0**-q * math.prod(2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) for n in (m, q))
+    a = 0.5 * m / k
 
-    def at_meridian(cos, sin):
-        Z, T = np.zeros((len(cos), m)), np.zeros((len(cos), q))
+    def profile(v):
+        u = 0.5 * math.pi * v ** (2.0 * k)  # pi/2 - theta; sin u = u sinc(u)
+        cos, sin = np.sin(u), np.cos(u)
+        Z, T = np.zeros((len(v), m)), np.zeros((len(v), q))
         Z[:, 0], T[:, 0] = cos ** (0.5 / k), 0.25 * sin
-        return np.asarray(g(Z, T))
+        jacobian = 2.0 * k * (0.5 * math.pi) ** a * v ** (m - 1.0) * np.sinc(u / math.pi) ** (a - 1.0)
+        return np.asarray(g(Z, T)) * (jacobian * sin ** (q - 1.0))
 
-    if m >= 2.0 * k:
-        def profile(theta):
-            cos, sin = np.cos(theta), np.sin(theta)
-            return at_meridian(cos, sin) * (cos ** (0.5 * m / k - 1.0) * sin ** (q - 1.0))
-
-        edges = _MERIDIAN_EDGES
-    else:
-        a = 0.5 * m / k
-
-        def profile(v):
-            u = 0.5 * math.pi * v ** (2.0 * k)  # pi/2 - theta; sin u = u sinc(u)
-            cos, sin = np.sin(u), np.cos(u)
-            jacobian = 2.0 * k * (0.5 * math.pi) ** a * v ** (m - 1.0) * np.sinc(u / math.pi) ** (a - 1.0)
-            return at_meridian(cos, sin) * (jacobian * sin ** (q - 1.0))
-
-        edges = _MERIDIAN_EDGES / (0.5 * math.pi)
-    return scale * grid_integral_1d(profile, _halved(edges) if halved else edges)
+    return scale * grid_integral_1d(profile, _halved(_MERIDIAN_EDGES) if halved else _MERIDIAN_EDGES)
 
 
 def meridian_integral(alg: HTypeAlgebra, params: OperatorParams, g: Callable):
@@ -498,9 +500,8 @@ def meridian_integral(alg: HTypeAlgebra, params: OperatorParams, g: Callable):
     |S^{m-1}| |S^{q-1}| 4^{-q} int_0^{pi/2} g(w_theta) cos^{m/(2k)-1} theta
     sin^{q-1} theta dtheta, g(Z, T) -> (c, n) evaluated at the meridian
     points z = cos^{1/(2k)} theta e_1, t = (sin theta / 4) f_1.  The theta
-    integral is :func:`grid_integral_1d` on 6 panels graded dyadically
-    toward theta = pi/2, where |z| -> 0 (in v where m < 2k, see
-    :func:`_meridian_rule`).  Returns (values, gain) as
+    integral is :func:`grid_integral_1d` in v, theta = (pi/2)(1 - v^{2k}),
+    on 6 panels (see :func:`_meridian_rule`).  Returns (values, gain) as
     :func:`integrate_polar` does, gain from halved panels."""
     values, fine = (_meridian_rule(alg, params, g, halved) for halved in (False, True))
     return values, np.divide(fine, values, out=np.ones_like(values), where=values != 0.0)

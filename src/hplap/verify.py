@@ -890,21 +890,20 @@ def verify_moments(config: SuiteConfig) -> VerificationReport:
     """Monte Carlo gauge-ball moments vs Gamma closed forms (3 sigma), the
     arithmetic consistency chain between the constants (1e-12), and the
     meridian rule's sphere moments vs their closed forms, to its quadrature
-    term.  All ball moments are columns of one sample of the unit ball."""
+    term.  All ball moments are columns of one sample of the unit ball, of
+    which only the radii |z| are drawn: |z|^gamma and the slice weights
+    depend on nothing else, so the estimates are those of full points."""
     report = _new_report("moments", config)
     alg = config.algebra()
     params = config.params(alg)
     k, p, beta, n = params.k, params.p, params.beta, config.n_samples
     gammas = list(dict.fromkeys((0.0, 1.0, (2.0 * k - 1.0) * p, (2.0 * k - 1.0) * (p + beta))))
 
-    def multi(Z, T):
-        zn2 = np.einsum("ni,ni->n", Z, Z)
-        return np.stack([zn2 ** (g / 2.0) for g in gammas])
-
     if n < REPLICATES:
         raise ValueError(f"moments: n_samples={n} cannot fill the {REPLICATES} replicates of one estimate; "
                          "raise --samples")
-    vals, cov = mc_region_multi(Sampler(alg, params, config.seed), multi, len(gammas), n)
+    vals, cov = mc_region_multi(Sampler(alg, params, config.seed), lambda rz: _powers(rz, gammas), len(gammas), n,
+                                radial=True)
     for i, gamma in enumerate(gammas):
         report.add_stochastic(f"ball-moment-{gamma:g}", vals[i], cf.ball_moment(params, gamma),
                               math.sqrt(max(cov[i, i], 0.0)), nsigma=config.mc_nsigma())

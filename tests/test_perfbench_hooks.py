@@ -2,7 +2,7 @@
 
 ``perfbench/child.py --mode trace`` rebinds named hplap functions and
 raises if no module refers to one of them any more; these run it on a
-one-row sweep and on the moments suite, so that a refactor learns of a
+sweep and on verify suites, so that a refactor learns of a
 lost hook, or of a result the hooks misread, from the tests.
 """
 
@@ -46,14 +46,20 @@ def test_trace_hooks_record_hardy_ratio_and_1d_quadrature(tmp_path):
 
 def test_traced_draws_accept_at_most_their_candidates(tmp_path):
     # the trace counts a draw's candidates from its n and its accepted
-    # points from the third result, the in-region mask
-    spans = _trace_spans(tmp_path, ["verify", "--suite", "moments", "--samples", "20000",
+    # points from the third result, the in-region mask.  lemma2's modulated
+    # quotients draw full points; the ball moments draw only their radii,
+    # so the moments suite records no draw
+    spans = _trace_spans(tmp_path, ["verify", "--suite", "lemma2", "--corpus-samples", "4000",
                                     "--out", str(tmp_path / "reports"), "--stamp", "T"])
     draws = [span[4] for span in spans if span[0] == "quadrature.draw"]
     assert draws
     for attrs in draws:
         assert type(attrs["accepted"]) is int and type(attrs["candidates"]) is int
         assert 0 < attrs["accepted"] <= attrs["candidates"]
+    spans = _trace_spans(tmp_path, ["verify", "--suite", "moments", "--samples", "20000",
+                                    "--out", str(tmp_path / "reports"), "--stamp", "T"])
+    names = {span[0] for span in spans}
+    assert "quadrature.mc_region_multi" in names and "quadrature.draw" not in names
 
 
 def _ancestors(spans, i):

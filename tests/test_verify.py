@@ -859,6 +859,22 @@ def test_radial_reduction_self_check(heis1):
     assert res.ratio >= sharp_hardy_constant(params) - 3.0 * res.stderr
 
 
+def _meridian_jacobian_fault(k):
+    """grid_integral_1d with sin^q theta in place of sin^{q-1} theta in the
+    meridian rule's Jacobian: the rule's profiles in v, theta = (pi/2)(1 -
+    v^{2k}), gain a factor sin theta = cos((pi/2) v^{2k}) on the meridian's
+    panels; every other 1-D integral is left as it is."""
+    grid_integral, edges_of = quadrature.grid_integral_1d, quadrature._MERIDIAN_EDGES
+    meridian = (edges_of, quadrature._halved(edges_of))
+
+    def faulty(profile, edges):
+        if any(np.array_equal(edges, e) for e in meridian):
+            return grid_integral(lambda v: profile(v) * np.cos(0.5 * np.pi * v ** (2.0 * k)), edges)
+        return grid_integral(profile, edges)
+
+    return faulty
+
+
 def _radial_median_z(group, k, p):
     [check] = [c for c in run_suite("hardy", SuiteConfig(group, k, p, corpus_samples=2_000)).checks
                if c.check_id == "radial-reduction-median-z"]
@@ -874,11 +890,9 @@ def test_radial_reduction_sees_planted_faults(group, k, p, monkeypatch):
     # moment at round-off, far below their quadrature terms; each planted
     # fault pushes the median z of the hardy suite above 3
     assert _radial_median_z(group, k, p) < 1e-2
-    grid_integral, drift, sphere_moment = quadrature.grid_integral_1d, verify_mod._drift, cf.sphere_moment
+    drift, sphere_moment = verify_mod._drift, cf.sphere_moment
     faults = {
-        # sin^q in place of sin^{q-1} in the meridian rule's Jacobian
-        "jacobian": (quadrature, "grid_integral_1d",
-                     lambda profile, edges: grid_integral(lambda th: profile(th) * np.sin(th), edges)),
+        "jacobian": (quadrature, "grid_integral_1d", _meridian_jacobian_fault(k)),
         # X d at the meridian points without the drift of X
         "drift": (verify_mod, "_drift", lambda alg, params, Z: (0.0 * drift(alg, params, Z)[0], drift(alg, params, Z)[1])),
         # sphere_moment((2k+1)p) as the moment of the 1-D reduction
@@ -1066,13 +1080,12 @@ def test_fundamental_solution_density_total_is_exact(density_groups):
 def test_density_total_sees_planted_faults(density_groups, monkeypatch):
     # sigma_p off by 1e-8, and sin^q in place of sin^{q-1} in the meridian
     # rule's Jacobian, each fail density-total on every group
-    sigma_p, grid_integral = cf.sigma_p, quadrature.grid_integral_1d
-    faults = {
-        "sigma": (cf, "sigma_p", lambda params: sigma_p(params) * (1.0 + 1e-8)),
-        "jacobian": (quadrature, "grid_integral_1d",
-                     lambda profile, edges: grid_integral(lambda th: profile(th) * np.sin(th), edges)),
-    }
+    sigma_p = cf.sigma_p
     for group, k, p in density_groups:
+        faults = {
+            "sigma": (cf, "sigma_p", lambda params: sigma_p(params) * (1.0 + 1e-8)),
+            "jacobian": (quadrature, "grid_integral_1d", _meridian_jacobian_fault(k)),
+        }
         for name, (module, attr, fault) in faults.items():
             with monkeypatch.context() as patch:
                 patch.setattr(module, attr, fault)
@@ -1144,11 +1157,48 @@ def test_moments_columns_match_single_column_estimates(heis1):
         assert check.stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
 
+@pytest.mark.parametrize("group, k, p", [("heisenberg:1", 1.0, 2.0), ("heisenberg:1", 2.0, 2.0),
+                                         ("heisenberg:3", 1.5, 2.5), ("quaternionic:1", 2.0, 3.0),
+                                         ("quaternionic:2", 1.0, 2.0), ("octonionic", 1.0, 2.0)])
+def test_radial_moments_match_full_draws(group, k, p, tmp_path):
+    # the ball moments draw only the radii of the sampler's points: each
+    # |z|^gamma column, gamma = (2k-1)(p+beta) at beta = 1 among them,
+    # equals in value and stderr the estimate from full draws of the same
+    # points (m = 8, q = 7 is a custom group of the octonion units)
+    if group == "octonionic":
+        path = tmp_path / "J.txt"
+        path.write_text("\n\n".join("\n".join(" ".join(map(repr, row)) for row in J) for J in octonion_units(7).J.tolist()))
+        group = f"custom:{path}"
+    cfg = SuiteConfig(group, k, p, beta=1.0, n_samples=200_000, seed=31)
+    alg = cfg.algebra()
+    params = cfg.params(alg)
+    checks = [c for c in verify_moments(cfg).checks if c.check_id.startswith("ball-moment-")]
+    gammas = list(dict.fromkeys((0.0, 1.0, (2.0 * k - 1.0) * p, (2.0 * k - 1.0) * (p + 1.0))))
+    assert [c.check_id for c in checks] == [f"ball-moment-{g:g}" for g in gammas]
+    vals, cov = mc_region_multi(Sampler(alg, params, cfg.seed),
+                                lambda Z, T: [np.einsum("ni,ni->n", Z, Z) ** (g / 2.0) for g in gammas],
+                                len(gammas), cfg.n_samples)
+    np.testing.assert_allclose([c.observed for c in checks], vals, rtol=1e-12)
+    np.testing.assert_allclose([c.stderr for c in checks], np.sqrt(np.diag(cov)), rtol=1e-12)
+
+
+def test_moments_suite_draws_no_direction(monkeypatch, tmp_path):
+    # the ball moments map no uniform to a direction on S^{m-1} or S^{q-1}
+    def no_directions(U, dim):
+        raise AssertionError("the moments suite drew a direction")
+
+    monkeypatch.setattr(quadrature, "_sphere", no_directions)
+    assert cli.main(["verify", "--suite", "moments", "--out", str(tmp_path), "--stamp", "T"]) == 0
+    with pytest.raises(AssertionError, match="drew a direction"):
+        cli.main(["verify", "--suite", "lemma2", "--out", str(tmp_path), "--stamp", "T"])
+
+
 @pytest.mark.parametrize("group, k, p", [("heisenberg:1", 1.0, 2.0), ("quaternionic:1", 2.0, 3.0)])
 def test_moments_working_set_is_bounded(group, k, p):
     # at the default budget (617k ball points on heisenberg:1, 95k on
-    # quaternionic:1) the moments pass draws in chunks of at most 2^16
-    # coordinates: its peak of traced allocations stays below 4 MB
+    # quaternionic:1) the moments pass draws only the radii of its points,
+    # in chunks of at most 2^16 values: its peak of traced allocations
+    # stays below 4 MB
     cfg = SuiteConfig(group, k, p)
     tracemalloc.start()
     try:
@@ -1163,19 +1213,15 @@ def test_moments_working_set_is_bounded(group, k, p):
                                                ("quaternionic:1", 2.0, 3.0, 1.0), ("heisenberg:1", 2.0, 2.0, 1.0)])
 def test_sphere_rule_check(group, k, p, beta, monkeypatch):
     # the meridian rule against sphere_moment at gamma = 0, 1 and
-    # (2k-1)(p+beta), reported after the other checks; where the
-    # rule integrates in theta (m >= 2k), sin^q in place of sin^{q-1} in
-    # its Jacobian fails it
+    # (2k-1)(p+beta), reported after the other checks; sin^q in place of
+    # sin^{q-1} in its Jacobian fails it
     cfg = SuiteConfig(group, k, p, beta=beta, n_samples=20_000)
     rep = verify_moments(cfg)
     assert [c.check_id for c in rep.checks][-3:] == ["sigma-vs-sphere", "sigma-beta-vs-sphere", "sphere-rule"]
     rule = rep.checks[-1]
     assert rule.kind == "deterministic" and rule.passed and quadrature.QUAD_FLOOR <= rule.tolerance <= 1e-10
-    grid_integral = quadrature.grid_integral_1d
-    monkeypatch.setattr(quadrature, "grid_integral_1d",
-                        lambda profile, edges: grid_integral(lambda th: profile(th) * np.sin(th), edges))
-    alg = cfg.algebra()
-    assert alg.m < 2.0 * k or not verify_moments(cfg).checks[-1].passed
+    monkeypatch.setattr(quadrature, "grid_integral_1d", _meridian_jacobian_fault(k))
+    assert not verify_moments(cfg).checks[-1].passed
 
 
 def test_moments_suite_has_consistency_checks():
