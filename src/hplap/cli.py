@@ -47,6 +47,7 @@ import csv
 import itertools
 import math
 import os
+import pickle
 import sys
 import time
 import warnings
@@ -61,7 +62,6 @@ from .verify import (
     build_hardy_corpus,
     hardy_ratio,
     run_suite,
-    shared_kink_searches,
     sharp_hardy_constant,
     sharpness_test_function,
 )
@@ -195,10 +195,64 @@ def _validate(values: dict, command: str) -> list:
     return configs
 
 
+def _fork_hardy(config: SuiteConfig):
+    """(pid, read end of its pipe) of a forked worker that sends hardy's report or exception and its warnings
+    through the pipe, pickled, and ends by os._exit, flushing no inherited buffer and running no exit handler."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    result = run_suite("hardy", config)
+                except Exception as exc:
+                    result = exc
+            with os.fdopen(write, "wb") as fh:
+                pickle.dump((result, [(w.message, w.category, w.filename, w.lineno) for w in caught]), fh)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _join(pipe):
+    """The worker's report, or its exception raised; its warnings are raised here again."""
+    data = pipe.read()
+    if not data:
+        raise RuntimeError("the hardy worker ended without a result")
+    result, caught = pickle.loads(data)
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def cmd_verify(config: SuiteConfig, suites: list, out: str, fmt: str, stamp: str) -> int:
-    # all suites run before any file is written: a configuration error leaves no partial report set
-    with shared_kink_searches():
-        reports = [run_suite(name, config) for name in suites]
+    """Run the suites and write their reports in the order given.  When hardy and another suite follow the first,
+    hardy runs in a forked worker beside them, with the reports, errors and exit status of the suites run in order.
+    No file is written before every suite ran, so an error leaves no report."""
+    reports = [run_suite(suites[0], config)]
+    at = suites.index("hardy", 1) if "hardy" in suites[1:] and len(suites) > 2 and hasattr(os, "fork") else 0
+    try:
+        pid, pipe = _fork_hardy(config) if at else (0, None)
+    except OSError:  # no process or descriptor to spare: hardy runs here, in order
+        at = 0
+    try:
+        for i, name in enumerate(suites[1:], 1):
+            try:
+                reports.append(None if i == at else run_suite(name, config))
+            except Exception:
+                if i > at > 0:
+                    _join(pipe)  # hardy's error comes first in suite order
+                raise
+        if at:
+            reports[at] = _join(pipe)
+    finally:
+        if at:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL, fixed at 9 by POSIX: importing signal would slow every command
+            os.waitpid(pid, 0)
     os.makedirs(out, exist_ok=True)
     stamp = stamp or time.strftime("%Y%m%dT%H%M%S")
     group = config.group.translate(str.maketrans(":/\\", "___"))
@@ -339,8 +393,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    registries = {}  # per file, as modules keep them: a warning of both hardy's worker and this process shows as in one
     for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=registries.setdefault(w.filename, {}), source=w.source)
     return status
 
 

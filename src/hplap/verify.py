@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import groupby
@@ -301,14 +300,31 @@ def verify_lemma1(config: SuiteConfig) -> VerificationReport:
 
 def _transitions(a: float, wa: float, b: float, wb: float):
     """x -> (F(x), F'(x)) of F(x) = q((x - a)/wa) q((b - x)/wb): a quintic
-    rise on [a, a + wa], a quintic fall on [b - wb, b], 0 outside [a, b]."""
+    rise on [a, a + wa], a quintic fall on [b - wb, b], 0 outside [a, b].
+    Its kinks(c) for c > 0, where F' - c F / x changes sign: the root in the
+    rise of 30 (1 - y)^2 (a/wa + y) = c y (10 - 15 y + 6 y^2), y = (x - a)/wa."""
 
     def shape(x):
         rise, drise = _quintic((x - a) / wa)
         fall, dfall = _quintic((b - x) / wb)
         return rise * fall, drise / wa * fall - rise * dfall / wb
 
+    def kinks(c: float) -> list:
+        if c <= 0.0:
+            _undeclared(c)
+        lo, hi = 0.0, 1.0
+        for _ in range(52):  # bisection, to the last bit of y
+            y = 0.5 * (lo + hi)
+            rising = 30.0 * (1.0 - y) ** 2 * (a / wa + y) > c * y * (10.0 - 15.0 * y + 6.0 * y * y)
+            lo, hi = (y, hi) if rising else (lo, y)
+        return [a + wa * hi]
+
+    shape.kinks = kinks
     return shape
+
+
+def _undeclared(power: float):
+    raise ValueError(f"the shape declares no kinks at power {power}")
 
 
 def _poly3(x):
@@ -321,13 +337,14 @@ def _asym(x):
     return c * x**2 * y**4, c * (2.0 * x * y**4 - 4.0 * x**2 * y**3)
 
 
-#: bump shapes x -> (F(x), F'(x)) on [0, 1], vanishing with vanishing derivative at both endpoints
+#: bump shapes x -> (F(x), F'(x)) on [0, 1], vanishing with vanishing derivative at both endpoints, each with
+#: its kinks: the points of (0, 1) where the sign of F' changes (to or from 0, too, as at a plateau's ends)
 _SHAPES = {
-    "window": _transitions(0.0, 0.35, 1.0, 0.35),
-    "plateau": _transitions(0.0, 0.2, 1.0, 0.4),
-    "sin2": lambda x: (np.sin(np.pi * x) ** 2, np.pi * np.sin(2.0 * np.pi * x)),
-    "poly3": _poly3,
-    "asym": _asym,
+    "window": (_transitions(0.0, 0.35, 1.0, 0.35), (0.35, 0.65)),
+    "plateau": (_transitions(0.0, 0.2, 1.0, 0.4), (0.2, 0.6)),
+    "sin2": (lambda x: (np.sin(np.pi * x) ** 2, np.pi * np.sin(2.0 * np.pi * x)), (0.5,)),
+    "poly3": (_poly3, (0.5,)),
+    "asym": (_asym, (1.0 / 3.0,)),
 }
 
 
@@ -434,8 +451,9 @@ class HardyTestFunction:
 @cache
 def _annulus_shape(r0: float, r1: float, kind: str):
     """r -> (f(r), f'(r)) of the shape kind stretched onto [r0, r1], one
-    function per (r0, r1, kind), so that radial and modulated twins share it."""
-    shape, w = _SHAPES[kind], r1 - r0
+    function per (r0, r1, kind), so that radial and modulated twins share
+    it, with kinks(0), the shape's stretched (the corpus has power 0 only)."""
+    (shape, kinks), w = _SHAPES[kind], r1 - r0
 
     def stretched(r):
         xi = (r - r0) / w
@@ -443,6 +461,7 @@ def _annulus_shape(r0: float, r1: float, kind: str):
         F, dF = shape(np.clip(xi, 0.0, 1.0))
         return np.where(inside, F, 0.0), np.where(inside, dF / w, 0.0)
 
+    stretched.kinks = lambda power: r0 + w * np.array(kinks) if power == 0.0 else _undeclared(power)
     return stretched
 
 
@@ -486,79 +505,17 @@ class HardyRatioResult:
     radial_consistent: bool = True
 
 
-#: coarse-grid intervals per dyadic piece on which :func:`_panel_edges`
-#: brackets sign changes
-_KINK_GRID = 64
-
-#: subintervals per step of the kink search of :func:`_panel_edges`
-_KINK_SPLIT = 32
-
-
-#: the kinks of each (shape, powers, dyadic edges) that :func:`_panel_edges`
-#: has searched inside a :func:`shared_kink_searches` block; None outside one
-_kink_memo: Optional[dict] = None
-
-
-@contextmanager
-def shared_kink_searches():
-    """Within the block :func:`_panel_edges` searches each shape once per
-    set of powers and support, and reuses the kinks after that: the hardy,
-    lemma2 and uncertainty suites of one command search the same corpus
-    shapes, at power 0, on the same supports.  The kinks are dropped when
-    the block ends, so they pin no shape beyond it."""
-    global _kink_memo
-    _kink_memo = {}
-    try:
-        yield
-    finally:
-        _kink_memo = None
-
-
-def _shape_kinks(shape, powers: tuple, grid: np.ndarray) -> np.ndarray:
-    """The kinks of :func:`_panel_edges` for one shape and its powers, the
-    sign changes of r^{-a} (F' - a F / r) on grid, narrowed to 1e-10."""
-    split = np.arange(_KINK_SPLIT + 1) / _KINK_SPLIT
-    powers = np.array(powers)[:, None]
-    F, dF = shape(grid)
-    sign = np.sign(dF - powers * F / grid)
-    ia, ig = np.nonzero(sign[:, 1:] != sign[:, :-1])
-    lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia], sign[ia, ig][:, None]
-    while np.any(hi - lo > 1e-10 * hi):
-        x = lo[:, None] + (hi - lo)[:, None] * split  # each bracket's ends and the points between them
-        x[:, -1] = hi
-        inner = x[:, 1:-1]
-        F, dF = (v.reshape(inner.shape) for v in shape(inner.ravel()))
-        changed = np.sign(dF - a * F / inner) != side
-        # the piece that ends at the first changed point, or the last piece
-        j = np.where(changed.any(axis=1), changed.argmax(axis=1), _KINK_SPLIT - 1)
-        rows = np.arange(len(x))
-        lo, hi = x[rows, j], x[rows, j + 1]
-    return hi
-
-
 def _panel_edges(phis) -> np.ndarray:
     """Radial panel edges for test functions that share a support: the
     dyadic pieces of the support, split wherever the sign of a phi's
     profile derivative r^{-a} (F' - a F / r) changes (to or from 0, too,
-    as at the ends of a plateau), because |.|^p has a kink there.  The
-    changes are bracketed on _KINK_GRID intervals per dyadic piece, then
-    narrowed to 1e-10 relative: each step splits every bracket into
-    _KINK_SPLIT and keeps the piece of the first change, with one shape
-    evaluation for every power and bracket that shares the shape (about 6
-    steps); a kink within 1e-9 (relative) of an edge or of a smaller kink
-    is dropped.  A kink that far inside a panel of width h adds an error
-    of order (1e-9 r / h)^{p+1}.  Inside :func:`shared_kink_searches` a
-    shape's search is reused for the same powers and support."""
+    as at the ends of a plateau), because |.|^p has a kink there.  Each
+    shape declares them: shape.kinks(a) for the power a of each phi.  A
+    kink within 1e-9 (relative) of an edge or of a smaller kink is
+    dropped; one that far inside a panel of width h adds an error of
+    order (1e-9 r / h)^{p+1}."""
     dyadic = dyadic_edges(*phis[0].support)
-    grid = np.append(np.linspace(dyadic[:-1], dyadic[1:], _KINK_GRID, endpoint=False, axis=1).ravel(), dyadic[-1])
-    kinks = []
-    for shape in dict.fromkeys(phi.shape for phi in phis):
-        powers = tuple(sorted({phi.power for phi in phis if phi.shape is shape}))
-        key, memo = (shape, powers, tuple(dyadic)), {} if _kink_memo is None else _kink_memo
-        if key not in memo:
-            memo[key] = _shape_kinks(shape, powers, grid)
-        kinks.append(memo[key])
-    k = np.sort(np.concatenate(kinks)) if kinks else np.empty(0)
+    k = np.sort(np.concatenate([shape.kinks(a) for shape, a in dict.fromkeys((phi.shape, phi.power) for phi in phis)]))
     k = k[(np.min(np.abs(k[:, None] - dyadic), axis=1, initial=np.inf) > 1e-9 * k)
           & (np.diff(k, prepend=-np.inf) > 1e-9 * k)]
     return np.sort(np.concatenate([dyadic, k]))

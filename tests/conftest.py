@@ -5,6 +5,7 @@ import pytest
 
 from hplap.algebra import OperatorParams, bracket, from_j_matrices, make_heisenberg, make_quaternionic
 from hplap.fields import ScalarField
+from hplap.quadrature import dyadic_edges
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +77,56 @@ def graded_radial_reference(cases, edges):
             out[i] += [np.sum(c * (r ** (e / p - a) * np.abs(dF - a * F / r)) ** p),
                        np.sum(c * (r ** ((e - p) / p - a) * np.abs(F)) ** p)]
     return out
+
+
+def searched_kinks(shape, powers, support) -> np.ndarray:
+    """The kinks of a shape found by search, an oracle for the kinks it
+    declares: the sign changes (to or from 0, too) of F' - a F / r for
+    each power a, bracketed on 64 intervals per dyadic piece of the
+    support, then narrowed to 1e-10 relative, each step splitting every
+    bracket into 32 and keeping the piece of the first change.  The sign
+    changes at the ends of the support are among them."""
+    dyadic = dyadic_edges(*support)
+    grid = np.append(np.linspace(dyadic[:-1], dyadic[1:], 64, endpoint=False, axis=1).ravel(), dyadic[-1])
+    split = np.arange(33) / 32
+    powers = np.array(powers, dtype=float)[:, None]
+    F, dF = shape(grid)
+    sign = np.sign(dF - powers * F / grid)
+    ia, ig = np.nonzero(sign[:, 1:] != sign[:, :-1])
+    lo, hi, a, side = grid[ig], grid[ig + 1], powers[ia], sign[ia, ig][:, None]
+    while np.any(hi - lo > 1e-10 * hi):
+        x = lo[:, None] + (hi - lo)[:, None] * split
+        x[:, -1] = hi
+        inner = x[:, 1:-1]
+        F, dF = (v.reshape(inner.shape) for v in shape(inner.ravel()))
+        changed = np.sign(dF - a * F / inner) != side
+        j = np.where(changed.any(axis=1), changed.argmax(axis=1), 31)  # the piece of the first change, or the last
+        rows = np.arange(len(x))
+        lo, hi = x[rows, j], x[rows, j + 1]
+    return hi
+
+
+def searched_panel_edges(phis) -> np.ndarray:
+    """verify._panel_edges with the kinks of searched_kinks in place of
+    the declared ones: the dyadic edges of the shared support and every
+    kink not within 1e-9 (relative) of an edge or of a smaller kink."""
+    dyadic = dyadic_edges(*phis[0].support)
+    k = np.sort(np.concatenate([searched_kinks(shape, sorted({phi.power for phi in phis if phi.shape is shape}),
+                                               phis[0].support) for shape in dict.fromkeys(phi.shape for phi in phis)]))
+    k = k[(np.min(np.abs(k[:, None] - dyadic), axis=1, initial=np.inf) > 1e-9 * k)
+          & (np.diff(k, prepend=-np.inf) > 1e-9 * k)]
+    return np.sort(np.concatenate([dyadic, k]))
+
+
+def with_kinks(shape, kinks):
+    """shape (r -> (F(r), F'(r))) declaring kinks (power -> kinks), for
+    test shapes made from a shape of the library."""
+
+    def declared(r):
+        return shape(r)
+
+    declared.kinks = kinks
+    return declared
 
 
 def _cayley_dickson(a, b):

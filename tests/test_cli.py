@@ -544,15 +544,19 @@ def test_verify_does_not_import_numpy_ma(tmp_path):
 
 def test_commands_do_not_import_numpy_polynomial(tmp_path):
     # the Gauss-Legendre rules and the pole coordinate of S^2 (reached
-    # through the t-sphere of quaternionic:1) use no numpy.polynomial; a
-    # sweep and the sharpness suite compute only radial quotients, which
-    # draw nothing, so they do not import numpy.random either
+    # through the t-sphere of quaternionic:1) use no numpy.polynomial, nor
+    # does hardy, which runs alone here because a command with other
+    # suites runs it in a worker; a sweep and the sharpness suite compute
+    # only radial quotients, which draw nothing, so they do not import
+    # numpy.random either
     env = {k: v for k, v in os.environ.items() if not k.startswith("HPLAP_")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     for argv, drawn in (
             (["verify", "--suite", "all", "--group", "heisenberg:1", "--out", str(tmp_path)] + FAST_SAMPLES, True),
             (["verify", "--suite", "all", "--group", "quaternionic:1", "--k", "2", "--p", "3",
               "--samples", "20000", "--corpus-samples", "2000", "--out", str(tmp_path)], True),
+            (["verify", "--suite", "hardy", "--group", "quaternionic:1", "--k", "2", "--p", "3",
+              "--corpus-samples", "2000", "--out", str(tmp_path)], True),
             (["sweep", "--k", "1", "--p", "2", "--alpha", "0", "--corpus-samples", "8000", "--out", "-"], False),
             (["sweep", "--k", "1,1.5,2", "--p", "1.5,2,2.5,3", "--alpha", "-1,-0.5,0,0.5,1", "--mode", "sharpness",
               "--out", "-"], False),
@@ -565,13 +569,111 @@ def test_commands_do_not_import_numpy_polynomial(tmp_path):
         assert proc.stdout.splitlines()[-1] == f"False {drawn}", (argv, proc.stderr)
 
 
-def test_warnings_of_a_successful_run_are_shown(tmp_path, monkeypatch):
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("suites, action", [("lemma1", "always"), ("all", "always"), ("all", "default")])
+def test_warnings_of_a_successful_run_are_shown(suites, action, tmp_path, monkeypatch):
+    # numpy's warnings are shown when the command ends, those of the hardy
+    # worker too, each as often as when the suites run one after another:
+    # under "default" the warning that hardy and lemma2 share is shown once
     def warning_suite(name, config):
-        warnings.warn("overflow encountered in power", RuntimeWarning)
+        if suites == "lemma1" or name in ("hardy", "lemma2"):
+            warnings.warn("overflow encountered in power", RuntimeWarning)
+        if name == "hardy":
+            warnings.warn("hardy alone", UserWarning)
         return VerificationReport(suite=name, group=config.group, config=config.echo())
 
     monkeypatch.setattr(cli, "run_suite", warning_suite)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_cli(["verify", "--suite", "lemma1", "--out", str(tmp_path), "--stamp", "W"]) == 0
-    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "overflow encountered in power")]
+    shown = []
+    for forks in (True, False):
+        if not forks:
+            monkeypatch.delattr(os, "fork")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert run_cli(["verify", "--suite", suites, "--out", str(tmp_path), "--stamp", "W"]) == 0
+        _no_child_left()
+        shown.append(sorted((w.category.__name__, str(w.message)) for w in caught))
+    overflow = ("RuntimeWarning", "overflow encountered in power")
+    expected = {"lemma1": [overflow], "all": [overflow, overflow, ("UserWarning", "hardy alone")]}[suites]
+    assert shown[0] == shown[1] == (expected if action == "always" else sorted(set(expected)))
+
+
+@pytest.mark.parametrize("group", ["heisenberg:1", "quaternionic:1"])
+def test_verify_all_writes_the_reports_of_single_suite_commands(group, tmp_path):
+    # hardy runs in a second process; every report is byte for byte that
+    # of a command running its suite alone
+    args = ["verify", "--group", group, "--stamp", "B"] + FAST_SAMPLES
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(args + ["--suite", "all", "--out", str(tmp_path / "all")]) in (0, 1)
+        _no_child_left()
+        for name in cli.SUITES:
+            run_cli(args + ["--suite", name, "--out", str(tmp_path / "one")])
+    together = sorted((tmp_path / "all").iterdir())
+    assert [path.name for path in together] == sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert len(together) == 7
+    for path in together:
+        assert path.read_bytes() == (tmp_path / "one" / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError, OverflowError])
+def test_an_error_in_the_hardy_worker_is_a_configuration_error(error, tmp_path, monkeypatch, capsys):
+    # hardy's error ends the command as one configuration error line with
+    # no report written, and it is the one reported, as in suite order,
+    # though lemma2 fails too and ends sooner
+    def failing_suite(name, config):
+        if name in ("hardy", "lemma2"):
+            raise error(f"{name} cannot run")
+        return VerificationReport(suite=name, group=config.group, config=config.echo())
+
+    monkeypatch.setattr(cli, "run_suite", failing_suite)
+    assert run_cli(["verify", "--suite", "all", "--out", str(tmp_path)]) == 2
+    _no_child_left()
+    err = capsys.readouterr().err
+    assert err == "configuration error: hardy cannot run\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("case", ["forks", "first_fails", "fork_fails"])
+def test_worker_forks_after_the_first_suite_starts(case, tmp_path, monkeypatch):
+    # the fork comes after the first suite's run_suite call, inside the
+    # span that benchmarks time, and not at all when the first suite fails;
+    # hardy runs only in the worker, or here, in order, if fork fails
+    log, fork = [], os.fork
+
+    def logged_fork():
+        log.append("fork")
+        if case == "fork_fails":
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    def logged_suite(name, config):
+        log.append(name)
+        if case == "first_fails":
+            raise ValueError("lemma1 cannot run")
+        return VerificationReport(suite=name, group=config.group, config=config.echo())
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    monkeypatch.setattr(cli, "run_suite", logged_suite)
+    assert run_cli(["verify", "--suite", "all", "--out", str(tmp_path)]) == (2 if case == "first_fails" else 0)
+    _no_child_left()
+    rest = ["fundamental_solution", "moments", "sharpness", "lemma2", "uncertainty"]
+    assert log == {"forks": ["lemma1", "fork"] + rest, "first_fails": ["lemma1"],
+                   "fork_fails": ["lemma1", "fork"] + list(cli.SUITES)[1:]}[case]
+    assert len(list(tmp_path.iterdir())) == (0 if case == "first_fails" else 7)
+
+
+def test_verify_forks_with_a_blas_thread_pool(tmp_path):
+    # with the BLAS thread counts unset, the library may run a thread pool
+    # when hardy's worker is forked; the command still ends with the exit
+    # status of the known red check and all seven reports
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HPLAP_") and not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    cmd = [sys.executable, "-m", "hplap.cli", "verify", "--suite", "all", "--samples", "20000",
+           "--corpus-samples", "4000", "--out", str(tmp_path), "--stamp", "T"]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert sorted(path.name for path in tmp_path.glob("*.kv")) == sorted(f"{name}-heisenberg_1-T.kv" for name in cli.SUITES)

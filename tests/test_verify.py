@@ -37,7 +37,8 @@ from hplap.verify import (
     verify_moments,
     verify_uncertainty,
 )
-from conftest import at_real_points, graded_radial_reference, octonion_units, params_for, real_points
+from conftest import (at_real_points, graded_radial_reference, octonion_units, params_for, real_points,
+                      searched_panel_edges, with_kinks)
 
 FAST = dict(n_samples=40_000, corpus_samples=8_000)
 
@@ -162,7 +163,7 @@ def test_hardy_ratio_scale_invariance(heis1):
     phi = build_hardy_corpus()[2]
     [res1] = hardy_ratio(heis1, [(params, phi)], 20_000, seed=3)
     scaled = HardyTestFunction(
-        shape=lambda r: tuple(-2.5 * v for v in phi.shape(r)),
+        shape=with_kinks(lambda r: tuple(-2.5 * v for v in phi.shape(r)), phi.shape.kinks),
         support=phi.support,
         modulation=phi.modulation,
     )
@@ -180,7 +181,7 @@ def test_hardy_ratio_dilation_invariance(heis1):
         return F, lam * dF
 
     dilated = HardyTestFunction(
-        shape=dilated_shape,
+        shape=with_kinks(dilated_shape, lambda power: phi.shape.kinks(power) / lam),
         support=(phi.support[0] / lam, phi.support[1] / lam),
     )
     [r1] = hardy_ratio(heis1, [(params, phi)], 60_000, seed=4)
@@ -231,10 +232,10 @@ def test_hardy_ratio_shared_cases_match_single_calls(heis1, monkeypatch):
 
 def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
     # 8 radial cases on one shape: the shape runs twice for the 1-D
-    # reduction on all its panels (the rule and its halved-panel pass) and
-    # once per step of the kink search, which handles every power at once,
-    # not once per case, and no polar batch runs.  With 8 modulated twins
-    # on the same shape it also runs once per field batch
+    # reduction on all its panels (the rule and its halved-panel pass),
+    # not once per case, and never to place the panel edges, and no polar
+    # batch runs.  With 8 modulated twins on the same shape it also runs
+    # once per field batch
     calls = {"shape": 0, "batches": 0}
 
     def counted(name, fn):
@@ -245,27 +246,22 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
         return wrapped
 
     u = sharpness_test_function(params_for(heis1), 3)
-    shape = counted("shape", u.shape)
+    shape = with_kinks(counted("shape", u.shape), u.shape.kinks)
     cases = [(params, HardyTestFunction(shape, u.support, power=sharpness_test_function(params, 3).power))
              for params in _admissible_grid(heis1)]
-    searches = []
-    for some in (cases[:1], cases):
-        calls["shape"] = 0
-        edges = _panel_edges([phi for _, phi in some])
-        searches.append(calls["shape"])
-    assert searches[0] == searches[1] and len(edges) > len(_panel_edges([cases[0][1]]))
+    edges = _panel_edges([phi for _, phi in cases])
+    assert calls["shape"] == 0 and len(edges) > len(_panel_edges([cases[0][1]]))
     integrate = verify_mod.integrate_polar
     monkeypatch.setattr(verify_mod, "integrate_polar",
                         lambda alg, params, edges, multi_fn, *rest: integrate(alg, params, edges,
                                                                               counted("batches", multi_fn), *rest))
-    calls["shape"] = 0
     hardy_ratio(heis1, cases, 8_000, seed=11)
-    assert calls["batches"] == 0 and calls["shape"] == 2 + searches[1]
+    assert calls["batches"] == 0 and calls["shape"] == 2
     twins = [(params, replace(phi, modulation=AngularModulation("z1", 0.5))) for params, phi in cases]
     calls["shape"] = 0
     hardy_ratio(heis1, cases + twins, 8_000, seed=11)
     assert calls["batches"] >= 1
-    assert calls["shape"] == calls["batches"] + 2 + searches[1]
+    assert calls["shape"] == calls["batches"] + 2
 
 
 def _uncertainty_columns(alg, params, phi):
@@ -359,7 +355,7 @@ def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
         if id(phi.shape) not in shapes:
             key = f"shape{len(shapes)}"
             calls[key] = 0
-            shapes[id(phi.shape)] = counted_shape(key, phi.shape)
+            shapes[id(phi.shape)] = with_kinks(counted_shape(key, phi.shape), phi.shape.kinks)
     batches = []
 
     def per_batch(multi_fn):
@@ -623,10 +619,10 @@ def test_modulated_field_gradient_matches_fd(heis1, rng):
     assert np.max(np.abs(ga - gf)) / np.max(np.abs(ga)) < 1e-6
 
 
-def _sweep_cases(alg, k):
-    """The (params, u_8) cases of one k of the sweep-heis benchmark grid."""
+def _sweep_cases(alg, k, j=8):
+    """The (params, u_j) cases of one k of the sweep-heis benchmark grid."""
     grid = [OperatorParams.of(alg, k=k, p=p, alpha=a) for p in (1.5, 2.0, 2.5, 3.0) for a in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    return [(params, sharpness_test_function(params, 8)) for params in grid if params.p < params.Q + params.alpha]
+    return [(params, sharpness_test_function(params, j)) for params in grid if params.p < params.Q + params.alpha]
 
 
 def _radial_errors(alg, cases, n, seed, spawn_key):
@@ -737,49 +733,40 @@ def test_quadrature_term_comes_from_replicate_zero(heis1, monkeypatch):
         assert np.any(gain != 1.0) and outside == [size]
 
 
-def test_kink_searches_run_once_per_shape_in_a_command(monkeypatch, tmp_path):
-    # lemma2 and uncertainty search the corpus shapes that hardy searched,
-    # at power 0 on the same supports: in one verify command they reuse
-    # hardy's kinks and evaluate no shape on a search grid, and the reused
-    # edges equal a search of their own
-    searching, counts = [False], Counter()
-    annulus_shape, panel_edges = verify_mod._annulus_shape, verify_mod._panel_edges
+def test_panel_edges_evaluate_no_shape_in_a_command(monkeypatch, tmp_path):
+    # every shape declares its kinks: in a verify command no shape is
+    # evaluated to place the panel edges of hardy, sharpness, lemma2 and
+    # uncertainty, and the edges equal those of a search
+    placing, counts = [False], Counter()  # shape calls while placing edges (True) and otherwise
+    annulus_shape, cutoff, panel_edges = verify_mod._annulus_shape, verify_mod._cutoff, verify_mod._panel_edges
 
-    @cache
-    def counted_shape(r0, r1, kind):
-        shape = annulus_shape(r0, r1, kind)
-
-        def counted(x):
-            if searching[0]:
-                counts[r0, r1, kind] += 1
+    def counted(shape):
+        def wrapped(x):
+            counts[placing[0]] += 1
             return shape(x)
 
-        return counted
+        return with_kinks(wrapped, shape.kinks)
 
     edges = []
 
     def flagged(phis):
-        searching[0] = True
+        placing[0] = True
         try:
             out = panel_edges(phis)
         finally:
-            searching[0] = False
+            placing[0] = False
         edges.append((phis, out))
         return out
 
-    monkeypatch.setattr(verify_mod, "_annulus_shape", counted_shape)
+    monkeypatch.setattr(verify_mod, "_annulus_shape", cache(lambda *key: counted(annulus_shape(*key))))
+    monkeypatch.setattr(verify_mod, "_cutoff", cache(lambda j: counted(cutoff(j))))
     monkeypatch.setattr(verify_mod, "_panel_edges", flagged)
-    cli_args = ["verify", "--group", "heisenberg:1", "--samples", "40000", "--corpus-samples", "8000",
-                "--out", str(tmp_path)]
-    cli.main(cli_args + ["--suite", "hardy"])
-    hardy = dict(counts)
-    assert len(hardy) == 25 and min(hardy.values()) > 0
-    counts.clear()
-    edges.clear()
-    cli.main(cli_args + ["--suite", "hardy", "--suite", "lemma2", "--suite", "uncertainty"])
-    assert dict(counts) == hardy and len(edges) == 5 + 1 + 5
-    for phis, reused in edges[5:]:
-        assert np.array_equal(reused, panel_edges(phis))
+    # hardy first, so that it runs in this process
+    cli.main(["verify", "--group", "heisenberg:1", "--samples", "40000", "--corpus-samples", "8000",
+              "--out", str(tmp_path)] + [f"--suite={name}" for name in ("hardy", "sharpness", "lemma2", "uncertainty")])
+    assert len(edges) == 5 + 8 + 1 + 5 and counts[False] > 0 and counts[True] == 0
+    for phis, out in edges:
+        np.testing.assert_allclose(out, searched_panel_edges(phis), rtol=1e-10, atol=0.0)
 
 
 def test_panel_edges_place_known_kinks():
@@ -792,6 +779,35 @@ def test_panel_edges_place_known_kinks():
         inner = np.setdiff1d(_panel_edges([annulus_bump(0.5, 2.0, kind)]), dyadic_edges(0.5, 2.0))
         assert len(inner) == len(kinks), kind
         np.testing.assert_allclose(inner, kinks, rtol=1e-10, atol=0.0)
+
+
+def test_declared_kinks_match_a_search(heis1, quat1):
+    # the kinks every corpus shape and u_j (j <= 12, over the sweep grid)
+    # declare equal the sign changes that a numerical search finds, to
+    # 1e-10 relative; all (p, alpha) of one u_j share one search
+    batches = [[phi] for phi in build_hardy_corpus()[::2]]
+    batches += [[phi for _, phi in _sweep_cases(alg, k, j)] for alg, ks in ((heis1, (1.0, 1.5, 2.0)), (quat1, (2.0,)))
+                for k in ks for j in range(1, 13)]
+    assert len(batches) == 25 + 48 and all(len({phi.power for phi in phis}) > 5 for phis in batches[25:])
+    for phis in batches:
+        np.testing.assert_allclose(_panel_edges(phis), searched_panel_edges(phis), rtol=1e-10, atol=0.0)
+
+
+def test_panel_edges_need_declared_kinks(heis1):
+    # a shape that declares no kinks, or none at the power asked for,
+    # raises; and a declared kink moved by 1e-6 relative fails the search
+    # oracle, for a stretched corpus shape and for u_j
+    phi, u = annulus_bump(0.5, 2.0, "plateau"), sharpness_test_function(params_for(heis1), 4)
+    with pytest.raises(AttributeError, match="kinks"):
+        _panel_edges([replace(phi, shape=lambda r: phi.shape(r))])
+    for undeclared in (replace(phi, power=1.0), replace(u, power=-0.5)):
+        with pytest.raises(ValueError, match="declares no kinks at power"):
+            _panel_edges([undeclared])
+    for f in (phi, u):
+        np.testing.assert_allclose(_panel_edges([f]), searched_panel_edges([f]), rtol=1e-10, atol=0.0)
+        moved = replace(f, shape=with_kinks(f.shape, lambda power, f=f: np.multiply(f.shape.kinks(power), 1.0 + 1e-6)))
+        with pytest.raises(AssertionError):
+            np.testing.assert_allclose(_panel_edges([moved]), searched_panel_edges([moved]), rtol=1e-10, atol=0.0)
 
 
 def test_radial_1d_batch_matches_a_graded_reference(heis1, quat1):
