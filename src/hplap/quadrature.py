@@ -356,16 +356,21 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     c = Q w r^{Q-1}.  multi_fn(Z, T, r, c) -> (nf, len(Z)) gets directions
     Z, T on the unit gauge sphere (d = 1) and returns column i as
     sum_j f_i(delta_{r_j} w) c_j, so a field of known degree under delta_r
-    is evaluated once per direction and its profile once per node.  Each
-    call gets at most _SLICE // len(r) directions: a directions x nodes
-    array holds at most _SLICE elements, whatever nf is.
+    is evaluated once per direction and its profile once per node.  edges
+    may instead be a list of edge arrays on one support, one radial rule
+    per group of integrands, each summed on the panels of its own
+    integrands' kinks: multi_fn then gets r and c as lists, rule by rule.
+    Each call gets at most _SLICE // len(r) directions, len(r) the nodes
+    of the union of the rules: a directions x nodes array holds at most
+    _SLICE elements, whatever nf is.
 
     Budget: n candidates split evenly over the dyadic pieces [a, b) of
     the support, n_per = max(MIN_REGION_CANDIDATES, ceil(n / pieces))
     each, buy max(REPLICATES, ceil(rho n_per)) points per piece, rho =
     |B_1| (1 - (a / b)^Q) / 2^{m-q} the share of the piece's bounding box
     that it fills; they are spent as max(REPLICATES, points // nodes)
-    directions.
+    directions, nodes those of the union of the rules, so splitting a
+    rule into the rules of its integrands draws the same directions.
 
     Returns (estimates, gain): the (REPLICATES, nf) replicate estimates
     of mc_region_multi, whose column means are the integrals, and column
@@ -376,21 +381,27 @@ def integrate_polar(alg: HTypeAlgebra, params: OperatorParams, edges, multi_fn: 
     pass holds.  An integral, or a ratio of two (gain_L / gain_R), then
     has the quadrature term of :func:`total_stderr`.
     """
-    edges = np.asarray(edges, dtype=float)
+    single = np.ndim(edges[0]) == 0
+    rules = [np.asarray(e, dtype=float) for e in ([edges] if single else edges)]
+    knots = np.sort(np.concatenate(rules))
+    panels = int(np.count_nonzero(np.diff(knots)))  # of the union of the rules
     Q, k = params.Q, params.k
-    dyadic = dyadic_edges(edges[0], edges[-1])
+    dyadic = dyadic_edges(knots[0], knots[-1])
     n_per = max(MIN_REGION_CANDIDATES, math.ceil(n / (len(dyadic) - 1)))
     points = sum(max(REPLICATES, math.ceil(_box_share(params, a / b) * n_per)) for a, b in zip(dyadic, dyadic[1:]))
-    directions = max(REPLICATES, points // (POLAR_NODES * (len(edges) - 1)))
+    directions = max(REPLICATES, points // (POLAR_NODES * panels))
 
     def along_rays(deg):
-        """(h, per): h(Z, T) -> (nf, len(Z)), the radial rule of deg nodes per panel along the directions of Z, T,
+        """(h, per): h(Z, T) -> (nf, len(Z)), the radial rules of deg nodes per panel along the directions of Z, T,
         which passes multi_fn at most per directions per call."""
         x, w = _leggauss(deg)
-        lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-        r = (lo + half * (x + 1.0)).ravel()
-        c = Q * (half * w).ravel() * r ** (Q - 1.0)
-        per = max(1, _SLICE // len(r))
+        r, c = [], []
+        for e in rules:
+            lo, half = e[:-1, None], 0.5 * np.diff(e)[:, None]
+            r.append((lo + half * (x + 1.0)).ravel())
+            c.append(Q * (half * w).ravel() * r[-1] ** (Q - 1.0))
+        r, c = (r[0], c[0]) if single else (r, c)
+        per = max(1, _SLICE // (deg * panels))
 
         def h(Z, T):
             d = norm_d(params, (Z, T))

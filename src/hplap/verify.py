@@ -522,29 +522,31 @@ def _panel_edges(phis) -> np.ndarray:
 
 
 def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
-    """(|z_w|, field) on directions w = (Z, T) of the unit gauge sphere and radial nodes r: field(phi) =
-    (|Phi|, |grad_X Phi|) at the points delta_r w for phi in phis, each a function p -> its p-th power in the ray
-    form of :func:`_ray_sum`, computed once per p.
+    """(|z_w|, field) on directions w = (Z, T) of the unit gauge sphere and radial nodes r, one array for all phis or
+    a list of one per phi: field(phi) = (|Phi|, |grad_X Phi|) at the points delta_r w on the nodes of phi, each a
+    function p -> its p-th power in the ray form of :func:`_ray_sum`, computed once per p.
     Under delta_r, X_j and d have degree 1 and X_j d and a modulation m degree 0, so |Phi| = |phi(r)| |m(w)| and
-    grad_X Phi = phi'(r) X d(w) m(w) + phi(r) X m(w) / r: d, its Euclidean gradient and the drift of X once per
-    direction, X d and each modulation's value and X-gradient contracted from them once; F(r), F'(r) once per
-    shape, which corpus twins share."""
-    _near_singular_check(params, np.min(r) * Z)  # the points delta_r w closest to {z = 0}
+    grad_X Phi = phi'(r) X d(w) m(w) + phi(r) X m(w) / r, whose squared norm G is the quadratic form
+    a phi'^2 + b phi' phi / r + c (phi / r)^2, a = m^2 |X d|^2, b = 2 m <X d, X m> and c = |X m|^2 per direction:
+    one (directions x 3) @ (3 x nodes) product, clamped at 0, with |grad_X Phi|^p = G^{p/2}.  d, its Euclidean
+    gradient and the drift of X once per direction, X d and each modulation's value and form contracted from them
+    once; F(r), F'(r) once per shape and nodes array, which corpus twins share."""
+    rs = r if isinstance(r, list) else [r] * len(phis)
+    _near_singular_check(params, min(map(np.min, rs)) * Z)  # the points delta_r w closest to {z = 0}
     d, grad_d = _d_and_grad(params, Z, T)
     zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
     drift = _drift(alg, params, Z)
     Xd = _x_from_euclid(alg, drift, grad_d)
     Xd2 = np.einsum("nj,nj->n", Xd, Xd)
     Xd_norm, ones = np.sqrt(Xd2)[:, None], np.ones((len(Z), 1))
-    shape_values = cache(lambda shape: shape(r))
+    nodes, shape_values = dict(zip(phis, rs)), {}
 
     def modulation(mod):
-        """m and the coefficients of |grad_X Phi|^2 = m^2 |X d|^2 phi'^2 + 2 m <X d, X m> phi' phi / r
-        + |X m|^2 (phi / r)^2."""
+        """|m| and the (directions, 3) coefficients of the form."""
         mv = mod.value(params, Z, T, d)
         Xm = _x_from_euclid(alg, drift, mod.grad(params, Z, T, (d, grad_d)))
-        return mv, (mv * mv * Xd2)[:, None], (2.0 * mv * np.einsum("nj,nj->n", Xd, Xm))[:, None], \
-            np.einsum("nj,nj->n", Xm, Xm)[:, None]
+        return np.abs(mv)[:, None], np.column_stack([mv * mv * Xd2, 2.0 * mv * np.einsum("nj,nj->n", Xd, Xm),
+                                                     np.einsum("nj,nj->n", Xm, Xm)])
 
     modulations = {mod: modulation(mod) for mod in {phi.modulation for phi in phis} - {None}}
 
@@ -553,13 +555,17 @@ def _corpus_batch(alg: HTypeAlgebra, params: OperatorParams, Z, T, r, phis):
         return cache(lambda p: (A**p, B**p))
 
     def field(phi):
-        f, df = phi.profile(r, *shape_values(phi.shape))
+        x = nodes[phi]
+        key = (phi.shape, id(x))
+        if key not in shape_values:
+            shape_values[key] = phi.shape(x)
+        f, df = phi.profile(x, *shape_values[key])
         if phi.modulation is None:
             return powers(ones, np.abs(f)), powers(Xd_norm, np.abs(df))
-        mv, a, b, cc = modulations[phi.modulation]
-        fr = f / r
-        gn = np.sqrt(np.maximum(a * df**2 + b * (df * fr) + cc * fr**2, 0.0))
-        return powers(np.abs(mv)[:, None], np.abs(f)), powers(gn, 1.0)
+        mv, form = modulations[phi.modulation]
+        fr = f / x
+        G = np.maximum(form @ np.stack([df * df, df * fr, fr * fr]), 0.0)
+        return powers(mv, np.abs(f)), cache(lambda p: (G if p == 2.0 else G ** (0.5 * p), 1.0))
 
     return zn, field
 
@@ -582,10 +588,18 @@ def _powers(x: np.ndarray, exps) -> np.ndarray:
 def _ray_sum(f, ang, rad, c) -> np.ndarray:
     """sum_j ang rad_j f_j c_j along each direction of a ray-form value f = (A, B) on the radial nodes r_j:
     f_j = A[:, j] B_j, with A of shape (directions, 1) for a separable f (and (directions, len(r)) otherwise) and
-    B of shape (len(r),) or a scalar; ang is per direction and rad per node (either may be a scalar)."""
+    B of shape (len(r),) or a scalar; ang is per direction and rad per node (either may be a scalar).  A rad of
+    shape (rows, len(r)) gives one row per row of rad, (rows, directions), in one matmul."""
     A, B = f
-    w = B * rad * c
-    return ang * (A @ w if A.shape[1] > 1 else A[:, 0] * np.sum(w))
+    w = rad * (B * c)
+    return ang * (w @ A.T if A.shape[1] > 1 else np.sum(w, axis=-1)[..., None] * A[:, 0])
+
+
+def _own_rules(phis) -> tuple:
+    """(rules, at): the distinct :func:`_panel_edges` of each phi alone and the index of each phi's in rules."""
+    rules = {}
+    at = [rules.setdefault(tuple(_panel_edges([phi]).tolist()), len(rules)) for phi in phis]
+    return [np.array(e) for e in rules], at
 
 
 def _radial_1d_batch(cases, edges=None) -> np.ndarray:
@@ -619,31 +633,48 @@ def _radial_1d_batch(cases, edges=None) -> np.ndarray:
     return grid_integral_1d(profile, edges).reshape(-1, 2)
 
 
-def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = ()) -> list[HardyRatioResult]:
+def _angular_factors(alg: HTypeAlgebra, params: OperatorParams, ps) -> dict:
+    """p -> (int_S |X d|^p, int_S |grad_X d|^p, and the gain of each) for every p of ps, the angular factors of a
+    radial Rayleigh quotient by :func:`meridian_integral`.  They depend only on the group, k and ps, so a suite
+    computes them once and passes them to each of its :func:`hardy_ratio` calls."""
+
+    def angular(Z, T):
+        # |X d| and |grad_X d| = |z_w|^{2k-1} on the unit gauge sphere, each to every p
+        Xd = _x_from_euclid(alg, _drift(alg, params, Z), _d_and_grad(params, Z, T)[1])
+        zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
+        return np.vstack([_powers(np.sqrt(np.einsum("nj,nj->n", Xd, Xd)), ps), _powers(zn ** (2.0 * params.k - 1.0), ps)])
+
+    A, gain = meridian_integral(alg, params, angular)  # rows |X d|^p, then |grad_X d|^p
+    return {p: (A[i], A[len(ps) + i], gain[i], gain[len(ps) + i]) for i, p in enumerate(ps)}
+
+
+def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = (),
+                angular: Optional[dict] = None) -> list[HardyRatioResult]:
     """Rayleigh quotients
 
         ratio = int d^alpha |grad_X Phi|^p  /  int d^{alpha-p} |grad_X d|^p |Phi|^p
 
-    for each (params, phi) in cases, on the radial panels of
-    :func:`_panel_edges`, which end at every kink of a case's |phi'|^p; the
-    cases must share k and the support of phi.  Returns one
-    :class:`HardyRatioResult` per case.
+    for each (params, phi) in cases; the cases must share k and the
+    support of phi.  Returns one :class:`HardyRatioResult` per case.
 
     A radial Phi draws nothing: L = int_S |X d|^p I_L and R =
     int_S |z_w|^{(2k-1)p} I_R, the radial integrals I of
-    :func:`_radial_1d_batch` times angular factors from
-    :func:`meridian_integral`, equal by Lemma 1.  So ratio = I_L / I_R,
-    with the 1-D rule's quadrature term (gain under halved panels) as its
-    stderr.  lhs_1d and rhs_1d are sphere_moment((2k-1)p) I, and
-    radial_consistent says that L and R lie within their quadrature terms
-    of them.  Non-finite 1-D integrals raise ValueError.
+    :func:`_radial_1d_batch` on the panels of :func:`_panel_edges` of all
+    cases, which end at every kink of a case's |phi'|^p, times the angular
+    factors of :func:`_angular_factors` (angular, if the caller holds them
+    for the cases' p), equal by Lemma 1.  So ratio = I_L / I_R, with the
+    1-D rule's quadrature term (gain under halved panels) as its stderr.
+    lhs_1d and rhs_1d are sphere_moment((2k-1)p) I, and radial_consistent
+    says that L and R lie within their quadrature terms of them.
+    Non-finite 1-D integrals raise ValueError.
 
     A modulated Phi is integrated by :func:`integrate_polar` (substream
-    spawn_key, budget n), L, R and L / R with their stderrs from
-    :func:`_power_quotients`; a case is a ray sum (:func:`_ray_sum`) of the
-    (|Phi|^p, |grad_X Phi|^p) of :func:`_corpus_batch`, each power taken
-    once per distinct exponent (:func:`_powers`), so batching changes no
-    bit of a case's columns.
+    spawn_key, budget n) on the panels of its own kinks (:func:`_own_rules`),
+    on the directions that the panels of all of them buy; L, R and L / R
+    with their stderrs from :func:`_power_quotients`.  Per phi and p, the
+    L columns of all its alpha are one matmul of |grad_X Phi|^p
+    (:func:`_corpus_batch`) with the weights r^alpha c, and the R columns
+    are separable: |m|^p |z_w|^{(2k-1)p} times one radial sum each.
     """
     if not cases:
         raise ValueError("hardy_ratio needs at least one (params, phi) case")
@@ -655,7 +686,6 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
         if not params.p < params.Q + params.alpha:
             raise ValueError(f"Rayleigh quotient requires p < Q + alpha = {params.Q + params.alpha}, got p={params.p}")
         by_phi.setdefault(id(phi), (phi, []))[1].append((i, params.p, params.alpha))
-    edges = _panel_edges([phi for phi, _ in by_phi.values()])
     ps = sorted({params.p for params, _ in cases})
     out = [None] * len(cases)
 
@@ -663,21 +693,22 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     if modulated:
         # modulated case -> its pair of columns, in the order of cases
         col = {i: j for j, i in enumerate(i for i, (_, phi) in enumerate(cases) if not phi.radial)}
+        rules, at = _own_rules([phi for phi, _ in modulated])
 
         def multi(Z, T, r, c):
-            zn, field = _corpus_batch(alg, base, Z, T, r, [phi for phi, _ in modulated])
+            zn, field = _corpus_batch(alg, base, Z, T, [r[j] for j in at], [phi for phi, _ in modulated])
             gd_p = _powers(zn ** (2.0 * base.k - 1.0), ps)  # |grad_X d| at d = 1 (of degree 0) to each p
             out = np.empty((2 * len(col), len(Z)))
-            r_pow = cache(lambda a: r**a)
-            for phi, idx in modulated:
+            for (phi, idx), j in zip(modulated, at):
                 u, gu = field(phi)
-                for i, p, a in idx:
-                    out[2 * col[i]] = _ray_sum(gu(p), 1.0, r_pow(a), c)
-                    out[2 * col[i] + 1] = _ray_sum(u(p), gd_p[ps.index(p)], r_pow(a - p), c)
-                del u, gu  # this phi's directions x nodes powers, before the next phi builds its own
+                for p, group in groupby(sorted(idx, key=lambda case: case[1]), key=lambda case: case[1]):
+                    rows, alphas = (np.array(v) for v in zip(*((2 * col[i], a) for i, _, a in group)))
+                    out[rows] = _ray_sum(gu(p), 1.0, r[j] ** alphas[:, None], c[j])
+                    out[rows + 1] = _ray_sum(u(p), gd_p[ps.index(p)], r[j] ** (alphas[:, None] - p), c[j])
+                del u, gu  # this phi's directions x nodes arrays, before the next phi builds its own
             return out
 
-        est, gain = integrate_polar(alg, base, edges, multi, 2 * len(col), n, seed, spawn_key)
+        est, gain = integrate_polar(alg, base, rules, multi, 2 * len(col), n, seed, spawn_key)
         # L, R and L / R of every modulated case
         values, stderrs = _power_quotients(est, gain, [e for j in range(0, 2 * len(col), 2)
                                                        for e in ({j: 1.0}, {j + 1: 1.0}, {j: 1.0, j + 1: -1.0})])
@@ -688,6 +719,7 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
     radial = [i for i, (_, phi) in enumerate(cases) if phi.radial]
     if not radial:
         return out
+    edges = _panel_edges([phi for phi, _ in by_phi.values()])
     I = _radial_1d_batch([cases[i] for i in radial], edges)
     gain = _radial_1d_batch([cases[i] for i in radial], _halved(edges)) / I
     for i, ok in zip(radial, np.all(np.isfinite(gain), axis=1)):  # gain = fine / I is finite only if both are
@@ -695,22 +727,16 @@ def hardy_ratio(alg: HTypeAlgebra, cases, n: int, seed: int, spawn_key: tuple = 
             raise ValueError(f"hardy_ratio: radial case {i} (p={cases[i][0].p:g}, alpha={cases[i][0].alpha:g}, "
                              f"support {cases[i][1].support}) has non-finite 1-D integrals")
 
-    def angular(Z, T):
-        # |X d| and |grad_X d| = |z_w|^{2k-1} on the unit gauge sphere, each to every p
-        Xd = _x_from_euclid(alg, _drift(alg, base, Z), _d_and_grad(base, Z, T)[1])
-        zn = np.sqrt(np.einsum("ni,ni->n", Z, Z))
-        return np.vstack([_powers(np.sqrt(np.einsum("nj,nj->n", Xd, Xd)), ps), _powers(zn ** (2.0 * base.k - 1.0), ps)])
-
-    A, A_gain = meridian_integral(alg, base, angular)  # rows |X d|^p, then |grad_X d|^p
-    for j, i in enumerate(radial):
-        params = cases[i][0]
-        at, S = ps.index(params.p), cf.sphere_moment(params, (2.0 * params.k - 1.0) * params.p)
-        (I_L, I_R), (g_L, g_R) = I[j], gain[j]
-        L, R, ratio = A[at] * I_L, A[len(ps) + at] * I_R, I_L / I_R
-        se_L, se_R = total_stderr(0.0, L, g_L * A_gain[at]), total_stderr(0.0, R, g_R * A_gain[len(ps) + at])
-        res = L, R, ratio, total_stderr(0.0, ratio, g_L / g_R), se_L, se_R, S * I_L, S * I_R
-        out[i] = HardyRatioResult(*map(float, res), radial_consistent=bool(abs(L - S * I_L) <= se_L
-                                                                            and abs(R - S * I_R) <= se_R))
+    angular = _angular_factors(alg, base, ps) if angular is None else angular
+    p = [cases[i][0].p for i in radial]
+    moment = {q: (cf.sphere_moment(base, (2.0 * base.k - 1.0) * q),) for q in set(p)}  # once per p
+    (A_L, A_R, gA_L, gA_R, S), (I_L, I_R), (g_L, g_R) = np.array([angular[q] + moment[q] for q in p]).T, I.T, gain.T
+    L, R, ratio, L_1d, R_1d = A_L * I_L, A_R * I_R, I_L / I_R, S * I_L, S * I_R
+    se_L, se_R = total_stderr(0.0, L, g_L * gA_L), total_stderr(0.0, R, g_R * gA_R)
+    consistent = (np.abs(L - L_1d) <= se_L) & (np.abs(R - R_1d) <= se_R)
+    for i, *res, ok in zip(radial, *(x.tolist() for x in (L, R, ratio, total_stderr(0.0, ratio, g_L / g_R), se_L, se_R,
+                                                          L_1d, R_1d, consistent))):
+        out[i] = HardyRatioResult(*res, radial_consistent=ok)
     return out
 
 
@@ -920,10 +946,11 @@ def verify_hardy(config: SuiteConfig) -> VerificationReport:
     grid = [params for params in grid if params.p < params.Q + params.alpha]
     rows = [[] for _ in grid]  # per grid point: (ratio, sharp, stderr) of every corpus function
     radial_flags, radial_devs = [], []
+    angular = _angular_factors(alg, grid[0], sorted({params.p for params in grid}))
     # the corpus lists its five annuli one after the other
     for ai, (_, phis) in enumerate(groupby(corpus, key=lambda phi: phi.support)):
         cases = [(params, phi) for phi in phis for params in grid]
-        results = hardy_ratio(alg, cases, config.corpus_n(), config.seed, (4, ai))
+        results = hardy_ratio(alg, cases, config.corpus_n(), config.seed, (4, ai), angular)
         for ci, ((params, phi), res) in enumerate(zip(cases, results)):
             rows[ci % len(grid)].append((res.ratio, sharp_hardy_constant(params), res.stderr))
             if phi.radial:
@@ -990,9 +1017,10 @@ def verify_sharpness(config: SuiteConfig) -> VerificationReport:
     ns = config.mc_nsigma()
     a0 = (params.Q + params.alpha - p) / p
     ratios, stderrs, lhs1d = [], [], []
+    angular = _angular_factors(alg, params, [p])
     for j in range(1, config.j_max + 1):
         phi = sharpness_test_function(params, j)
-        [res] = hardy_ratio(alg, [(params, phi)], config.corpus_n(), config.seed, spawn_key=(5, j))
+        [res] = hardy_ratio(alg, [(params, phi)], config.corpus_n(), config.seed, (5, j), angular)
         ratios.append(res.ratio)
         stderrs.append(res.stderr)
         lhs1d.append(res.lhs_1d)

@@ -205,8 +205,10 @@ def _admissible_grid(alg):
 
 def test_hardy_ratio_shared_cases_match_single_calls(heis1, monkeypatch):
     # one call over every admissible (p, alpha) equals one call per case on
-    # the same spawn key and panels: the directions, d, grad_X d, each
-    # shape's values and each modulation's gradient are shared, not changed
+    # the same spawn key, rules and panels: the directions, d, grad_X d, each
+    # shape's values and each modulation's gradient are shared, not changed.
+    # A single call gets the shared call's rules, so it draws the same
+    # directions and sums its case on that case's own panels
     grid = _admissible_grid(heis1)
     corpus = build_hardy_corpus()
     case_lists = [[(params, phi) for params in grid] for phi in corpus[:2]]  # radial, modulated
@@ -214,10 +216,14 @@ def test_hardy_ratio_shared_cases_match_single_calls(heis1, monkeypatch):
     # the ten functions of one support (radial, z1 and t1 modulated; 5 shapes)
     assert {phi.support for phi in corpus[:10]} == {(0.5, 2.0)} and corpus[10].support != (0.5, 2.0)
     case_lists.append([(params, phi) for phi in corpus[:10] for params in grid])
+    own_rules = verify_mod._own_rules
     for cases in case_lists:
         shared = hardy_ratio(heis1, cases, 8_000, seed=11, spawn_key=(4, 0))
         edges = _panel_edges([phi for _, phi in cases])
+        modulated = list(dict.fromkeys(phi for _, phi in cases if not phi.radial))
+        rules, at = own_rules(modulated)
         monkeypatch.setattr(verify_mod, "_panel_edges", lambda phis: edges)
+        monkeypatch.setattr(verify_mod, "_own_rules", lambda phis: (rules, [at[modulated.index(phi)] for phi in phis]))
         for case, res in zip(cases, shared):
             [single] = hardy_ratio(heis1, [case], 8_000, seed=11, spawn_key=(4, 0))
             assert res.ratio == pytest.approx(single.ratio, rel=1e-12)
@@ -234,8 +240,8 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
     # 8 radial cases on one shape: the shape runs twice for the 1-D
     # reduction on all its panels (the rule and its halved-panel pass),
     # not once per case, and never to place the panel edges, and no polar
-    # batch runs.  With 8 modulated twins on the same shape it also runs
-    # once per field batch
+    # batch runs.  With z1 and t1 modulated twins of each power it also runs
+    # once per field batch and own rule: twins of one power share a rule
     calls = {"shape": 0, "batches": 0}
 
     def counted(name, fn):
@@ -257,11 +263,111 @@ def test_hardy_ratio_evaluates_shared_shape_once(heis1, monkeypatch):
                                                                               counted("batches", multi_fn), *rest))
     hardy_ratio(heis1, cases, 8_000, seed=11)
     assert calls["batches"] == 0 and calls["shape"] == 2
-    twins = [(params, replace(phi, modulation=AngularModulation("z1", 0.5))) for params, phi in cases]
+    twins = [(params, replace(phi, modulation=AngularModulation(kind, 0.5))) for params, phi in cases for kind in ("z1", "t1")]
+    rules, _ = verify_mod._own_rules([phi for _, phi in twins])
+    assert len(rules) == len({phi.power for _, phi in cases}) == 7  # p = 1.5, alpha = -1 and p = 2, alpha = 0 share one
     calls["shape"] = 0
     hardy_ratio(heis1, cases + twins, 8_000, seed=11)
     assert calls["batches"] >= 1
-    assert calls["shape"] == calls["batches"] + 2
+    assert calls["shape"] == len(rules) * calls["batches"] + 2
+
+
+def test_modulated_functions_sum_on_their_own_panels(heis1, monkeypatch):
+    # each modulated function of a batch is summed on the nodes of its own
+    # _panel_edges([phi]): the ray form gets one node array per distinct
+    # rule, and every shape is evaluated on the nodes of its function's rule
+    seen = []
+    integrate = verify_mod.integrate_polar
+
+    def recorded(alg, params, edges, multi_fn, *rest):
+        def spied(Z, T, r, c):
+            seen.append((edges, r, c))
+            return multi_fn(Z, T, r, c)
+
+        return integrate(alg, params, edges, spied, *rest)
+
+    monkeypatch.setattr(verify_mod, "integrate_polar", recorded)
+    def spy(shape):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return shape(x)
+
+        spied = with_kinks(wrapped, shape.kinks)
+        spied.calls = calls
+        return spied
+
+    phis = [replace(phi, shape=spy(phi.shape)) for phi in build_hardy_corpus()[:10]]
+    params = params_for(heis1, k=1.0, p=2.0)
+    hardy_ratio(heis1, [(params, phi) for phi in phis], 8_000, seed=11)
+    modulated = [phi for phi in phis if not phi.radial]
+    edges, r, c = seen[0]
+    rules, at = verify_mod._own_rules(modulated)
+    assert len(edges) == len(r) == len(c) == len(rules) == 4  # sin2 and poly3 have the same kink and share a rule
+    for phi, j in zip(modulated, at):
+        e, x = edges[j], r[j]
+        np.testing.assert_array_equal(e, _panel_edges([phi]))
+        assert len(x) == quadrature.POLAR_NODES * (len(e) - 1) and e[0] < x.min() and x.max() < e[-1]
+        assert any(y is x for y in phi.shape.calls)
+    # the union of the own panels is the panels of the whole batch, so the batch draws the directions it drew on them
+    np.testing.assert_array_equal(np.unique(np.concatenate(edges)), _panel_edges(phis))
+
+
+def test_own_panel_quotients_agree_with_whole_annulus_panels(heis1, quat1, monkeypatch):
+    # each modulated quotient of a corpus annulus, summed on the panels of
+    # its own kinks, draws the directions that it drew on the panels of the
+    # whole annulus, and L, R and L / R agree with theirs on those panels to
+    # 1% of their stderrs, which differ by less than 1e-3 relative.  (The
+    # quadrature terms alone, measured on the directions of replicate 0,
+    # fall short of the change: see CHANGES.md.)
+    integrate = verify_mod.integrate_polar
+
+    def quotients(alg, cases, ai):
+        """(directions of the first batch, [(value, stderr) of L, R and L / R of each case])."""
+        seen = []
+
+        def recorded(alg, params, edges, multi_fn, *rest):
+            def spied(Z, T, r, c):
+                seen.append(Z)
+                return multi_fn(Z, T, r, c)
+
+            return integrate(alg, params, edges, spied, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod, "integrate_polar", recorded)
+            results = hardy_ratio(alg, cases, 60_000, 20240, (4, ai))
+        return seen[0], np.array([[(res.lhs, res.lhs_stderr), (res.rhs, res.rhs_stderr), (res.ratio, res.stderr)]
+                                  for res in results])
+
+    for alg, k in ((heis1, 1.0), (quat1, 2.0)):
+        grid = [OperatorParams.of(alg, k=k, p=p, alpha=a) for p in verify_mod._HARDY_P for a in verify_mod._HARDY_ALPHA]
+        grid = [params for params in grid if params.p < params.Q + params.alpha]
+        for ai, (_, phis) in enumerate(groupby(build_hardy_corpus(), key=lambda phi: phi.support)):
+            phis = list(phis)
+            cases = [(params, phi) for phi in phis if not phi.radial for params in grid]
+            Z, own = quotients(alg, cases, ai)
+            whole = _panel_edges(phis)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify_mod, "_own_rules", lambda phis: ([whole], [0] * len(phis)))
+                Z_whole, ref = quotients(alg, cases, ai)
+            assert np.array_equal(Z, Z_whole) and len(verify_mod._own_rules(phis)[0]) > 1
+            assert np.all(np.abs(own[..., 0] - ref[..., 0]) <= 0.01 * ref[..., 1]), (alg.m, ai)
+            assert np.all(np.abs(own[..., 1] - ref[..., 1]) <= 1e-3 * ref[..., 1]), (alg.m, ai)
+
+
+def test_angular_factors_once_per_suite(monkeypatch):
+    # the meridian factors of the radial quotients depend only on the group,
+    # k and the set of p: a hardy run and a sharpness run each integrate them
+    # once, not once per hardy_ratio call (5 and 8 calls)
+    calls = {"meridian_integral": 0, "hardy_ratio": 0}
+    monkeypatch.setattr(verify_mod, "meridian_integral",
+                        _counting(calls, "meridian_integral", verify_mod.meridian_integral))
+    monkeypatch.setattr(verify_mod, "hardy_ratio", _counting(calls, "hardy_ratio", verify_mod.hardy_ratio))
+    for suite, n_calls in (("hardy", 5), ("sharpness", 8)):
+        calls.update(meridian_integral=0, hardy_ratio=0)
+        run_suite(suite, SuiteConfig(group="heisenberg:1", **FAST))
+        assert calls == {"meridian_integral": 1, "hardy_ratio": n_calls}, suite
 
 
 def _uncertainty_columns(alg, params, phi):
@@ -329,8 +435,8 @@ def test_corpus_suites_make_one_call_per_support(monkeypatch):
 def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
     # ten functions, both modulation kinds, the whole (p, alpha) grid: in
     # each batch of directions, d once, each modulation's gradient once and
-    # each distinct shape once, on the len(r) radial nodes and not on
-    # directions x nodes points
+    # each distinct shape once, on the radial nodes of its own rule and not
+    # on directions x nodes points
     calls = {"norm_d": 0, "z1": 0, "t1": 0}
     grad = AngularModulation.grad
 
@@ -363,7 +469,7 @@ def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
             before = dict(calls)
             sizes.clear()
             out = multi_fn(Z, T, r, c)
-            batches.append(({key: calls[key] - before[key] for key in calls}, set(sizes), len(r)))
+            batches.append(({key: calls[key] - before[key] for key in calls}, set(sizes), {x.shape for x in r}))
             return out
 
         return wrapped
@@ -376,7 +482,7 @@ def test_corpus_batch_computes_geometry_once_per_batch(heis1, monkeypatch):
     hardy_ratio(heis1, [(params, phi) for phi in phis for params in _admissible_grid(heis1)], 8_000, seed=11)
     assert len(shapes) == 5 and len(batches) >= 2
     for counts, shape_sizes, nodes in batches:
-        assert set(counts.values()) == {1} and len(counts) == 8 and shape_sizes == {(nodes,)}
+        assert set(counts.values()) == {1} and len(counts) == 8 and shape_sizes == nodes and len(nodes) > 1
 
 
 def test_corpus_twins_share_one_shape():
@@ -431,18 +537,47 @@ def _at_each_node(ray_fn, Z, T, r):
 
 
 def _captured_integrands(monkeypatch, run):
-    """The (params, multi_fn) of every integrate_polar call that run() makes."""
+    """The (params, multi_fn, edges, r) of every integrate_polar call that
+    run() makes, r the nodes of its rules in its first call."""
     seen = []
     integrate = verify_mod.integrate_polar
 
     def recorded(alg, params, edges, multi_fn, *rest):
-        seen.append((params, multi_fn))
-        return integrate(alg, params, edges, multi_fn, *rest)
+        nodes = []
+
+        def spied(Z, T, r, c):
+            nodes.append((r, c))
+            return multi_fn(Z, T, r, c)
+
+        out = integrate(alg, params, edges, spied, *rest)
+        seen.append((params, multi_fn, edges, nodes[0][0]))
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(verify_mod, "integrate_polar", recorded)
         run()
     return seen
+
+
+def _check_at_own_nodes(multi, reference, rule_of, Z, T, edges, r):
+    """A ray-form integrand with one rule per function against the
+    point-wise reference(Z, T, x) -> (nf, len(Z)) at single radial nodes x:
+    at each node of each rule alone (weight 1 there and 0 on every other
+    node of every rule), the columns of that rule's functions are their
+    point values at the node, to 1e-12, and every other column is 0.  The
+    nodes within 2% of a panel edge are left out: there a profile or its
+    derivative vanishes (at the support's ends and at the kinks), and a
+    point value computed from d(delta_r w) has fewer correct digits."""
+    r = [x[np.min(np.abs(x[:, None] - e), axis=1) > 0.02 * x] for x, e in zip(r, edges)]
+    assert all(len(x) >= 16 for x in r)
+    for j, x in enumerate(r):
+        mine = np.asarray(rule_of) == j
+        for i in range(len(x)):
+            c = [np.zeros(len(y)) for y in r]
+            c[j][i] = 1.0
+            got = multi(Z, T, r, c)
+            np.testing.assert_allclose(got[mine], reference(Z, T, x[i : i + 1])[mine], rtol=1e-12)
+            assert not np.any(got[~mine])
 
 
 def _hardy_columns(alg, cases):
@@ -486,8 +621,9 @@ def test_ray_form_fields_match_point_values(group, k, p):
 
 @pytest.mark.parametrize("group,k,p", _RAY_CONFIGS)
 def test_ray_form_integrands_match_point_values(group, k, p, monkeypatch):
-    # every column of the hardy and uncertainty integrands, node by node,
-    # against the point-wise integrand at delta_r w: the quotient weights
+    # every column of the hardy integrands, node by node on its function's
+    # own nodes, and of the uncertainty integrands, node by node, against
+    # the point-wise integrand at delta_r w: the quotient weights
     # and the uncertainty weights (r |z_w|)^t, |z_w|^{2k} and
     # |z_w|^{(2k-1)s} r^{-s}; and the density's eps sweep
     alg = resolve_group(group)
@@ -497,16 +633,19 @@ def test_ray_form_integrands_match_point_values(group, k, p, monkeypatch):
     r = np.linspace(0.55, 1.95, 6)
     corpus = build_hardy_corpus()
     cases = [(params, phi) for phi in corpus[:10]] + [(cfg.params(alg, alpha=1.0), corpus[3])]
-    [(_, multi)] = _captured_integrands(monkeypatch, lambda: hardy_ratio(alg, cases, 4_000, seed=1))
-    # the polar columns are those of the modulated cases; radial cases draw nothing
+    [(_, multi, edges, r)] = _captured_integrands(monkeypatch, lambda: hardy_ratio(alg, cases, 4_000, seed=1))
+    # the polar columns are those of the modulated cases, each on the nodes of its own panels; radial cases draw nothing
     modulated = [case for case in cases if not case[1].radial]
-    np.testing.assert_allclose(_at_each_node(multi, Z, T, r),
-                               _at_each_node(at_real_points(params, _hardy_columns(alg, modulated)), Z, T, r),
-                               rtol=1e-12)
+    _, at = verify_mod._own_rules(list(dict.fromkeys(phi for _, phi in modulated)))
+    rule = dict(zip(dict.fromkeys(phi for _, phi in modulated), at))
+    assert len(r) > 1 and len(set(map(len, r))) > 1
+    _check_at_own_nodes(multi, lambda Z, T, x: at_real_points(params, _hardy_columns(alg, modulated))(Z, T, x, np.ones(1)),
+                        [rule[phi] for _, phi in modulated for _ in range(2)], Z, T, edges, r)
 
     phis = corpus[:10:3]
-    [(_, multi)] = _captured_integrands(
+    [(_, multi, _, _)] = _captured_integrands(
         monkeypatch, lambda: verify_mod._uncertainty_quotients(alg, params, phis, 4_000, 1, (7, 0)))
+    r = np.linspace(0.55, 1.95, 6)
     reference = np.concatenate([_uncertainty_columns(alg, params, phi)(*real_points(params, Z, T, r)) for phi in phis])
     np.testing.assert_allclose(_at_each_node(multi, Z, T, r), reference.reshape(-1, len(Z), len(r)), rtol=1e-12)
 
@@ -666,13 +805,19 @@ def test_quadrature_term_needs_the_kink_edges(heis1, monkeypatch):
 
 def _ray_rule(params, edges, multi_fn, nf, deg):
     """(h, per): h(Z, T), the ray-form multi_fn along the directions of Z,
-    T with deg Gauss-Legendre nodes per panel of edges, in calls of at most
-    per directions."""
+    T with deg Gauss-Legendre nodes per panel of edges, or of each rule of
+    edges (a list of edge arrays), in calls of at most per directions, per
+    from the nodes of the union of the rules."""
+    single = np.ndim(edges[0]) == 0
+    rules = [np.asarray(edges)] if single else edges
     x, w = np.polynomial.legendre.leggauss(deg)
-    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    r = (lo + half * (x + 1.0)).ravel()
-    c = params.Q * (half * w).ravel() * r ** (params.Q - 1.0)
-    per = quadrature._SLICE // len(r)
+    r, c = [], []
+    for e in rules:
+        lo, half = e[:-1, None], 0.5 * np.diff(e)[:, None]
+        r.append((lo + half * (x + 1.0)).ravel())
+        c.append(params.Q * (half * w).ravel() * r[-1] ** (params.Q - 1.0))
+    per = quadrature._SLICE // (deg * (len(np.unique(np.concatenate(rules))) - 1))
+    r, c = (r[0], c[0]) if single else (r, c)
 
     def h(Z, T):
         d = norm_d(params, (Z, T))
@@ -684,8 +829,8 @@ def _ray_rule(params, edges, multi_fn, nf, deg):
 
 
 def test_quadrature_term_comes_from_replicate_zero(heis1, monkeypatch):
-    # for a modulated Rayleigh-quotient batch and an uncertainty batch:
-    # est is mc_region_multi's estimate with the 16-node
+    # for a modulated Rayleigh-quotient batch and an uncertainty batch, each
+    # function on its own rule: est is mc_region_multi's estimate with the 16-node
     # rule, gain is the 32-node over the 16-node estimate on the points of
     # replicate 0, and integrate_polar calls multi_fn only once outside
     # mc_region_multi, for the 32-node pass over those points
@@ -709,7 +854,7 @@ def test_quadrature_term_comes_from_replicate_zero(heis1, monkeypatch):
             return multi_fn(*args)
 
         est, gain = integrate_polar(alg, params, edges, counted, nf, n, seed, spawn_key)
-        calls.append((alg, params, np.asarray(edges, dtype=float), multi_fn, nf, seed, spawn_key, est, gain, outside))
+        calls.append((alg, params, edges, multi_fn, nf, seed, spawn_key, est, gain, outside))
         return est, gain
 
     monkeypatch.setattr(quadrature, "mc_region_multi", spied_region)
@@ -736,7 +881,8 @@ def test_quadrature_term_comes_from_replicate_zero(heis1, monkeypatch):
 def test_panel_edges_evaluate_no_shape_in_a_command(monkeypatch, tmp_path):
     # every shape declares its kinks: in a verify command no shape is
     # evaluated to place the panel edges of hardy, sharpness, lemma2 and
-    # uncertainty, and the edges equal those of a search
+    # uncertainty (of a batch and of each function alone), and the edges
+    # equal those of a search
     placing, counts = [False], Counter()  # shape calls while placing edges (True) and otherwise
     annulus_shape, cutoff, panel_edges = verify_mod._annulus_shape, verify_mod._cutoff, verify_mod._panel_edges
 
@@ -764,7 +910,9 @@ def test_panel_edges_evaluate_no_shape_in_a_command(monkeypatch, tmp_path):
     # hardy first, so that it runs in this process
     cli.main(["verify", "--group", "heisenberg:1", "--samples", "40000", "--corpus-samples", "8000",
               "--out", str(tmp_path)] + [f"--suite={name}" for name in ("hardy", "sharpness", "lemma2", "uncertainty")])
-    assert len(edges) == 5 + 8 + 1 + 5 and counts[False] > 0 and counts[True] == 0
+    # hardy: per annulus its five modulated functions alone and the whole annulus (the radial rule);
+    # sharpness: u_1 ... u_8; lemma2: one annulus as in hardy; uncertainty: one per annulus
+    assert len(edges) == 5 * (5 + 1) + 8 + (5 + 1) + 5 and counts[False] > 0 and counts[True] == 0
     for phis, out in edges:
         np.testing.assert_allclose(out, searched_panel_edges(phis), rtol=1e-10, atol=0.0)
 
